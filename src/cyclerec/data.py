@@ -84,9 +84,12 @@ class ItemRegistry:
     def load(cls, path: str | Path) -> "ItemRegistry":
         reg = cls()
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 idx_s, key, first_seen = line.rstrip("\n").split("\t")
-                assert int(idx_s) == len(reg.index_to_key)
+                if int(idx_s) != len(reg.index_to_key):
+                    raise ValueError(
+                        f"{path}:{lineno}: registry index {idx_s} out of order, expected {len(reg.index_to_key)}"
+                    )
                 reg.key_to_index[key] = int(idx_s)
                 reg.index_to_key.append(key)
                 reg.cycle_first_seen.append(int(first_seen))
@@ -422,7 +425,7 @@ def save_cycles(datasets: list[CycleDataset], path: str | Path) -> None:
 def load_cycles(path: str | Path) -> list[CycleDataset]:
     datasets: list[CycleDataset] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -432,8 +435,10 @@ def load_cycles(path: str | Path) -> list[CycleDataset]:
                 continue
             cycle_s, prefix_s, target_s, tag = line.split("\t")
             ex = TrainingExample(tuple(int(i) for i in prefix_s.split()), int(target_s))
+            if not datasets or datasets[-1].cycle_id != int(cycle_s):
+                header = f"cycle {datasets[-1].cycle_id}" if datasets else "no cycle header"
+                raise ValueError(f"{path}:{lineno}: example of cycle {cycle_s} under {header}")
             ds = datasets[-1]
-            assert ds.cycle_id == int(cycle_s)
             (ds.train if tag == "train" else ds.validation).append(ex)
     return datasets
 

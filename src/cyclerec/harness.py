@@ -243,7 +243,7 @@ def update_model(
     if state.ewc_anchor is not None:
         extra = model.item_count - state.ewc_anchor["item_emb"].shape[0]
         if extra > 0:  # new rows carry zero Fisher weight, so their anchor value is inert
-            pad = np.zeros((extra, model.config.embed_dim))
+            pad = np.zeros((extra, model.config.embed_dim), dtype=model.config.np_dtype)
             state.ewc_anchor["item_emb"] = np.concatenate([state.ewc_anchor["item_emb"], pad])
             state.ewc_fisher["item_emb"] = np.concatenate([state.ewc_fisher["item_emb"], pad])
 

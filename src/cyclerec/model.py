@@ -4,9 +4,17 @@ Training runs in the configured dtype (float32 by default); oracle checks
 use float64. Batched forwards sort prefixes by length into chunks and
 left-pad each chunk; the causal mask combined with a key-validity mask
 guarantees a padded slot can never influence a real position, so
-per-example features are independent of batch composition. Gradients are
-hand-derived reverse-mode and checked against central finite differences
-in the test suite.
+per-example features are independent of batch composition.
+
+The encoder runs token-major: a chunk's hidden states are one contiguous
+(B*L, D) matrix, so every projection, residual, dropout multiply, layer
+norm and feed-forward layer is one 2-D GEMM or elementwise op, forward and
+backward. Q, K and V are one fused (D, 3D) projection (K and V a (D, 2D)
+one in the last block, whose query runs on the last position only), and
+only the attention core (scores, mask, softmax, context) uses
+(B, H, L, L) views. Keys carry no bias: the softmax would cancel it.
+Gradients are hand-derived reverse-mode and checked against central
+finite differences and a batch-major reference in the test suite.
 """
 
 from __future__ import annotations
@@ -90,7 +98,7 @@ def _param_shapes(cfg: ModelConfig, item_count: int) -> dict[str, tuple[int, ...
         p = f"blocks.{b}."
         for w in ("wq", "wk", "wv", "wo"):
             shapes[p + "attn." + w] = (d, d)
-        for bias in ("bq", "bk", "bv", "bo"):
+        for bias in ("bq", "bv", "bo"):  # a key bias would cancel in the softmax
             shapes[p + "attn." + bias] = (d,)
         shapes[p + "ln1.g"] = (d,)
         shapes[p + "ln1.b"] = (d,)
@@ -166,9 +174,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _softmax_last(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_last_inplace(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, in place."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _pad_batch(trimmed: Sequence[Sequence[int]]):
@@ -218,16 +229,6 @@ def _chunk_plan(lengths: np.ndarray) -> list[np.ndarray]:
     return chunks[::-1]
 
 
-def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    B, L, D = x.shape
-    return x.reshape(B, L, heads, D // heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    B, H, L, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(B, L, H * dh)
-
-
 # Reductions below go through matmuls with one-vectors: BLAS handles the
 # strided last-axis sums far faster than numpy's reduce on these shapes.
 
@@ -256,10 +257,11 @@ def _ln_backward(dy: np.ndarray, g: np.ndarray, cache):
     mean_vec = np.full(d, 1.0 / d, dtype=dy.dtype)
     dg = _col_sum(dy * xhat)
     db = _col_sum(dy)
-    dxhat = dy * g
-    m1 = dxhat @ mean_vec
-    m2 = (dxhat * xhat) @ mean_vec
-    dx = inv[..., None] * (dxhat - m1[..., None] - xhat * m2[..., None])
+    dx = dy * g
+    m2 = (dx * xhat) @ mean_vec
+    dx -= (dx @ mean_vec)[..., None]
+    dx -= xhat * m2[..., None]
+    dx *= inv[..., None]
     return dx, dg, db
 
 
@@ -272,25 +274,32 @@ def _encode_batch(
     need_cache: bool = False,
     last_only: bool = True,
 ):
-    """Run the encoder over one padded batch.
+    """Run the encoder over one padded batch, token-major.
 
-    With ``last_only`` the final block computes queries, attention output,
-    feed-forward and layer norms at the last position only, since that is
-    the only output read; keys and values still span every position.
-    ``masks`` holds one scaled dropout-mask pair per block, shaped
-    (2, B, query positions, D), for the attention and feed-forward
-    outputs, or is None for no dropout. Returns the final block's features
-    (B, query positions, D) and an optional cache.
+    Hidden states are one (B*L, D) matrix, so every projection, residual,
+    dropout multiply, layer norm and feed-forward layer is a single 2-D
+    GEMM or elementwise op; only the attention core uses (B, H, L, L)
+    views. Q, K and V come from one (D, 3D) GEMM. With ``last_only`` the
+    final block computes queries, attention output, feed-forward and layer
+    norms at the last position only, since that is the only output read:
+    K and V still span every position, as one (D, 2D) GEMM, and the rest
+    runs on a (B, D) matrix. ``masks`` holds one scaled dropout-mask pair
+    per block, shaped (2, B, query positions, D), for the attention and
+    feed-forward outputs, or is None for no dropout. Returns the final
+    block's features (B, query positions, D) and an optional cache.
     """
     cfg = state.config
     P = state.params
     if ids.max() >= state.item_count:
         raise ValueError("prefix item index out of range")
     B, L = ids.shape
+    D = cfg.embed_dim
     H = cfg.attention_heads
-    scale = 1.0 / math.sqrt(cfg.embed_dim // H)
+    scale = 1.0 / math.sqrt(D // H)
 
-    x = (P["item_emb"][ids] + P["pos_emb"][pos]) * valid[:, :, None]
+    x = P["item_emb"][ids.ravel()]
+    x += P["pos_emb"][pos.ravel()]
+    x *= valid.reshape(-1, 1)
     causal = np.tril(np.ones((L, L), dtype=bool))
     fill = cfg.np_dtype.type(MASK_FILL)
 
@@ -298,33 +307,51 @@ def _encode_batch(
     for b in range(cfg.block_count):
         p = f"blocks.{b}."
         lq = 1 if last_only and b == cfg.block_count - 1 else L
-        xq = x[:, -lq:, :]
-        allowed = (causal[-lq:][None, :, :] & valid[:, None, :])[:, None, :, :]
-        q = xq @ P[p + "attn.wq"] + P[p + "attn.bq"]
-        k = x @ P[p + "attn.wk"] + P[p + "attn.bk"]
-        v = x @ P[p + "attn.wv"] + P[p + "attn.bv"]
-        qh, kh, vh = (_split_heads(a, H) for a in (q, k, v))
-        scores = qh @ kh.transpose(0, 1, 3, 2)
-        scores = np.where(allowed, scores, fill)
-        attn = _softmax_last(scores * scale)
-        ctx = _merge_heads(attn @ vh)
-        o = (ctx @ P[p + "attn.wo"] + P[p + "attn.bo"]) * valid[:, -lq:, None]
-        mask1, mask2 = masks[b] if masks is not None else (None, None)
-        r1 = xq + o * mask1 if mask1 is not None else xq + o
+        # queries join the fused projection unless only the last position asks
+        names = "qkv" if lq == L else "kv"
+        w = np.concatenate([P[p + "attn.w" + n] for n in names], axis=1)
+        proj = x @ w
+        if lq == L:
+            proj[:, :D] += P[p + "attn.bq"]
+        proj[:, -D:] += P[p + "attn.bv"]
+        heads = proj.reshape(B, L, len(names), H, D // H).transpose(2, 0, 3, 1, 4)
+        if lq == L:
+            xq = x
+            qh, kh, vh = heads
+        else:
+            xq = x.reshape(B, L, D)[:, -1]
+            q = xq @ P[p + "attn.wq"] + P[p + "attn.bq"]
+            qh = q.reshape(B, 1, H, D // H).transpose(0, 2, 1, 3)
+            kh, vh = heads
+        scores = qh @ kh.swapaxes(-1, -2)
+        scores *= scale
+        np.copyto(scores, fill, where=~(causal[-lq:][None, :, :] & valid[:, None, :])[:, None, :, :])
+        attn = _softmax_last_inplace(scores)
+        ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(B * lq, D)
+        keep_q = valid[:, -lq:].reshape(-1, 1)
+        mask1, mask2 = masks[b].reshape(2, B * lq, D) if masks is not None else (None, None)
+        r1 = ctx @ P[p + "attn.wo"] + P[p + "attn.bo"]
+        r1 *= keep_q
+        if mask1 is not None:
+            r1 *= mask1
+        r1 += xq
         x1, ln1c = _ln_forward(r1, P[p + "ln1.g"], P[p + "ln1.b"])
-        hpre = x1 @ P[p + "ff.w1"] + P[p + "ff.b1"]
-        h = np.maximum(hpre, 0.0)
-        f = h @ P[p + "ff.w2"] + P[p + "ff.b2"]
-        x2, ln2c = _ln_forward(x1 + f * mask2 if mask2 is not None else x1 + f, P[p + "ln2.g"], P[p + "ln2.b"])
+        h = x1 @ P[p + "ff.w1"] + P[p + "ff.b1"]
+        np.maximum(h, 0.0, out=h)
+        r2 = h @ P[p + "ff.w2"] + P[p + "ff.b2"]
+        if mask2 is not None:
+            r2 *= mask2
+        r2 += x1
+        x2, ln2c = _ln_forward(r2, P[p + "ln2.g"], P[p + "ln2.b"])
         if need_cache:
             blocks.append(
-                {"x": x, "xq": xq, "qh": qh, "kh": kh, "vh": vh, "attn": attn, "ctx": ctx,
-                 "mask1": mask1, "ln1c": ln1c, "x1": x1, "hpre": hpre, "h": h,
+                {"x": x, "xq": xq, "w": w, "names": names, "qh": qh, "kh": kh, "vh": vh, "attn": attn,
+                 "ctx": ctx, "keep_q": keep_q, "mask1": mask1, "ln1c": ln1c, "x1": x1, "h": h,
                  "mask2": mask2, "ln2c": ln2c}
             )
         x = x2
     cache = {"ids": ids, "valid": valid, "pos": pos, "scale": scale, "blocks": blocks} if need_cache else None
-    return x, cache
+    return x.reshape(B, -1, D), cache
 
 
 def _encode_rows(
@@ -372,69 +399,94 @@ def _encode_rows(
 
 
 def _scatter_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
-    """``out[index[i]] += rows[i]`` with repeated indices summed, like ``np.add.at``."""
-    d = out.shape[1]
-    flat = (index[:, None] * d + np.arange(d)).ravel()
-    out += np.bincount(flat, weights=rows.ravel(), minlength=out.size).reshape(out.shape)
+    """``out[index[i]] += rows[i]`` with repeated indices summed, like ``np.add.at``.
+
+    Rows are sorted by index and each run of equal indices is summed with
+    one ``reduceat``, so only the rows that occur are touched.
+    """
+    order = np.argsort(index, kind="stable")
+    keys = index[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    out[keys[starts]] += np.add.reduceat(rows[order], starts, axis=0)
 
 
 def _encode_backward(state: ModelState, cache: dict, dlast: np.ndarray, grads: dict[str, np.ndarray]) -> None:
     """Accumulate encoder gradients into ``grads`` given d(loss)/d(last-position features).
 
-    ``cache`` must come from a ``last_only`` forward pass.
+    ``cache`` must come from a ``last_only`` forward pass. Gradients flow
+    through the same token-major layout as the forward pass: the fused
+    projection's weight gradients come from one GEMM and its input
+    gradient from another.
     """
     cfg = state.config
     P = state.params
-    valid = cache["valid"]
-    scale = cache["scale"]
+    B, L = cache["ids"].shape
+    D = cfg.embed_dim
     H = cfg.attention_heads
+    scale = cache["scale"]
 
-    def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # sum over batch and positions: a (B,L,D1), b (B,L,D2) -> (D1,D2)
-        return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
-
-    dx = dlast[:, None, :]
+    dx = dlast
     for b in range(cfg.block_count - 1, -1, -1):
         c = cache["blocks"][b]
         p = f"blocks.{b}."
-        lq = c["xq"].shape[1]
+        lq = c["attn"].shape[2]
         dr2, dg2, db2 = _ln_backward(dx, P[p + "ln2.g"], c["ln2c"])
         grads[p + "ln2.g"] += dg2
         grads[p + "ln2.b"] += db2
         df = dr2 * c["mask2"] if c["mask2"] is not None else dr2
-        grads[p + "ff.w2"] += outer(c["h"], df)
+        grads[p + "ff.w2"] += c["h"].T @ df
         grads[p + "ff.b2"] += _col_sum(df)
-        dh = df @ P[p + "ff.w2"].T
-        dhpre = dh * (c["hpre"] > 0.0)
-        grads[p + "ff.w1"] += outer(c["x1"], dhpre)
+        dhpre = df @ P[p + "ff.w2"].T
+        dhpre *= c["h"] > 0.0
+        grads[p + "ff.w1"] += c["x1"].T @ dhpre
         grads[p + "ff.b1"] += _col_sum(dhpre)
-        dx1 = dr2 + dhpre @ P[p + "ff.w1"].T
+        dx1 = dhpre @ P[p + "ff.w1"].T
+        dx1 += dr2
 
         dr1, dg1, db1 = _ln_backward(dx1, P[p + "ln1.g"], c["ln1c"])
         grads[p + "ln1.g"] += dg1
         grads[p + "ln1.b"] += db1
-        do = (dr1 * c["mask1"] if c["mask1"] is not None else dr1) * valid[:, -lq:, None]
-        grads[p + "attn.wo"] += outer(c["ctx"], do)
+        do = dr1 * c["keep_q"]
+        if c["mask1"] is not None:
+            do *= c["mask1"]
+        grads[p + "attn.wo"] += c["ctx"].T @ do
         grads[p + "attn.bo"] += _col_sum(do)
-        dctx = _split_heads(do @ P[p + "attn.wo"].T, H)
-        dattn = dctx @ c["vh"].transpose(0, 1, 3, 2)
-        dvh = c["attn"].transpose(0, 1, 3, 2) @ dctx
+        dctx = (do @ P[p + "attn.wo"].T).reshape(B, lq, H, D // H).transpose(0, 2, 1, 3)
+        attn = c["attn"]
+        dscores = dctx @ c["vh"].swapaxes(-1, -2)
         # softmax rows: ds = a * (da - sum(da * a))
-        inner = (dattn * c["attn"]).sum(axis=-1, keepdims=True)
-        dscores = c["attn"] * (dattn - inner)
-        de = dscores * scale
-        dqh = de @ c["kh"]
-        dkh = de.transpose(0, 1, 3, 2) @ c["qh"]
-        dq, dk, dv = (_merge_heads(a) for a in (dqh, dkh, dvh))
-        for name, inp, dmat in (("q", c["xq"], dq), ("k", c["x"], dk), ("v", c["x"], dv)):
-            grads[p + "attn.w" + name] += outer(inp, dmat)
-            grads[p + "attn.b" + name] += _col_sum(dmat)
-        dx = dk @ P[p + "attn.wk"].T + dv @ P[p + "attn.wv"].T
-        dx[:, -lq:] += dr1 + dq @ P[p + "attn.wq"].T
+        dscores -= (dscores * attn).sum(axis=-1, keepdims=True)
+        dscores *= attn
+        dscores *= scale
+        names = c["names"]
+        dproj = np.empty((B, L, len(names), H, D // H), dtype=dx.dtype)
+        dheads = dproj.transpose(2, 0, 3, 1, 4)
+        np.matmul(attn.swapaxes(-1, -2), dctx, out=dheads[-1])
+        np.matmul(dscores.swapaxes(-1, -2), c["qh"], out=dheads[-2])
+        if lq == L:
+            np.matmul(dscores, c["kh"], out=dheads[0])
+        dproj = dproj.reshape(B * L, len(names) * D)
+        dw = c["x"].T @ dproj
+        db = _col_sum(dproj)
+        for i, n in enumerate(names):
+            grads[p + "attn.w" + n] += dw[:, i * D : (i + 1) * D]
+        grads[p + "attn.bv"] += db[-D:]
+        dx = dproj @ c["w"].T
+        if lq == L:
+            grads[p + "attn.bq"] += db[:D]
+            dx += dr1
+        else:
+            dq = (dscores @ c["kh"]).reshape(B, D)
+            grads[p + "attn.wq"] += c["xq"].T @ dq
+            grads[p + "attn.bq"] += _col_sum(dq)
+            # the query and the residual read the last position only
+            dr1 += dq @ P[p + "attn.wq"].T
+            dx.reshape(B, L, D)[:, -1] += dr1
 
+    valid = cache["valid"].ravel()
     flat_dx = dx[valid]
-    _scatter_rows(grads["item_emb"], cache["ids"][valid], flat_dx)
-    _scatter_rows(grads["pos_emb"], cache["pos"][valid], flat_dx)
+    _scatter_rows(grads["item_emb"], cache["ids"].ravel()[valid], flat_dx)
+    _scatter_rows(grads["pos_emb"], cache["pos"].ravel()[valid], flat_dx)
 
 
 def extract_features_batch(

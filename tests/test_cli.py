@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from cyclerec.cli import ConfigError, main, resolve_config
+from cyclerec.cli import ConfigError, _load_config, main, resolve_config
+
+REPO = Path(__file__).resolve().parents[1]
 
 TOY_CONFIG = {
     "data": {
@@ -60,6 +62,16 @@ def test_resolve_fills_defaults():
     assert resolved["model"]["embed_dim"] == 16
     assert resolved["training"]["learning_rate"] == 5e-4
 
+
+
+def test_quick_start_config_resolves_and_matches_readme():
+    raw = _load_config(str(REPO / "examples-config.yaml"))
+    resolved = resolve_config(raw)
+    assert resolved["methods"] == ["ADER", "Finetune", "Dropout"]
+    assert resolved["model"]["embed_dim"] == 32
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A minimal config:\n\n```yaml\n", 1)[1].split("```", 1)[0]
+    assert yaml.safe_load(block) == raw
 
 def test_resolve_missing_field_names_it():
     for field in ("data", "methods", "seeds"):

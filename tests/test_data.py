@@ -316,3 +316,20 @@ def test_registry_round_trip(tmp_path):
     registry.save(path)
     loaded = ItemRegistry.load(path)
     assert loaded == registry
+
+
+def test_registry_out_of_order_index_names_path_and_line(tmp_path):
+    path = tmp_path / "registry.tsv"
+    path.write_text("0\tx\t0\n2\ty\t0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"registry\.tsv:2: registry index 2 out of order, expected 1"):
+        ItemRegistry.load(path)
+
+
+def test_cycles_id_mismatch_names_path_and_line(tmp_path):
+    path = tmp_path / "cycles.txt"
+    path.write_text("# cycle 0 items 5\n0\t1 2\t3\ttrain\n1\t2\t4\ttrain\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"cycles\.txt:3: example of cycle 1 under cycle 0"):
+        load_cycles(path)
+    path.write_text("0\t1 2\t3\ttrain\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"cycles\.txt:1: example of cycle 0 under no cycle header"):
+        load_cycles(path)

@@ -307,6 +307,37 @@ def test_ewc_penalty_active_from_second_cycle():
     assert any(e.ewc > 0.0 for e in later)
 
 
+
+def test_ewc_trains_in_model_dtype_after_vocabulary_growth(monkeypatch):
+    # the anchor and Fisher rows padded for new items must keep the model's
+    # float32, or the penalty and its gradient silently run in float64
+    import cyclerec.harness as harness_mod
+
+    seen = []
+    real = harness_mod.loss_and_gradients
+
+    def recording(model, spec):
+        breakdown, grads = real(model, spec)
+        if spec.ewc_anchor is not None:
+            seen.append(([a.dtype for a in spec.ewc_anchor.values()] + [f.dtype for f in spec.ewc_fisher.values()],
+                         [g.dtype for g in grads.values()]))
+        return breakdown, grads
+
+    monkeypatch.setattr(harness_mod, "loss_and_gradients", recording)
+    datasets, _ = tiny_stream(cycles=3, new_items=4)
+    assert datasets[1].item_count_after > datasets[0].item_count_after
+    cfg = ModelConfig(embed_dim=16, block_count=2, max_seq_len=16, dtype="float32")
+    state = ExperimentState(model=init_model(cfg, datasets[0].item_count_after, seed=0))
+    method = MethodSpec(MethodKind.EWC, exemplar_capacity=50, ewc_strength=10.0)
+    for ds in datasets[:2]:
+        update_model(state, ds, method, tiny_loop(epochs=2, patience=1))
+    assert seen  # cycle 1 trained against the padded cycle-0 anchor
+    for anchor_dtypes, grad_dtypes in seen:
+        assert set(anchor_dtypes) == {np.dtype(np.float32)}
+        assert set(grad_dtypes) == {np.dtype(np.float32)}
+    assert all(a.dtype == np.float32 for a in state.ewc_anchor.values())
+    assert all(f.dtype == np.float32 for f in state.ewc_fisher.values())
+
 def test_er_methods_grow_training_pool_with_exemplars():
     datasets, _ = tiny_stream(cycles=3, sessions=50)
     loop = tiny_loop(epochs=2, patience=1)

@@ -56,6 +56,7 @@ def test_init_shapes():
     assert m.params["item_emb"].shape == (5, 8)
     assert m.params["pos_emb"].shape == (10, 8)
     assert m.params["blocks.0.attn.wq"].shape == (8, 8)
+    assert "blocks.0.attn.bk" not in m.params  # the softmax cancels a key bias
     assert set(m.adam_m) == set(m.params)
 
 
