@@ -42,7 +42,6 @@ from .harness import (
 )
 from .losses import (
     LossBreakdown,
-    LossWeights,
     adaptive_lambda,
     ader_loss,
     ce_from_logits,

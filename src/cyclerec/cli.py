@@ -66,8 +66,6 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError("field 'methods' must list at least one method")
     if not cfg["seeds"]:
         raise ConfigError("field 'seeds' must list at least one seed")
-    for name in cfg["methods"]:
-        MethodKind.parse(str(name))
     data = cfg["data"]
     if not isinstance(data, dict) or len(set(data) & {"synthetic", "events", "cycles"}) != 1:
         raise ConfigError("field 'data' must hold exactly one of: synthetic, events, cycles")
@@ -87,6 +85,7 @@ def resolve_config(raw: dict) -> dict:
         TrainLoopConfig(**resolved["training"], seed=0)
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
+    build_methods(resolved["methods"], resolved)
     return resolved
 
 
@@ -128,6 +127,14 @@ def build_method(name: str, resolved: dict) -> MethodSpec:
         dropout_rate=dropout,
         ewc_strength=resolved["ewc_strength"],
     )
+
+
+def build_methods(names: list, resolved: dict) -> list[MethodSpec]:
+    """Every named method's spec; a bad name or setting is a ``ConfigError``."""
+    try:
+        return [build_method(str(name), resolved) for name in names]
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"field 'methods': {err}") from err
 
 
 def _load_config(path: str) -> dict:
@@ -191,7 +198,7 @@ def cmd_run(args) -> int:
     if args.dry_run:
         print(yaml.safe_dump(resolved, sort_keys=True, default_flow_style=False), end="")
         return 0
-    methods = [build_method(name, resolved) for name in resolved["methods"]]
+    methods = build_methods(resolved["methods"], resolved)
     _execute(resolved, methods, Path(resolved["out"]), args.workers)
     return 0
 
@@ -201,6 +208,7 @@ def cmd_ablate(args) -> int:
     if args.out:
         resolved["out"] = args.out
     resolved["methods"] = list(ABLATION_METHODS)
+    methods = build_methods(ABLATION_METHODS, resolved)
     if args.dry_run:
         print(yaml.safe_dump(resolved, sort_keys=True, default_flow_style=False), end="")
         return 0
@@ -208,7 +216,6 @@ def cmd_ablate(args) -> int:
     datasets, _ = build_datasets(resolved)
     loop_cfg = TrainLoopConfig(**resolved["training"], seed=0)
     model_cfg = ModelConfig(**resolved["model"])
-    methods = [build_method(name, resolved) for name in ABLATION_METHODS]
     cmp = compare_methods(
         datasets, methods, resolved["seeds"], loop_cfg, model_cfg,
         ks=tuple(resolved["ks"]), workers=args.workers,

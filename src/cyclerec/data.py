@@ -71,10 +71,6 @@ class ItemRegistry:
             self.cycle_first_seen.append(cycle)
         return idx
 
-    def items_through_cycle(self, cycle: int) -> int:
-        """Number of items first seen in any cycle <= ``cycle``."""
-        return sum(1 for c in self.cycle_first_seen if 0 <= c <= cycle)
-
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for idx, key in enumerate(self.index_to_key):

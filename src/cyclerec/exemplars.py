@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import TrainingExample
-from .losses import ce_from_logits
+from .losses import _softmax
 from .model import ModelState, extract_features_batch
 
 logger = logging.getLogger(__name__)
@@ -173,7 +173,6 @@ def select_exemplars(
     strategy: SelectionStrategy = SelectionStrategy.HERDING,
     seed: int = 0,
     created_cycle: int = 0,
-    normalize_features: bool = False,
     batch_size: int = 512,
 ) -> ExemplarSet:
     """Build the next exemplar store from the current pool.
@@ -199,19 +198,15 @@ def select_exemplars(
     feats = None
     if strategy in (SelectionStrategy.HERDING, SelectionStrategy.EQUAL_HERDING):
         feats = extract_features_batch(model, [ex.prefix for ex in pool], batch_size=batch_size)
-        if normalize_features:
-            norms = np.linalg.norm(feats, axis=1, keepdims=True)
-            feats = feats / np.where(norms > 0, norms, 1.0)
     per_example_loss = None
     if strategy is SelectionStrategy.LOSS:
         per_example_loss = np.empty(len(pool))
         for lo in range(0, len(pool), batch_size):
             chunk = pool[lo : lo + batch_size]
             cf = extract_features_batch(model, [ex.prefix for ex in chunk])
-            logits = cf @ model.params["item_emb"].T
-            logits -= logits.max(axis=1, keepdims=True)
-            logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-            per_example_loss[lo : lo + len(chunk)] = -logp[np.arange(len(chunk)), targets[lo : lo + len(chunk)]]
+            z, log_norm, _ = _softmax(cf @ model.params["item_emb"].T)
+            target_z = z[np.arange(len(chunk)), targets[lo : lo + len(chunk)]]
+            per_example_loss[lo : lo + len(chunk)] = log_norm[:, 0] - target_z
 
     store = ExemplarSet(capacity=capacity, created_cycle=created_cycle)
     for item in sorted(member_idx):

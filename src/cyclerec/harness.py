@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import CycleDataset, ItemRegistry, TrainingExample
+from .data import CycleDataset, TrainingExample
 from .exemplars import ExemplarSet, SelectionStrategy, select_exemplars
 from .losses import adaptive_lambda, ce_from_logits, fisher_diagonal, teacher_probabilities
 from .metrics import CycleReport, mrr_at_k, recall_at_k, target_ranks
@@ -87,7 +87,6 @@ class MethodSpec:
     exemplar_capacity: int = 1000
     dropout_rate: float | None = None  # None resolves to the kind's default
     ewc_strength: float = 100.0
-    normalize_herding: bool = False
 
     def __post_init__(self) -> None:
         self.kind = MethodKind(self.kind)
@@ -147,8 +146,6 @@ class ExperimentState:
     model: ModelState
     previous_model: ModelState | None = None
     exemplars: ExemplarSet | None = None
-    registry: ItemRegistry | None = None
-    history: list[CycleReport] = field(default_factory=list)
     joint_buffer: list[TrainingExample] = field(default_factory=list)
     ewc_anchor: dict[str, np.ndarray] | None = None
     ewc_fisher: dict[str, np.ndarray] | None = None
@@ -338,8 +335,7 @@ def update_model(
         pool = list(cycle_data.train) + exemplar_examples
         state.exemplars = select_exemplars(
             model, pool, method.exemplar_capacity, method.selection_strategy,
-            seed=_derived_seed(loop_cfg.seed, t, 55), created_cycle=t,
-            normalize_features=method.normalize_herding, batch_size=loop_cfg.eval_batch_size,
+            seed=_derived_seed(loop_cfg.seed, t, 55), created_cycle=t, batch_size=loop_cfg.eval_batch_size,
         )
         if audit is not None:
             audit.append(("exemplars", t, state.exemplars.total_count))
@@ -349,7 +345,8 @@ def update_model(
     if method.kind is MethodKind.JOINT:
         state.joint_buffer.extend(cycle_data.train)
 
-    state.previous_model = model.copy()
+    if method.kind in KD_KINDS:  # only distillation reads the previous cycle's model
+        state.previous_model = model.copy()
     state.last_cycle = t
     return records
 
@@ -372,7 +369,6 @@ def run_experiment(
     loop_cfg: TrainLoopConfig,
     model_cfg: ModelConfig,
     ks: Sequence[int] = (10, 20),
-    registry: ItemRegistry | None = None,
 ) -> RunResult:
     """Train on cycles 0..T-2, evaluating each trained model on the next cycle.
 
@@ -384,10 +380,7 @@ def run_experiment(
     if len(datasets) < 2:
         raise ValueError("run_experiment: need at least 2 cycles (last one is test-only)")
     cfg = dataclasses.replace(model_cfg, dropout_rate=method.dropout_rate)
-    state = ExperimentState(
-        model=init_model(cfg, datasets[0].item_count_after, seed=_derived_seed(loop_cfg.seed, 11)),
-        registry=registry,
-    )
+    state = ExperimentState(model=init_model(cfg, datasets[0].item_count_after, seed=_derived_seed(loop_cfg.seed, 11)))
     audit: list[tuple] = []
     epoch_log: list[EpochRecord] = []
     reports: list[CycleReport] = []
@@ -414,7 +407,6 @@ def run_experiment(
             epochs_trained=len(records),
         )
         reports.append(report)
-        state.history.append(report)
         logger.info("%s seed=%d cycle %d: recall@20=%.4f epochs=%d",
                     method.name, loop_cfg.seed, t, recall.get(20, max(recall.values())), len(records))
     return RunResult(method, loop_cfg.seed, reports, epoch_log, audit, aggregate(reports))

@@ -32,16 +32,18 @@ class LossBreakdown:
     total: float = 0.0
 
 
-@dataclass
-class LossWeights:
-    lambda_base: float = 0.8
-    lambda_t: float = 0.0
-    ewc_strength: float = 0.0
+def _softmax(logits: np.ndarray, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise softmax of ``logits`` from one ``exp`` pass, as ``(z, log_norm, probs)``.
 
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    ``z`` is the logits less their row maximum and ``z - log_norm`` the
+    log-softmax; ``probs`` is the softmax times ``scale``. Callers that need
+    the log-probability of one entry per row read it without a full pass.
+    """
     z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    probs = np.exp(z)
+    total = probs.sum(axis=-1, keepdims=True)
+    probs *= scale / total
+    return z, np.log(total), probs
 
 
 def ce_from_logits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -51,11 +53,9 @@ def ce_from_logits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.n
     """
     n = logits.shape[0]
     rows = np.arange(n)
-    logp = _log_softmax(logits)
-    loss = float(-logp[rows, targets].mean())
-    dlogits = np.exp(logp)
-    dlogits[rows, targets] -= 1.0
-    dlogits /= n
+    z, log_norm, dlogits = _softmax(logits, 1.0 / n)
+    loss = float((log_norm[:, 0] - z[rows, targets]).mean())
+    dlogits[rows, targets] -= 1.0 / n
     return loss, dlogits
 
 
@@ -68,9 +68,10 @@ def kd_from_logits(
     gradient = (softmax(student/T) - teacher) / (n * T)
     """
     n = student_logits.shape[0]
-    logp = _log_softmax(student_logits / temperature)
-    loss = float(-(teacher_probs * logp).sum() / n)
-    dlogits = (np.exp(logp) - teacher_probs) / (n * temperature)
+    scale = 1.0 / (n * temperature)
+    z, log_norm, dlogits = _softmax(student_logits / temperature, scale)
+    loss = float(-(teacher_probs * (z - log_norm)).sum() / n)
+    dlogits -= scale * teacher_probs
     return loss, dlogits
 
 
@@ -88,10 +89,7 @@ def teacher_probabilities(
         raise ValueError("teacher_probabilities: range exceeds the teacher registry")
     feats = extract_features_batch(teacher, [ex.prefix for ex in exemplars], batch_size=batch_size)
     logits = feats @ teacher.params["item_emb"][:old_item_range].T
-    z = logits / temperature
-    z -= z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax(logits / temperature)[2]
 
 
 def ce_loss(

@@ -6,15 +6,27 @@ left-pad each chunk; the causal mask combined with a key-validity mask
 guarantees a padded slot can never influence a real position, so
 per-example features are independent of batch composition.
 
+Rows that share a session prefix share one pass. Each row's trimmed
+prefix maps to a root: a row of the same call that it is a prefix of and
+that is a prefix of no other row (in lexicographic order, a row is a
+prefix of some row if and only if it is a prefix of the next one). Only
+roots are encoded. Under the causal mask a row's features are its root's
+at the row's last item, so the last block runs its queries at each row's
+(root, column) only: they sit in a (roots, m) slot table, m being the most
+rows any root of the chunk serves, and K and V still span every position
+of each root. With dropout on, inner-block masks are drawn per root
+token, so rows sharing a root share them, as one SASRec pass over the
+session would; last-block masks are drawn per row.
+
 The encoder runs token-major: a chunk's hidden states are one contiguous
 (B*L, D) matrix, so every projection, residual, dropout multiply, layer
 norm and feed-forward layer is one 2-D GEMM or elementwise op, forward and
 backward. Q, K and V are one fused (D, 3D) projection (K and V a (D, 2D)
-one in the last block, whose query runs on the last position only), and
-only the attention core (scores, mask, softmax, context) uses
-(B, H, L, L) views. Keys carry no bias: the softmax would cancel it.
-Gradients are hand-derived reverse-mode and checked against central
-finite differences and a batch-major reference in the test suite.
+one in the last block), and only the attention core (scores, mask,
+softmax, context) uses (B, H, L, L) or slot-table (B, H, m, L) views.
+Keys carry no bias: the softmax would cancel it. Gradients are
+hand-derived reverse-mode and checked against central finite differences
+and a per-row batch-major reference in the test suite.
 """
 
 from __future__ import annotations
@@ -210,14 +222,15 @@ def _chunk_plan(lengths: np.ndarray) -> list[np.ndarray]:
     """
     order = np.argsort(lengths, kind="stable")
     sorted_len = lengths[order]
-    ends = np.append(np.flatnonzero(np.diff(sorted_len)) + 1, len(order))
-    starts = np.concatenate(([0], ends))
+    ends = np.append(np.flatnonzero(np.diff(sorted_len)) + 1, len(order)).tolist()
+    starts = [0] + ends
+    longest_of = sorted_len[np.array(ends) - 1].tolist()
     best = [0.0]
     prev = [0]
-    for j, end in enumerate(ends, start=1):
-        longest = int(sorted_len[end - 1])
+    # plain Python lists: the loop is short, and numpy calls would cost more than the arithmetic
+    for j, (end, longest) in enumerate(zip(ends, longest_of), start=1):
         costs = [best[i] + (end - starts[i]) * longest + CHUNK_OVERHEAD_TOKENS for i in range(j)]
-        i = int(np.argmin(costs))
+        i = min(range(j), key=costs.__getitem__)  # first minimum, as np.argmin
         best.append(costs[i])
         prev.append(i)
     chunks = []
@@ -272,21 +285,26 @@ def _encode_batch(
     pos: np.ndarray,
     masks: Sequence[np.ndarray] | None = None,
     need_cache: bool = False,
-    last_only: bool = True,
+    query_cols: np.ndarray | None = None,
 ):
     """Run the encoder over one padded batch, token-major.
 
     Hidden states are one (B*L, D) matrix, so every projection, residual,
     dropout multiply, layer norm and feed-forward layer is a single 2-D
-    GEMM or elementwise op; only the attention core uses (B, H, L, L)
-    views. Q, K and V come from one (D, 3D) GEMM. With ``last_only`` the
-    final block computes queries, attention output, feed-forward and layer
-    norms at the last position only, since that is the only output read:
-    K and V still span every position, as one (D, 2D) GEMM, and the rest
-    runs on a (B, D) matrix. ``masks`` holds one scaled dropout-mask pair
-    per block, shaped (2, B, query positions, D), for the attention and
-    feed-forward outputs, or is None for no dropout. Returns the final
-    block's features (B, query positions, D) and an optional cache.
+    GEMM or elementwise op; only the attention core uses (B, H, m, L)
+    views. Q, K and V come from one (D, 3D) GEMM.
+
+    ``query_cols`` is a (B, m) slot table: the columns of row b that the
+    caller reads, in ascending order, -1 marking an empty slot. The final
+    block then computes queries, attention output, feed-forward and layer
+    norms at those columns only: K and V still span every position, as one
+    (D, 2D) GEMM, the attention core runs on the slot table, and the rest
+    runs on an (n, D) matrix of the n filled slots, in slot order. Without
+    it every position is a query. ``masks`` holds one scaled dropout-mask pair per
+    block, shaped (2, B, L, D) for an inner block and (2, n, D) for the
+    final one, for the attention and feed-forward outputs, or is None for
+    no dropout. Returns the (n, D) query features, or (B, L, D) without
+    ``query_cols``, and an optional cache.
     """
     cfg = state.config
     P = state.params
@@ -300,38 +318,61 @@ def _encode_batch(
     x = P["item_emb"][ids.ravel()]
     x += P["pos_emb"][pos.ravel()]
     x *= valid.reshape(-1, 1)
-    causal = np.tril(np.ones((L, L), dtype=bool))
     fill = cfg.np_dtype.type(MASK_FILL)
+    causal = np.tril(np.ones((L, L), dtype=bool))
+    last_block = -1
+    if query_cols is not None:
+        last_block = cfg.block_count - 1
+        m = query_cols.shape[1]
+        flat = query_cols.ravel()
+        slots = np.flatnonzero(flat >= 0)
+        full = len(slots) == B * m
+        tok = slots // m * L + flat[slots]
+        # an empty slot queries the last column; its output is never read
+        cols = np.where(query_cols >= 0, query_cols, L - 1)
+        query_allowed = (np.arange(L) <= cols[:, :, None]) & valid[:, None, :]
 
     blocks = []
     for b in range(cfg.block_count):
         p = f"blocks.{b}."
-        lq = 1 if last_only and b == cfg.block_count - 1 else L
-        # queries join the fused projection unless only the last position asks
-        names = "qkv" if lq == L else "kv"
+        last = b == last_block
+        # queries join the fused projection unless only some columns ask
+        names = "kv" if last else "qkv"
         w = np.concatenate([P[p + "attn.w" + n] for n in names], axis=1)
         proj = x @ w
-        if lq == L:
+        if not last:
             proj[:, :D] += P[p + "attn.bq"]
         proj[:, -D:] += P[p + "attn.bv"]
         heads = proj.reshape(B, L, len(names), H, D // H).transpose(2, 0, 3, 1, 4)
-        if lq == L:
+        if last:
+            lq = m
+            xq = x[tok]
+            q = xq @ P[p + "attn.wq"] + P[p + "attn.bq"]
+            if not full:
+                q_table = np.zeros((B * m, D), dtype=q.dtype)
+                q_table[slots] = q
+                q = q_table
+            qh = q.reshape(B, m, H, D // H).transpose(0, 2, 1, 3)
+            kh, vh = heads
+            allowed = query_allowed
+            keep_q = None  # every query column holds a real token
+        else:
+            lq = L
             xq = x
             qh, kh, vh = heads
-        else:
-            xq = x.reshape(B, L, D)[:, -1]
-            q = xq @ P[p + "attn.wq"] + P[p + "attn.bq"]
-            qh = q.reshape(B, 1, H, D // H).transpose(0, 2, 1, 3)
-            kh, vh = heads
+            allowed = causal[None] & valid[:, None, :]
+            keep_q = valid.reshape(-1, 1)
         scores = qh @ kh.swapaxes(-1, -2)
         scores *= scale
-        np.copyto(scores, fill, where=~(causal[-lq:][None, :, :] & valid[:, None, :])[:, None, :, :])
+        np.copyto(scores, fill, where=~allowed[:, None, :, :])
         attn = _softmax_last_inplace(scores)
         ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(B * lq, D)
-        keep_q = valid[:, -lq:].reshape(-1, 1)
-        mask1, mask2 = masks[b].reshape(2, B * lq, D) if masks is not None else (None, None)
+        if last and not full:
+            ctx = ctx[slots]
+        mask1, mask2 = masks[b].reshape(2, -1, D) if masks is not None else (None, None)
         r1 = ctx @ P[p + "attn.wo"] + P[p + "attn.bo"]
-        r1 *= keep_q
+        if keep_q is not None:
+            r1 *= keep_q
         if mask1 is not None:
             r1 *= mask1
         r1 += xq
@@ -350,8 +391,30 @@ def _encode_batch(
                  "mask2": mask2, "ln2c": ln2c}
             )
         x = x2
-    cache = {"ids": ids, "valid": valid, "pos": pos, "scale": scale, "blocks": blocks} if need_cache else None
-    return x.reshape(B, -1, D), cache
+    if query_cols is None:
+        return x.reshape(B, L, D), None
+    cache = None
+    if need_cache:
+        cache = {"ids": ids, "valid": valid, "pos": pos, "scale": scale, "blocks": blocks,
+                 "slots": slots, "m": m, "full": full, "tok": tok}
+    return x, cache
+
+
+def _prefix_roots(trimmed: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Index of each row's root: a row that it is a prefix of and that is a prefix of no other row.
+
+    In lexicographic order every row that starts with ``a`` follows ``a``
+    directly, so ``a`` is a prefix of some other row if and only if it is a
+    prefix of the row right after it, whose root it then shares. Equal rows
+    share a root.
+    """
+    root = np.arange(len(trimmed))
+    order = sorted(range(len(trimmed)), key=trimmed.__getitem__)
+    for k in range(len(order) - 2, -1, -1):
+        row, nxt = order[k], order[k + 1]
+        if trimmed[nxt][: len(trimmed[row])] == trimmed[row]:
+            root[row] = root[nxt]
+    return root
 
 
 def _encode_rows(
@@ -361,38 +424,64 @@ def _encode_rows(
     dropout_seed: int = 0,
     need_cache: bool = False,
 ):
-    """Last-position features of each prefix, encoded in length-sorted chunks.
+    """Last-position features of each prefix, sharing one pass per root.
 
-    Dropout masks for every chunk come from one draw per call, seeded by
-    ``dropout_seed``. Returns the (rows, D) features and, with
-    ``need_cache``, the ``(row indices, cache)`` pair of each chunk for
+    Each trimmed prefix maps to its root (``_prefix_roots``); only the roots
+    are encoded, in length-sorted chunks. Under the causal mask a row's
+    features are its root's at the row's last item, so the final block
+    queries the roots there, through a (roots, m) slot table per chunk with
+    m the most rows of any root in it. Dropout masks for every chunk come
+    from one draw per call, seeded by ``dropout_seed``: inner-block masks
+    per root token, so rows sharing a root share them, and final-block
+    masks per row. Returns the (rows, D) features and, with ``need_cache``,
+    the ``(row indices in slot order, cache)`` pair of each chunk for
     ``_encode_backward``.
     """
     cfg = state.config
     dt = cfg.np_dtype
-    trimmed = [p[-cfg.max_seq_len :] for p in prefixes]
+    d = cfg.embed_dim
+    trimmed = [tuple(p[-cfg.max_seq_len :]) for p in prefixes]
     lengths = np.fromiter(map(len, trimmed), dtype=np.int64, count=len(trimmed))
-    chunks = _chunk_plan(lengths)
+    roots, group = np.unique(_prefix_roots(trimmed), return_inverse=True)
+    root_len = lengths[roots]
+    chunks = _chunk_plan(root_len)
+    chunk_of = np.empty(len(roots), dtype=np.int64)
+    slot_of = np.empty(len(roots), dtype=np.int64)
+    for c, members in enumerate(chunks):
+        chunk_of[members] = c
+        slot_of[members] = np.arange(len(members))
+    # rows by chunk, then root slot, then length: each chunk's rows in slot order
+    order = np.lexsort((lengths, slot_of[group], chunk_of[group]))
+    row_root = group[order]
+    first = np.flatnonzero(np.diff(row_root, prepend=-1))
+    rank = np.arange(len(order)) - np.repeat(first, np.diff(first, append=len(order)))  # among its root's rows
+    row_bounds = np.searchsorted(chunk_of[row_root], np.arange(len(chunks) + 1))
+    plans = []
+    for c, members in enumerate(chunks):
+        lo, hi = row_bounds[c], row_bounds[c + 1]
+        L = int(root_len[members].max())
+        table = np.full((len(members), int(rank[lo:hi].max()) + 1), -1, dtype=np.int64)
+        # roots are left-padded to L, so a row's last item sits at this column
+        table[slot_of[row_root[lo:hi]], rank[lo:hi]] = L - root_len[row_root[lo:hi]] + lengths[order[lo:hi]] - 1
+        plans.append((members, order[lo:hi], table, L))
     masks: list = [None] * len(chunks)
     if train_mode and cfg.dropout_rate > 0.0:
-        # per chunk: full-length mask pairs for the inner blocks, last-position
-        # pairs for the final block
-        d = cfg.embed_dim
+        # per chunk: per-token mask pairs for the inner blocks, per-row pairs
+        # for the final block
         shapes = [
-            [(2, len(rows), int(lengths[rows[-1]]), d)] * (cfg.block_count - 1) + [(2, len(rows), 1, d)]
-            for rows in chunks
+            [(2, len(members), L, d)] * (cfg.block_count - 1) + [(2, len(rows), d)]
+            for members, rows, _, L in plans
         ]
         sizes = [math.prod(shape) for chunk in shapes for shape in chunk]
         rng = np.random.default_rng(np.random.SeedSequence([dropout_seed]))
         flat = (rng.random(sum(sizes), dtype=dt) >= cfg.dropout_rate) * dt.type(1.0 / (1.0 - cfg.dropout_rate))
         pieces = iter(np.split(flat, np.cumsum(sizes)[:-1]))
         masks = [[next(pieces).reshape(shape) for shape in chunk] for chunk in shapes]
-    feats = np.empty((len(trimmed), cfg.embed_dim), dtype=dt)
+    feats = np.empty((len(trimmed), d), dtype=dt)
     caches = []
-    for c, rows in enumerate(chunks):
-        ids, valid, pos = _pad_batch([trimmed[i] for i in rows])
-        x, cache = _encode_batch(state, ids, valid, pos, masks[c], need_cache)
-        feats[rows] = x[:, -1, :]
+    for c, (members, rows, table, _) in enumerate(plans):
+        ids, valid, pos = _pad_batch([trimmed[i] for i in roots[members]])
+        feats[rows], cache = _encode_batch(state, ids, valid, pos, masks[c], need_cache, table)
         if need_cache:
             caches.append((rows, cache))
     return feats, caches
@@ -410,13 +499,15 @@ def _scatter_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
     out[keys[starts]] += np.add.reduceat(rows[order], starts, axis=0)
 
 
-def _encode_backward(state: ModelState, cache: dict, dlast: np.ndarray, grads: dict[str, np.ndarray]) -> None:
-    """Accumulate encoder gradients into ``grads`` given d(loss)/d(last-position features).
+def _encode_backward(state: ModelState, cache: dict, dquery: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+    """Accumulate encoder gradients into ``grads`` given d(loss)/d(query features).
 
-    ``cache`` must come from a ``last_only`` forward pass. Gradients flow
+    ``cache`` must come from a forward pass with a slot table, and
+    ``dquery`` holds one row per filled slot, in slot order. Gradients flow
     through the same token-major layout as the forward pass: the fused
     projection's weight gradients come from one GEMM and its input
-    gradient from another.
+    gradient from another, and in the final block dK and dV come out of
+    the slot-table matmuls, summed over each root's queries.
     """
     cfg = state.config
     P = state.params
@@ -424,12 +515,14 @@ def _encode_backward(state: ModelState, cache: dict, dlast: np.ndarray, grads: d
     D = cfg.embed_dim
     H = cfg.attention_heads
     scale = cache["scale"]
+    m, slots, full, tok = cache["m"], cache["slots"], cache["full"], cache["tok"]
 
-    dx = dlast
+    dx = dquery
     for b in range(cfg.block_count - 1, -1, -1):
         c = cache["blocks"][b]
         p = f"blocks.{b}."
-        lq = c["attn"].shape[2]
+        last = b == cfg.block_count - 1
+        lq = m if last else L
         dr2, dg2, db2 = _ln_backward(dx, P[p + "ln2.g"], c["ln2c"])
         grads[p + "ln2.g"] += dg2
         grads[p + "ln2.b"] += db2
@@ -446,12 +539,17 @@ def _encode_backward(state: ModelState, cache: dict, dlast: np.ndarray, grads: d
         dr1, dg1, db1 = _ln_backward(dx1, P[p + "ln1.g"], c["ln1c"])
         grads[p + "ln1.g"] += dg1
         grads[p + "ln1.b"] += db1
-        do = dr1 * c["keep_q"]
+        do = dr1 * c["keep_q"] if c["keep_q"] is not None else dr1.copy()
         if c["mask1"] is not None:
             do *= c["mask1"]
         grads[p + "attn.wo"] += c["ctx"].T @ do
         grads[p + "attn.bo"] += _col_sum(do)
-        dctx = (do @ P[p + "attn.wo"].T).reshape(B, lq, H, D // H).transpose(0, 2, 1, 3)
+        dctx = do @ P[p + "attn.wo"].T
+        if last and not full:
+            dctx_table = np.zeros((B * m, D), dtype=dctx.dtype)
+            dctx_table[slots] = dctx
+            dctx = dctx_table
+        dctx = dctx.reshape(B, lq, H, D // H).transpose(0, 2, 1, 3)
         attn = c["attn"]
         dscores = dctx @ c["vh"].swapaxes(-1, -2)
         # softmax rows: ds = a * (da - sum(da * a))
@@ -463,7 +561,7 @@ def _encode_backward(state: ModelState, cache: dict, dlast: np.ndarray, grads: d
         dheads = dproj.transpose(2, 0, 3, 1, 4)
         np.matmul(attn.swapaxes(-1, -2), dctx, out=dheads[-1])
         np.matmul(dscores.swapaxes(-1, -2), c["qh"], out=dheads[-2])
-        if lq == L:
+        if not last:
             np.matmul(dscores, c["kh"], out=dheads[0])
         dproj = dproj.reshape(B * L, len(names) * D)
         dw = c["x"].T @ dproj
@@ -472,16 +570,20 @@ def _encode_backward(state: ModelState, cache: dict, dlast: np.ndarray, grads: d
             grads[p + "attn.w" + n] += dw[:, i * D : (i + 1) * D]
         grads[p + "attn.bv"] += db[-D:]
         dx = dproj @ c["w"].T
-        if lq == L:
+        if not last:
             grads[p + "attn.bq"] += db[:D]
             dx += dr1
         else:
-            dq = (dscores @ c["kh"]).reshape(B, D)
+            dq = (dscores @ c["kh"]).transpose(0, 2, 1, 3).reshape(B * m, D)
+            if not full:
+                dq = dq[slots]
             grads[p + "attn.wq"] += c["xq"].T @ dq
             grads[p + "attn.bq"] += _col_sum(dq)
-            # the query and the residual read the last position only
+            # the query and the residual read the query tokens only; equal rows
+            # share a token, and tokens come sorted, so each run sums in one go
             dr1 += dq @ P[p + "attn.wq"].T
-            dx.reshape(B, L, D)[:, -1] += dr1
+            starts = np.flatnonzero(np.diff(tok, prepend=-1))
+            dx[tok[starts]] += np.add.reduceat(dr1, starts, axis=0)
 
     valid = cache["valid"].ravel()
     flat_dx = dx[valid]
@@ -517,7 +619,7 @@ def extract_features(
 
 def features_all_positions(state: ModelState, prefix: Sequence[int]) -> np.ndarray:
     """Per-position features of one sequence (causality checks)."""
-    feats, _ = _encode_batch(state, *_pad_batch([tuple(prefix)[-state.config.max_seq_len :]]), last_only=False)
+    feats, _ = _encode_batch(state, *_pad_batch([tuple(prefix)[-state.config.max_seq_len :]]))
     return feats[0]
 
 

@@ -114,6 +114,19 @@ def test_run_missing_config_field_exits_1(tmp_path, capsys):
     assert "methods" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides", [{"methods": ["Finetune", "teleportation"]}, {"exemplar_capacity": 0}])
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_run_bad_method_config_exits_1(tmp_path, capsys, overrides, dry_run):
+    # an unknown method and a method setting its spec rejects are both
+    # configuration errors, caught before anything runs
+    path = write_config(tmp_path, overrides)
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "run")] + (["--dry-run"] if dry_run else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "methods" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["run"]) == 1  # --config is required
 

@@ -2,9 +2,10 @@
 
 The reference below runs every dense product as a stacked matmul over
 (B, L, D) hidden states with separate Q, K and V projections: the layout
-the encoder used before it went token-major. Patched into the model, it
-must reproduce the production encoder's features and gradients to 1e-10
-in float64, whatever the chunking, head count, dropout or KD mix.
+the encoder used before it went token-major. Encoding every row alone, it
+must reproduce the production encoder, which encodes each shared prefix
+once, to 1e-10 in float64 in features and gradients, whatever the
+chunking, head count, dropout or KD mix.
 """
 
 import math
@@ -14,15 +15,16 @@ import pytest
 
 import cyclerec.model as model_mod
 from cyclerec.data import TrainingExample
+from cyclerec.losses import ce_from_logits, kd_from_logits
 from cyclerec.model import (
     BatchSpec,
     ModelConfig,
-    _chunk_plan,
     _encode_rows,
     _pad_batch,
     features_all_positions,
     init_model,
     loss_and_gradients,
+    zero_gradients,
 )
 
 TOL = 1e-10
@@ -161,21 +163,18 @@ def _random_model(heads, blocks, dropout, item_count=15, seed=4):
     return state
 
 
-def _examples(rng, count, max_len, item_count):
-    return [TrainingExample(tuple(int(v) for v in rng.integers(0, item_count, size=rng.integers(1, max_len + 1))),
-                            int(rng.integers(0, item_count)))
-            for _ in range(count)]
-
-
-@pytest.mark.parametrize("heads,blocks,dropout", [(1, 2, 0.0), (2, 2, 0.3), (2, 3, 0.3), (1, 1, 0.3)])
-def test_token_major_encoder_matches_reference(monkeypatch, heads, blocks, dropout):
-    rng = np.random.default_rng(heads * 10 + blocks)
-    state = _random_model(heads, blocks, dropout)
-    # many short rows and a few long ones, so the batch runs in several chunks
-    ce = _examples(rng, 60, 2, 15) + _examples(rng, 6, 14, 15)
-    kd = _examples(rng, 20, 6, 11)
-    assert len(_chunk_plan(np.array([min(len(ex.prefix), 10) for ex in ce + kd]))) > 1
-    spec = BatchSpec(
+def _shared_prefix_spec(rng, dropout):
+    """A step whose rows share roots: every prefix of a few sessions, one longer
+    than ``max_seq_len``, duplicate rows, KD rows sharing roots with CE rows, and
+    enough unrelated short rows that the roots run in several chunks."""
+    sessions = [tuple(int(v) for v in rng.integers(0, 11, size=n)) for n in (6, 9, 14, 4)]
+    rows = [TrainingExample(s[:k], s[k]) for s in sessions for k in range(1, len(s))]
+    rows += [rows[int(i)] for i in rng.integers(0, len(rows), size=6)]
+    rows += [TrainingExample(tuple(int(v) for v in rng.integers(11, 30, size=2)), int(rng.integers(0, 11)))
+             for _ in range(100)]
+    rows = [rows[int(i)] for i in rng.permutation(len(rows))]
+    ce, kd = rows[: len(rows) * 2 // 3], rows[len(rows) * 2 // 3 :]
+    return BatchSpec(
         ce_examples=ce,
         kd_examples=kd,
         kd_teacher_probs=rng.dirichlet(np.ones(11), size=len(kd)),
@@ -184,19 +183,114 @@ def test_token_major_encoder_matches_reference(monkeypatch, heads, blocks, dropo
         train_mode=dropout > 0.0,
         dropout_seed=9,
     )
-    prefixes = [ex.prefix for ex in ce + kd]
+
+
+def _row_masks(monkeypatch, state, spec, prefixes):
+    """Each row's dropout masks as the encoder drew them, cut to the row alone.
+
+    Inner blocks: the root's masks at the row's tokens; final block: the row's own.
+    """
+    seen = []
+    encode_batch = model_mod._encode_batch
+
+    def spy(state, ids, valid, pos, masks=None, need_cache=False, query_cols=None):
+        seen.append((masks, query_cols))
+        return encode_batch(state, ids, valid, pos, masks, need_cache, query_cols)
+
+    monkeypatch.setattr(model_mod, "_encode_batch", spy)
+    _, chunks = _encode_rows(state, prefixes, spec.train_mode, spec.dropout_seed, need_cache=True)
+    monkeypatch.undo()
+    row_masks = [None] * len(prefixes)
+    for (rows, _), (masks, table) in zip(chunks, seen):
+        if masks is None:
+            continue
+        for k, (row, (b, j)) in enumerate(zip(rows, np.argwhere(table >= 0))):  # slot order
+            last = table[b, j]
+            first = last - min(len(prefixes[row]), state.config.max_seq_len) + 1
+            inner = [(m[0, b, first : last + 1][None], m[1, b, first : last + 1][None]) for m in masks[:-1]]
+            row_masks[row] = inner + [(masks[-1][0, k][None, None], masks[-1][1, k][None, None])]
+    return row_masks, chunks
+
+
+def reference_loss_and_gradients(state, spec, row_masks):
+    """CE + KD loss and gradients with every row encoded alone by the reference."""
+    max_len = state.config.max_seq_len
+    E = state.params["item_emb"]
+    rows = list(spec.ce_examples) + list(spec.kd_examples)
+    encoded = [
+        reference_encode_batch(state, *_pad_batch([tuple(ex.prefix)[-max_len:]]), masks, need_cache=True)
+        for ex, masks in zip(rows, row_masks)
+    ]
+    feats = np.concatenate([x[:, -1] for x, _ in encoded])
+    n_ce = len(spec.ce_examples)
+    ce, dce = ce_from_logits(feats[:n_ce] @ E.T, np.array([ex.target for ex in spec.ce_examples]))
+    kd, dkd = kd_from_logits(feats[n_ce:] @ E[: spec.kd_item_range].T, spec.kd_teacher_probs)
+    dkd *= spec.kd_weight
+    grads = zero_gradients(state)
+    grads["item_emb"] += dce.T @ feats[:n_ce]
+    grads["item_emb"][: spec.kd_item_range] += dkd.T @ feats[n_ce:]
+    dfeats = np.concatenate([dce @ E, dkd @ E[: spec.kd_item_range]])
+    for (_, cache), d in zip(encoded, dfeats):
+        reference_encode_backward(state, cache, d[None], grads)
+    return feats, ce + spec.kd_weight * kd, grads
+
+
+@pytest.mark.parametrize("heads,blocks,dropout", [(1, 2, 0.0), (2, 2, 0.3), (2, 3, 0.3), (1, 1, 0.3)])
+def test_token_major_encoder_matches_reference(monkeypatch, heads, blocks, dropout):
+    # the shared-root encoder against every row encoded alone by the batch-major
+    # reference; with dropout, the reference gets the masks each row was given
+    rng = np.random.default_rng(heads * 10 + blocks)
+    state = _random_model(heads, blocks, dropout, item_count=30)
+    spec = _shared_prefix_spec(rng, dropout)
+    prefixes = [ex.prefix for ex in list(spec.ce_examples) + list(spec.kd_examples)]
+    row_masks, chunks = _row_masks(monkeypatch, state, spec, prefixes)
+    assert len(chunks) > 1
+    assert max(cache["m"] for _, cache in chunks) > 1  # some root serves several rows
     feats, _ = _encode_rows(state, prefixes, spec.train_mode, spec.dropout_seed)
     loss, grads = loss_and_gradients(state, spec)
-    monkeypatch.setattr(model_mod, "_encode_batch", reference_encode_batch)
-    monkeypatch.setattr(model_mod, "_encode_backward", reference_encode_backward)
-    ref_feats, _ = _encode_rows(state, prefixes, spec.train_mode, spec.dropout_seed)
-    ref_loss, ref_grads = loss_and_gradients(state, spec)
+    ref_feats, ref_loss, ref_grads = reference_loss_and_gradients(state, spec, row_masks)
     np.testing.assert_allclose(feats, ref_feats, rtol=0, atol=TOL)
-    assert loss.total == pytest.approx(ref_loss.total, abs=TOL)
+    assert loss.total == pytest.approx(ref_loss, abs=TOL)
     assert set(grads) == set(ref_grads)
     for name in grads:
         assert np.abs(ref_grads[name]).max() > 0.0, name
         np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=TOL, err_msg=name)
+
+
+def test_rows_sharing_a_root_share_inner_dropout_masks(monkeypatch):
+    # a prefix and its root see the same inner-block masks on their common
+    # tokens, but draw their final-block masks apart
+    state = _random_model(1, 2, 0.3)
+    spec = BatchSpec(ce_examples=[TrainingExample((3, 1, 4), 1), TrainingExample((3, 1, 4, 1, 5), 9)],
+                     train_mode=True, dropout_seed=2)
+    (short, long), _ = _row_masks(monkeypatch, state, spec, [ex.prefix for ex in spec.ce_examples])
+    np.testing.assert_array_equal(short[0][0], long[0][0][:, :3])
+    np.testing.assert_array_equal(short[0][1], long[0][1][:, :3])
+    assert not np.array_equal(short[1][0], long[1][0])
+
+
+def test_shared_prefix_gradients_match_finite_differences():
+    # central differences in float64 with dropout on, over a step whose rows
+    # share roots; the masks depend on the seed and the rows only
+    rng = np.random.default_rng(5)
+    state = _random_model(2, 2, 0.3, item_count=30)
+    spec = _shared_prefix_spec(rng, 0.3)
+    _, grads = loss_and_gradients(state, spec)
+    h = 1e-6
+    worst = 0.0
+    for name in sorted(state.params):
+        param = state.params[name]
+        for _ in range(3):
+            idx = tuple(int(rng.integers(0, s)) for s in param.shape)
+            orig = param[idx]
+            param[idx] = orig + h
+            up, _ = loss_and_gradients(state, spec)
+            param[idx] = orig - h
+            down, _ = loss_and_gradients(state, spec)
+            param[idx] = orig
+            fd = (up.total - down.total) / (2 * h)
+            worst = max(worst, abs(fd - grads[name][idx]) / max(abs(fd), abs(grads[name][idx]), 1e-6))
+    assert worst < 1e-5, f"finite-difference mismatch: {worst:.3e}"
 
 
 @pytest.mark.parametrize("heads", [1, 2])
@@ -212,6 +306,6 @@ def test_padded_batch_all_positions_match_reference():
     # left padding inside one chunk: real positions agree, padded ones are never read
     state = _random_model(2, 2, 0.0)
     ids, valid, pos = _pad_batch([(1, 2, 3, 4, 5), (6,), (7, 8)])
-    got, _ = model_mod._encode_batch(state, ids, valid, pos, last_only=False)
+    got, _ = model_mod._encode_batch(state, ids, valid, pos)
     expected, _ = reference_encode_batch(state, ids, valid, pos, last_only=False)
     np.testing.assert_allclose(got[valid], expected[valid], rtol=0, atol=TOL)

@@ -7,6 +7,8 @@ from cyclerec.data import TrainingExample
 from cyclerec.model import (
     BatchSpec,
     _chunk_plan,
+    _encode_rows,
+    _prefix_roots,
     _scatter_rows,
     DivergenceError,
     ModelConfig,
@@ -294,6 +296,21 @@ def test_length_chunked_batch_matches_per_example_gradients():
     for name in g_batch:
         expected = sum(g[name] for g in singles) / len(examples)
         np.testing.assert_allclose(g_batch[name], expected, atol=1e-12)
+
+
+def test_prefix_roots_group_only_true_prefixes_after_trimming():
+    # with max_seq_len 3, prefixes of (1..6) past length 3 become shifted
+    # windows: (2, 3, 4) is no longer a prefix of (3, 4, 5), though (2, 3)
+    # from another session is a prefix of (2, 3, 4)
+    session = (1, 2, 3, 4, 5, 6)
+    prefixes = [session[:k] for k in range(1, 7)] + [(2, 3), (1, 2)]
+    trimmed = [p[-3:] for p in prefixes]
+    assert trimmed == [(1,), (1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (2, 3), (1, 2)]
+    assert _prefix_roots(trimmed).tolist() == [2, 2, 2, 3, 4, 5, 3, 2]
+    m = small_model(max_seq_len=3, block_count=2)
+    shared, _ = _encode_rows(m, prefixes)
+    alone = np.stack([extract_features(m, p) for p in prefixes])
+    np.testing.assert_allclose(shared, alone, rtol=0, atol=1e-12)
 
 
 def test_scatter_rows_matches_add_at():
