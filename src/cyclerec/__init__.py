@@ -23,7 +23,6 @@ from .exemplars import (
     allocate_quota,
     equal_quota,
     herding_order,
-    herding_select,
     select_exemplars,
 )
 from .harness import (
@@ -43,10 +42,7 @@ from .harness import (
 from .losses import (
     LossBreakdown,
     adaptive_lambda,
-    ader_loss,
     ce_from_logits,
-    ce_loss,
-    ewc_penalty,
     fisher_diagonal,
     kd_from_logits,
     kd_loss,
@@ -59,16 +55,10 @@ from .model import (
     ModelConfig,
     ModelState,
     adam_step,
-    extract_features,
     extract_features_batch,
-    features_all_positions,
     grow_vocabulary,
     init_model,
-    load_model,
     loss_and_gradients,
-    predict_logits,
-    save_model,
-    softmax,
 )
 
 __version__ = "0.1.0"

@@ -6,18 +6,21 @@ Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
+from typing import Sequence
 
+import numpy as np
 import yaml
 
 from . import data as data_mod
-from .harness import MethodKind, MethodSpec, TrainLoopConfig, compare_methods
+from .harness import ComparisonResult, MethodKind, MethodSpec, RunResult, TrainLoopConfig, compare_methods
 from .model import ModelConfig
 from .reporting import (
+    cycle_rows,
     read_cycle_reports,
-    render_comparison_table,
     render_reference_footer,
     render_series,
     render_statistics_table,
@@ -86,6 +89,8 @@ def resolve_config(raw: dict) -> dict:
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
     build_methods(resolved["methods"], resolved)
+    if "capacity_sweep" in cfg:
+        build_sweep(resolved)
     return resolved
 
 
@@ -137,6 +142,21 @@ def build_methods(names: list, resolved: dict) -> list[MethodSpec]:
         raise ConfigError(f"field 'methods': {err}") from err
 
 
+def build_sweep(resolved: dict) -> list[MethodSpec]:
+    """ADER at each capacity of the exemplar-budget sweep; a bad capacity is a ``ConfigError``.
+
+    Without ``capacity_sweep`` the sweep is half and all of ``exemplar_capacity``.
+    """
+    capacities = resolved.get("capacity_sweep") or sorted(
+        {max(1, resolved["exemplar_capacity"] // 2), resolved["exemplar_capacity"]}
+    )
+    ader = build_method("ADER", resolved)
+    try:
+        return [dataclasses.replace(ader, exemplar_capacity=int(cap)) for cap in capacities]
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"field 'capacity_sweep': {err}") from err
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -147,17 +167,24 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"invalid config syntax: {err}") from err
 
 
-def _execute(resolved: dict, methods: list[MethodSpec], out_dir: Path, workers: int) -> None:
+def _execute(
+    resolved: dict, methods: list[MethodSpec], out_dir: Path, workers: int, extra: Sequence[MethodSpec] = ()
+) -> tuple[ComparisonResult, list[RunResult]]:
+    """Run ``methods``, then ``extra``, over every seed as one grid.
+
+    Writes the run directory of ``methods`` and returns it with the runs of ``extra``.
+    """
     datasets, _ = build_datasets(resolved)
     loop_cfg = TrainLoopConfig(**resolved["training"], seed=0)
     model_cfg = ModelConfig(**resolved["model"])
     cmp = compare_methods(
-        datasets, methods, resolved["seeds"], loop_cfg, model_cfg,
+        datasets, [*methods, *extra], resolved["seeds"], loop_cfg, model_cfg,
         ks=tuple(resolved["ks"]), workers=workers,
     )
-    write_run_directory(out_dir, resolved, cmp)
-    print(render_comparison_table(cmp))
-    print(f"run directory: {out_dir}")
+    split = len(methods) * len(resolved["seeds"])
+    grid = ComparisonResult(cmp.runs[:split], cmp.ks)
+    write_run_directory(out_dir, resolved, grid)
+    return grid, cmp.runs[split:]
 
 
 def cmd_preprocess(args) -> int:
@@ -198,8 +225,10 @@ def cmd_run(args) -> int:
     if args.dry_run:
         print(yaml.safe_dump(resolved, sort_keys=True, default_flow_style=False), end="")
         return 0
-    methods = build_methods(resolved["methods"], resolved)
-    _execute(resolved, methods, Path(resolved["out"]), args.workers)
+    out_dir = Path(resolved["out"])
+    grid, _ = _execute(resolved, build_methods(resolved["methods"], resolved), out_dir, args.workers)
+    print(summarize_rows(cycle_rows(grid), title="Method comparison"))
+    print(f"run directory: {out_dir}")
     return 0
 
 
@@ -209,39 +238,26 @@ def cmd_ablate(args) -> int:
         resolved["out"] = args.out
     resolved["methods"] = list(ABLATION_METHODS)
     methods = build_methods(ABLATION_METHODS, resolved)
+    sweep = build_sweep(resolved)
     if args.dry_run:
         print(yaml.safe_dump(resolved, sort_keys=True, default_flow_style=False), end="")
         return 0
+    # a sweep point equal to a grid method (ADER at the configured capacity) reads the grid's runs
+    extra: list[MethodSpec] = []
+    for spec in sweep:
+        if spec not in methods and spec not in extra:
+            extra.append(spec)
     out_dir = Path(resolved["out"])
-    datasets, _ = build_datasets(resolved)
-    loop_cfg = TrainLoopConfig(**resolved["training"], seed=0)
-    model_cfg = ModelConfig(**resolved["model"])
-    cmp = compare_methods(
-        datasets, methods, resolved["seeds"], loop_cfg, model_cfg,
-        ks=tuple(resolved["ks"]), workers=args.workers,
-    )
-    write_run_directory(out_dir, resolved, cmp)
-    ablation_text = render_comparison_table(cmp, title="Ablation study") + render_reference_footer()
+    grid, extra_runs = _execute(resolved, methods, out_dir, args.workers, extra)
+    ablation_text = summarize_rows(cycle_rows(grid), title="Ablation study") + render_reference_footer()
     (out_dir / "ablation.txt").write_text(ablation_text, encoding="utf-8")
 
-    capacities = resolved.get("capacity_sweep") or sorted(
-        {max(1, resolved["exemplar_capacity"] // 2), resolved["exemplar_capacity"]}
-    )
-    sweep_methods = []
-    for cap in capacities:
-        spec = build_method("ADER", resolved)
-        spec.exemplar_capacity = int(cap)
-        sweep_methods.append(spec)
-    rows = []
-    for spec in sweep_methods:
-        sub = compare_methods(datasets, [spec], resolved["seeds"], loop_cfg, model_cfg,
-                              ks=tuple(resolved["ks"]), workers=args.workers)
-        mean, std = sub.summary()[spec.name][f"recall@{max(resolved['ks'])}"]
-        rows.append((spec.exemplar_capacity, mean, std))
-    cap_lines = [f"ADER exemplar-budget sweep (recall@{max(resolved['ks'])})", ""]
+    key = f"recall@{max(resolved['ks'])}"
+    cap_lines = [f"ADER exemplar-budget sweep ({key})", ""]
     cap_lines.append(f"{'capacity':>10}{'mean':>10}{'std':>10}")
-    for cap, mean, std in rows:
-        cap_lines.append(f"{cap:>10}{100 * mean:>9.2f}%{100 * std:>9.2f}%")
+    for spec in sweep:
+        vals = np.array([run.means[key] for run in grid.runs + extra_runs if run.method == spec])
+        cap_lines.append(f"{spec.exemplar_capacity:>10}{100 * vals.mean():>9.2f}%{100 * vals.std():>9.2f}%")
     (out_dir / "capacity.txt").write_text("\n".join(cap_lines) + "\n" + render_reference_footer(),
                                           encoding="utf-8")
     print(ablation_text)

@@ -209,19 +209,9 @@ def preprocess(
         raise ValueError("preprocess: all sessions filtered out")
     raw_sessions.sort(key=lambda t: (t[0], t[1]))
 
-    # The alternative order (length filter before item counts) is reported
-    # for transparency; it is not applied.
-    alt_counts: dict[str, int] = {}
-    for evs in grouped.values():
-        if len(evs) >= min_session_length:
-            for e in evs:
-                alt_counts[e.item_key] = alt_counts.get(e.item_key, 0) + 1
-    alt_dropped = sum(1 for k, c in alt_counts.items() if c < min_item_support)
     logger.info(
-        "preprocess: dropped %d items below support %d (length-first order would drop %d), "
-        "dropped %d sessions below length %d, kept %d sessions",
-        len(dropped_items), min_item_support, alt_dropped, dropped_short,
-        min_session_length, len(raw_sessions),
+        "preprocess: dropped %d items below support %d, dropped %d sessions below length %d, kept %d sessions",
+        len(dropped_items), min_item_support, dropped_short, min_session_length, len(raw_sessions),
     )
 
     registry = ItemRegistry()

@@ -9,10 +9,8 @@ by the random / smallest-loss / equal-allocation ablation rules.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -20,9 +18,6 @@ import numpy as np
 from .data import TrainingExample
 from .losses import _softmax
 from .model import ModelState, extract_features_batch
-
-logger = logging.getLogger(__name__)
-
 
 class SelectionStrategy(str, Enum):
     HERDING = "herding"
@@ -33,16 +28,14 @@ class SelectionStrategy(str, Enum):
 
 @dataclass
 class ExemplarSet:
-    """Capacity-bounded store of past examples grouped by target item.
+    """Store of past examples grouped by target item.
 
     Group order within an item is the selection order (herding picks
     first). Iteration helpers walk items in ascending index order so
     nothing depends on dict insertion order.
     """
 
-    capacity: int
     groups: dict[int, list[TrainingExample]] = field(default_factory=dict)
-    created_cycle: int = 0
 
     @property
     def total_count(self) -> int:
@@ -53,25 +46,6 @@ class ExemplarSet:
         for item in sorted(self.groups):
             out.extend(self.groups[item])
         return out
-
-    def save(self, path: str | Path, strategy: str = "", seed: int = 0) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# capacity {self.capacity} cycle {self.created_cycle} "
-                     f"strategy {strategy or 'unknown'} seed {seed}\n")
-            for ex in self.all_examples():
-                prefix = " ".join(str(i) for i in ex.prefix)
-                fh.write(f"{ex.target}\t{prefix}\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ExemplarSet":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().split()
-            store = cls(capacity=int(header[2]), created_cycle=int(header[4]))
-            for line in fh:
-                target_s, prefix_s = line.rstrip("\n").split("\t")
-                ex = TrainingExample(tuple(int(i) for i in prefix_s.split()), int(target_s))
-                store.groups.setdefault(ex.target, []).append(ex)
-        return store
 
 
 def allocate_quota(pool_counts: Sequence[int] | np.ndarray, capacity: int) -> np.ndarray:
@@ -159,20 +133,12 @@ def herding_order(features: np.ndarray, quota: int, mu: np.ndarray | None = None
     return chosen
 
 
-def herding_select(
-    candidates: Sequence[TrainingExample], features: np.ndarray, quota: int
-) -> list[TrainingExample]:
-    """Herding-ordered exemplars for one item group."""
-    return [candidates[i] for i in herding_order(features, quota)]
-
-
 def select_exemplars(
     model: ModelState,
     pool: Sequence[TrainingExample],
     capacity: int,
     strategy: SelectionStrategy = SelectionStrategy.HERDING,
     seed: int = 0,
-    created_cycle: int = 0,
     batch_size: int = 512,
 ) -> ExemplarSet:
     """Build the next exemplar store from the current pool.
@@ -208,7 +174,7 @@ def select_exemplars(
             target_z = z[np.arange(len(chunk)), targets[lo : lo + len(chunk)]]
             per_example_loss[lo : lo + len(chunk)] = log_norm[:, 0] - target_z
 
-    store = ExemplarSet(capacity=capacity, created_cycle=created_cycle)
+    store = ExemplarSet()
     for item in sorted(member_idx):
         members = member_idx[item]
         quota = int(min(quotas[item], len(members)))

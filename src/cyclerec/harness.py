@@ -26,7 +26,7 @@ import numpy as np
 from .data import CycleDataset, TrainingExample
 from .exemplars import ExemplarSet, SelectionStrategy, select_exemplars
 from .losses import adaptive_lambda, ce_from_logits, fisher_diagonal, teacher_probabilities
-from .metrics import CycleReport, mrr_at_k, recall_at_k, target_ranks
+from .metrics import CycleReport, aggregate, mrr_at_k, recall_at_k, target_ranks
 from .model import (
     BatchSpec,
     DivergenceError,
@@ -144,7 +144,9 @@ class ExperimentState:
     """Everything carried across cycles for one method run."""
 
     model: ModelState
-    previous_model: ModelState | None = None
+    # the end-of-cycle model's distributions on ``exemplars``, over its item
+    # range: the next cycle's distillation targets (KD methods only)
+    teacher_probs: np.ndarray | None = None
     exemplars: ExemplarSet | None = None
     joint_buffer: list[TrainingExample] = field(default_factory=list)
     ewc_anchor: dict[str, np.ndarray] | None = None
@@ -253,8 +255,7 @@ def update_model(
 
     lambda_t = 0.0
     kd_examples: list[TrainingExample] = []
-    teacher_probs = None
-    if method.kind in KD_KINDS and state.previous_model is not None and exemplar_examples:
+    if method.kind in KD_KINDS and state.teacher_probs is not None and exemplar_examples:
         if method.kind is MethodKind.ADER_FIX:
             lambda_t = method.fixed_lambda
         else:
@@ -264,10 +265,6 @@ def update_model(
             )
         if lambda_t != 0.0:
             kd_examples = exemplar_examples
-            teacher_probs = teacher_probabilities(
-                state.previous_model, kd_examples, old_item_count,
-                batch_size=loop_cfg.eval_batch_size,
-            )
 
     ewc_active = method.kind is MethodKind.EWC and state.ewc_anchor is not None
 
@@ -296,7 +293,7 @@ def update_model(
                 sel = [(kd_cursor + j) % len(kd_examples) for j in range(min(kd_bs, len(kd_examples)))]
                 kd_cursor = (kd_cursor + len(sel)) % len(kd_examples)
                 spec.kd_examples = [kd_examples[j] for j in sel]
-                spec.kd_teacher_probs = teacher_probs[sel]
+                spec.kd_teacher_probs = state.teacher_probs[sel]
                 spec.kd_item_range = old_item_count
                 spec.kd_weight = lambda_t
             if ewc_active:
@@ -335,7 +332,7 @@ def update_model(
         pool = list(cycle_data.train) + exemplar_examples
         state.exemplars = select_exemplars(
             model, pool, method.exemplar_capacity, method.selection_strategy,
-            seed=_derived_seed(loop_cfg.seed, t, 55), created_cycle=t, batch_size=loop_cfg.eval_batch_size,
+            seed=_derived_seed(loop_cfg.seed, t, 55), batch_size=loop_cfg.eval_batch_size,
         )
         if audit is not None:
             audit.append(("exemplars", t, state.exemplars.total_count))
@@ -345,8 +342,10 @@ def update_model(
     if method.kind is MethodKind.JOINT:
         state.joint_buffer.extend(cycle_data.train)
 
-    if method.kind in KD_KINDS:  # only distillation reads the previous cycle's model
-        state.previous_model = model.copy()
+    if method.kind in KD_KINDS:
+        state.teacher_probs = teacher_probabilities(
+            model, state.exemplars.all_examples(), model.item_count, batch_size=loop_cfg.eval_batch_size,
+        )
     state.last_cycle = t
     return records
 
@@ -375,8 +374,6 @@ def run_experiment(
     The final cycle is used only as test data. Reports are indexed by the
     update cycle (the cycle trained on).
     """
-    from .metrics import aggregate
-
     if len(datasets) < 2:
         raise ValueError("run_experiment: need at least 2 cycles (last one is test-only)")
     cfg = dataclasses.replace(model_cfg, dropout_rate=method.dropout_rate)
@@ -393,16 +390,12 @@ def run_experiment(
         recall, mrr, unseen = evaluate_model(
             state.model, test, state.model.item_count, ks=ks, batch_size=loop_cfg.eval_batch_size
         )
-        mean_losses = {
-            key: float(np.mean([getattr(r, key) for r in records])) for key in ("ce", "kd", "ewc", "total")
-        }
         report = CycleReport(
             cycle_id=t,
             recall_at=recall,
             mrr_at=mrr,
             test_example_count=len(test),
             unseen_target_fraction=unseen,
-            mean_losses=mean_losses,
             lambda_t=records[-1].lambda_t,
             epochs_trained=len(records),
         )
@@ -414,32 +407,10 @@ def run_experiment(
 
 @dataclass
 class ComparisonResult:
-    """All runs of a method x seed grid plus seed-level summaries."""
+    """All runs of a method x seed grid, in (method, seed) order."""
 
     runs: list[RunResult]
     ks: tuple[int, ...]
-
-    def methods(self) -> list[str]:
-        seen: list[str] = []
-        for run in self.runs:
-            if run.method.name not in seen:
-                seen.append(run.method.name)
-        return seen
-
-    def runs_for(self, method_name: str) -> list[RunResult]:
-        return [r for r in self.runs if r.method.name == method_name]
-
-    def summary(self) -> dict[str, dict[str, tuple[float, float]]]:
-        """method -> metric -> (mean over seeds, population stdev over seeds)."""
-        out: dict[str, dict[str, tuple[float, float]]] = {}
-        for name in self.methods():
-            rows = [r.means for r in self.runs_for(name)]
-            metrics: dict[str, tuple[float, float]] = {}
-            for key in rows[0]:
-                vals = np.array([row[key] for row in rows])
-                metrics[key] = (float(vals.mean()), float(vals.std()))
-            out[name] = metrics
-        return out
 
 
 def _run_job(args) -> RunResult:

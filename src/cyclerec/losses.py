@@ -1,12 +1,14 @@
 """Training objectives.
 
 Next-item cross entropy on the incoming data, distillation against the
-frozen previous model on stored exemplars, the cycle-adaptive
-interpolation weight between the two, and the quadratic parameter-anchor
-penalty with Fisher-diagonal weights used by the EWC baseline.
+frozen previous model's distributions on stored exemplars, the
+cycle-adaptive interpolation weight between the two, and the Fisher
+diagonal that weights the EWC baseline's parameter anchor.
 
-The ``*_from_logits`` primitives are pure; the wrappers taking model
-states run the forward pass with dropout disabled.
+The ``*_from_logits`` primitives are pure; ``teacher_probabilities`` and
+``kd_loss`` take model states and run the forward pass with dropout
+disabled. A training step combines the terms, the EWC penalty included,
+in ``model.loss_and_gradients``.
 """
 
 from __future__ import annotations
@@ -59,17 +61,15 @@ def ce_from_logits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.n
     return loss, dlogits
 
 
-def kd_from_logits(
-    student_logits: np.ndarray, teacher_probs: np.ndarray, temperature: float = 1.0
-) -> tuple[float, np.ndarray]:
+def kd_from_logits(student_logits: np.ndarray, teacher_probs: np.ndarray) -> tuple[float, np.ndarray]:
     """Soft-label cross entropy against a frozen teacher distribution.
 
-    loss = -(1/n) sum_rows sum_i teacher_i * log softmax(student/T)_i
-    gradient = (softmax(student/T) - teacher) / (n * T)
+    loss = -(1/n) sum_rows sum_i teacher_i * log softmax(student)_i
+    gradient = (softmax(student) - teacher) / n
     """
     n = student_logits.shape[0]
-    scale = 1.0 / (n * temperature)
-    z, log_norm, dlogits = _softmax(student_logits / temperature, scale)
+    scale = 1.0 / n
+    z, log_norm, dlogits = _softmax(student_logits, scale)
     loss = float(-(teacher_probs * (z - log_norm)).sum() / n)
     dlogits -= scale * teacher_probs
     return loss, dlogits
@@ -79,7 +79,6 @@ def teacher_probabilities(
     teacher: "ModelState",
     exemplars: Sequence["TrainingExample"],
     old_item_range: int,
-    temperature: float = 1.0,
     batch_size: int = 512,
 ) -> np.ndarray:
     """Frozen-model distributions over the old-item range, dropout off."""
@@ -89,27 +88,7 @@ def teacher_probabilities(
         raise ValueError("teacher_probabilities: range exceeds the teacher registry")
     feats = extract_features_batch(teacher, [ex.prefix for ex in exemplars], batch_size=batch_size)
     logits = feats @ teacher.params["item_emb"][:old_item_range].T
-    return _softmax(logits / temperature)[2]
-
-
-def ce_loss(
-    current_model: "ModelState",
-    examples: Sequence["TrainingExample"],
-    item_range: int | None = None,
-) -> tuple[float, np.ndarray]:
-    """Cross entropy of ``current_model`` on ``examples`` plus per-logit grads."""
-    from .model import extract_features_batch
-
-    if not examples:
-        raise ValueError("ce_loss: no examples")
-    if item_range is None:
-        item_range = current_model.item_count
-    targets = np.array([ex.target for ex in examples])
-    if targets.max() >= item_range:
-        raise ValueError("ce_loss: target outside item range")
-    feats = extract_features_batch(current_model, [ex.prefix for ex in examples])
-    logits = feats @ current_model.params["item_emb"][:item_range].T
-    return ce_from_logits(logits, targets)
+    return _softmax(logits)[2]
 
 
 def kd_loss(
@@ -117,7 +96,6 @@ def kd_loss(
     current_model: "ModelState",
     exemplars: Sequence["TrainingExample"],
     old_item_range: int | None = None,
-    temperature: float = 1.0,
 ) -> tuple[float, np.ndarray]:
     """Distillation loss on exemplars plus per-logit grads for the student.
 
@@ -130,10 +108,10 @@ def kd_loss(
         raise ValueError("kd_loss: empty exemplar set (skip distillation in the first cycle)")
     if old_item_range is None:
         old_item_range = previous_model.item_count
-    teacher = teacher_probabilities(previous_model, exemplars, old_item_range, temperature)
+    teacher = teacher_probabilities(previous_model, exemplars, old_item_range)
     feats = extract_features_batch(current_model, [ex.prefix for ex in exemplars])
     logits = feats @ current_model.params["item_emb"][:old_item_range].T
-    return kd_from_logits(logits, teacher, temperature)
+    return kd_from_logits(logits, teacher)
 
 
 def adaptive_lambda(
@@ -154,13 +132,6 @@ def adaptive_lambda(
     return lambda_base * math.sqrt((old_items / new_items_total) * (exemplar_count / data_count))
 
 
-def ader_loss(ce: float, kd: float, lambda_t: float) -> LossBreakdown:
-    """Interpolate cross entropy with the weighted distillation term."""
-    if not (math.isfinite(ce) and math.isfinite(kd) and math.isfinite(lambda_t)):
-        raise ValueError("ader_loss: non-finite inputs")
-    return LossBreakdown(ce=ce, kd=kd, ewc=0.0, total=ce + lambda_t * kd)
-
-
 def fisher_diagonal(
     model: "ModelState", exemplars: Sequence["TrainingExample"]
 ) -> dict[str, np.ndarray]:
@@ -177,20 +148,3 @@ def fisher_diagonal(
     for name in fisher:
         fisher[name] /= len(exemplars)
     return fisher
-
-
-def ewc_penalty(
-    model: "ModelState",
-    anchor_params: dict[str, np.ndarray],
-    fisher: dict[str, np.ndarray],
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Quadratic anchor penalty (1/2) sum_j F_j (theta_j - anchor_j)^2."""
-    penalty = 0.0
-    grads: dict[str, np.ndarray] = {}
-    for name, theta in model.params.items():
-        if anchor_params[name].shape != theta.shape or fisher[name].shape != theta.shape:
-            raise ValueError(f"ewc_penalty: shape mismatch for {name}")
-        diff = theta - anchor_params[name]
-        penalty += 0.5 * float((fisher[name] * diff * diff).sum())
-        grads[name] = fisher[name] * diff
-    return penalty, grads

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +17,6 @@ class CycleReport:
     mrr_at: dict[int, float]
     test_example_count: int
     unseen_target_fraction: float
-    mean_losses: dict[str, float] = field(default_factory=dict)
     lambda_t: float = 0.0
     epochs_trained: int = 0
 
@@ -60,24 +58,15 @@ def mrr_at_k(ranks: Sequence[float], k: int) -> float:
     return sum(1.0 / r for r in ranks if r <= k) / len(ranks)
 
 
-def aggregate(reports: Sequence[CycleReport], weight_by_examples: bool = False) -> dict[str, float]:
-    """Mean metric values across cycles.
-
-    Each cycle counts once regardless of its test-set size unless
-    ``weight_by_examples`` is set.
-    """
+def aggregate(reports: Sequence[CycleReport]) -> dict[str, float]:
+    """Mean metric values across cycles; each cycle counts once regardless of its test-set size."""
     if not reports:
         raise ValueError("aggregate: no reports")
     ks = sorted(reports[0].recall_at)
+    n = len(reports)
     out: dict[str, float] = {}
-    if weight_by_examples:
-        weights = [r.test_example_count for r in reports]
-        total = sum(weights)
-    else:
-        weights = [1] * len(reports)
-        total = len(reports)
     for k in ks:
-        out[f"recall@{k}"] = sum(w * r.recall_at[k] for w, r in zip(weights, reports)) / total
-        out[f"mrr@{k}"] = sum(w * r.mrr_at[k] for w, r in zip(weights, reports)) / total
-    out["unseen_target_fraction"] = sum(w * r.unseen_target_fraction for w, r in zip(weights, reports)) / total
+        out[f"recall@{k}"] = sum(r.recall_at[k] for r in reports) / n
+        out[f"mrr@{k}"] = sum(r.mrr_at[k] for r in reports) / n
+    out["unseen_target_fraction"] = sum(r.unseen_target_fraction for r in reports) / n
     return out

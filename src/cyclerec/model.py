@@ -31,12 +31,9 @@ and a per-row batch-major reference in the test suite.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -60,7 +57,6 @@ class ModelConfig:
     attention_heads: int = 1
     max_seq_len: int = 50
     dropout_rate: float = 0.0
-    seed: int = 0
     dtype: str = "float32"  # training precision; oracle checks use float64
 
     def __post_init__(self) -> None:
@@ -137,10 +133,10 @@ def _init_tensor(
     return rng.uniform(-bound, bound, shape).astype(dtype)
 
 
-def init_model(cfg: ModelConfig, item_count: int, seed: int | None = None) -> ModelState:
+def init_model(cfg: ModelConfig, item_count: int, seed: int) -> ModelState:
     if item_count < 1:
         raise ValueError("init_model: item_count must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed if seed is None else seed]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
     shapes = _param_shapes(cfg, item_count)
     dt = cfg.np_dtype
     params = {name: _init_tensor(name, shape, cfg.embed_dim, rng, dt) for name, shape in shapes.items()}
@@ -175,15 +171,6 @@ def grow_vocabulary(state: ModelState, new_item_count: int, seed: int = 0) -> Mo
 # ---------------------------------------------------------------------------
 # forward / backward
 # ---------------------------------------------------------------------------
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax of a 1-D logit vector."""
-    z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("softmax: non-finite logits")
-    e = np.exp(z - z.max())
-    return e / e.sum()
 
 
 def _softmax_last_inplace(x: np.ndarray) -> np.ndarray:
@@ -283,9 +270,9 @@ def _encode_batch(
     ids: np.ndarray,
     valid: np.ndarray,
     pos: np.ndarray,
+    query_cols: np.ndarray,
     masks: Sequence[np.ndarray] | None = None,
     need_cache: bool = False,
-    query_cols: np.ndarray | None = None,
 ):
     """Run the encoder over one padded batch, token-major.
 
@@ -296,15 +283,14 @@ def _encode_batch(
 
     ``query_cols`` is a (B, m) slot table: the columns of row b that the
     caller reads, in ascending order, -1 marking an empty slot. The final
-    block then computes queries, attention output, feed-forward and layer
-    norms at those columns only: K and V still span every position, as one
+    block computes queries, attention output, feed-forward and layer norms
+    at those columns only: K and V still span every position, as one
     (D, 2D) GEMM, the attention core runs on the slot table, and the rest
-    runs on an (n, D) matrix of the n filled slots, in slot order. Without
-    it every position is a query. ``masks`` holds one scaled dropout-mask pair per
-    block, shaped (2, B, L, D) for an inner block and (2, n, D) for the
-    final one, for the attention and feed-forward outputs, or is None for
-    no dropout. Returns the (n, D) query features, or (B, L, D) without
-    ``query_cols``, and an optional cache.
+    runs on an (n, D) matrix of the n filled slots, in slot order.
+    ``masks`` holds one scaled dropout-mask pair per block, shaped
+    (2, B, L, D) for an inner block and (2, n, D) for the final one, for
+    the attention and feed-forward outputs, or is None for no dropout.
+    Returns the (n, D) query features and an optional cache.
     """
     cfg = state.config
     P = state.params
@@ -320,17 +306,15 @@ def _encode_batch(
     x *= valid.reshape(-1, 1)
     fill = cfg.np_dtype.type(MASK_FILL)
     causal = np.tril(np.ones((L, L), dtype=bool))
-    last_block = -1
-    if query_cols is not None:
-        last_block = cfg.block_count - 1
-        m = query_cols.shape[1]
-        flat = query_cols.ravel()
-        slots = np.flatnonzero(flat >= 0)
-        full = len(slots) == B * m
-        tok = slots // m * L + flat[slots]
-        # an empty slot queries the last column; its output is never read
-        cols = np.where(query_cols >= 0, query_cols, L - 1)
-        query_allowed = (np.arange(L) <= cols[:, :, None]) & valid[:, None, :]
+    last_block = cfg.block_count - 1
+    m = query_cols.shape[1]
+    flat = query_cols.ravel()
+    slots = np.flatnonzero(flat >= 0)
+    full = len(slots) == B * m
+    tok = slots // m * L + flat[slots]
+    # an empty slot queries the last column; its output is never read
+    cols = np.where(query_cols >= 0, query_cols, L - 1)
+    query_allowed = (np.arange(L) <= cols[:, :, None]) & valid[:, None, :]
 
     blocks = []
     for b in range(cfg.block_count):
@@ -391,8 +375,6 @@ def _encode_batch(
                  "mask2": mask2, "ln2c": ln2c}
             )
         x = x2
-    if query_cols is None:
-        return x.reshape(B, L, D), None
     cache = None
     if need_cache:
         cache = {"ids": ids, "valid": valid, "pos": pos, "scale": scale, "blocks": blocks,
@@ -481,7 +463,7 @@ def _encode_rows(
     caches = []
     for c, (members, rows, table, _) in enumerate(plans):
         ids, valid, pos = _pad_batch([trimmed[i] for i in roots[members]])
-        feats[rows], cache = _encode_batch(state, ids, valid, pos, masks[c], need_cache, table)
+        feats[rows], cache = _encode_batch(state, ids, valid, pos, table, masks[c], need_cache)
         if need_cache:
             caches.append((rows, cache))
     return feats, caches
@@ -606,32 +588,6 @@ def extract_features_batch(
     return out
 
 
-def extract_features(
-    state: ModelState,
-    prefix: Sequence[int],
-    train_mode: bool = False,
-    dropout_seed: int = 0,
-) -> np.ndarray:
-    """Sequence representation of one prefix."""
-    feats, _ = _encode_rows(state, [tuple(prefix)], train_mode, dropout_seed)
-    return feats[0]
-
-
-def features_all_positions(state: ModelState, prefix: Sequence[int]) -> np.ndarray:
-    """Per-position features of one sequence (causality checks)."""
-    feats, _ = _encode_batch(state, *_pad_batch([tuple(prefix)[-state.config.max_seq_len :]]))
-    return feats[0]
-
-
-def predict_logits(state: ModelState, feature: np.ndarray, item_range: int | None = None) -> np.ndarray:
-    """Shared-embedding decoder: logit_i = feature . item_embedding_i."""
-    if item_range is None:
-        item_range = state.item_count
-    if item_range > state.item_count:
-        raise ValueError("predict_logits: item_range exceeds the registry")
-    return feature @ state.params["item_emb"][:item_range].T
-
-
 # ---------------------------------------------------------------------------
 # combined losses with gradients
 # ---------------------------------------------------------------------------
@@ -702,8 +658,10 @@ def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdow
         if spec.ewc_fisher is None:
             raise ValueError("loss_and_gradients: EWC requires fisher weights")
         for name, theta in state.params.items():
-            diff = theta - spec.ewc_anchor[name]
             fw = spec.ewc_fisher[name]
+            if spec.ewc_anchor[name].shape != theta.shape or fw.shape != theta.shape:
+                raise ValueError(f"loss_and_gradients: EWC shape mismatch for {name}")
+            diff = theta - spec.ewc_anchor[name]
             ewc_val += 0.5 * float((fw * diff * diff).sum())
             grads[name] += spec.ewc_weight * fw * diff
 
@@ -739,36 +697,3 @@ def adam_step(
         v += (1.0 - beta2) * (g * g)
         theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
     return state
-
-
-# ---------------------------------------------------------------------------
-# checkpointing
-# ---------------------------------------------------------------------------
-
-
-def save_model(state: ModelState, path: str | Path) -> None:
-    """Self-describing checkpoint; round-trips bit-exactly via ``load_model``."""
-    meta = {
-        "config": dataclasses.asdict(state.config),
-        "item_count": state.item_count,
-        "step": state.step,
-    }
-    arrays = {"meta": np.array(json.dumps(meta))}
-    for prefix, group in (("p", state.params), ("m", state.adam_m), ("v", state.adam_v)):
-        for name, arr in group.items():
-            arrays[f"{prefix}:{name}"] = arr
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def load_model(path: str | Path) -> ModelState:
-    with np.load(path, allow_pickle=False) as npz:
-        meta = json.loads(str(npz["meta"][()]))
-        cfg = ModelConfig(**meta["config"])
-        groups: dict[str, dict[str, np.ndarray]] = {"p": {}, "m": {}, "v": {}}
-        for key in npz.files:
-            if key == "meta":
-                continue
-            prefix, name = key.split(":", 1)
-            groups[prefix][name] = npz[key]
-    return ModelState(cfg, meta["item_count"], groups["p"], groups["m"], groups["v"], meta["step"])

@@ -65,23 +65,6 @@ def _method_order(rows: list[dict]) -> list[str]:
     return seen
 
 
-def render_comparison_table(cmp: ComparisonResult, title: str = "Method comparison") -> str:
-    """Seed-averaged metrics per method, one row per method."""
-    summary = cmp.summary()
-    metric_keys = [f"recall@{k}" for k in cmp.ks] + [f"mrr@{k}" for k in cmp.ks]
-    lines = [title, ""]
-    header = f"{'method':<12}" + "".join(f"{key:>22}" for key in metric_keys)
-    lines.append(header)
-    lines.append("-" * len(header))
-    for name in cmp.methods():
-        row = f"{name:<12}"
-        for key in metric_keys:
-            mean, std = summary[name][key]
-            row += f"{100 * mean:>13.2f} ± {100 * std:<5.2f}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
-
-
 def render_reference_footer() -> str:
     lines = ["", "Full-scale reference Recall@20 (%) for qualitative ordering:"]
     row = ", ".join(f"{name} {val:.2f}" for name, val in REFERENCE_FULL_SCALE_RECALL20.items())
@@ -116,11 +99,11 @@ def summarize_rows(rows: list[dict], title: str = "Run summary") -> str:
     """Seed-mean ± stdev per method from flat per-cycle records.
 
     Per-seed values are cycle means (each cycle weighted once); the stdev
-    is over seeds.
+    is over seeds. Methods and cutoffs keep the order of the records.
     """
     if not rows:
         raise ValueError("no cycle records")
-    ks = sorted({r["k"] for r in rows})
+    ks = list(dict.fromkeys(r["k"] for r in rows))
     lines = [title, ""]
     header = (
         f"{'method':<12}"
@@ -178,7 +161,7 @@ def write_run_directory(out_dir: str | Path, resolved_config: dict, cmp: Compari
                 f"{r['recall']:.6f}\t{r['mrr']:.6f}\t{r['unseen_fraction']:.6f}\t{r['test_count']}\n"
             )
 
-    (out / "comparison.txt").write_text(render_comparison_table(cmp), encoding="utf-8")
+    (out / "comparison.txt").write_text(summarize_rows(rows, title="Method comparison"), encoding="utf-8")
     (out / "series.tsv").write_text(render_series(rows), encoding="utf-8")
     return out
 

@@ -201,6 +201,55 @@ def test_preprocess_idempotent_bytes(tmp_path, capsys):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_ablate_bad_capacity_sweep_exits_1(tmp_path, capsys, dry_run):
+    path = write_config(tmp_path, {"capacity_sweep": [20, 0]})
+    argv = ["ablate", "--config", str(path), "--out", str(tmp_path / "abl")] + (["--dry-run"] if dry_run else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "capacity_sweep" in err
+    assert not (tmp_path / "abl").exists()
+
+
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_model_seed_is_not_a_config_field(tmp_path, capsys, dry_run):
+    # the model is seeded from each run's seed; a model seed would be ignored
+    path = write_config(tmp_path, {"model": {**TOY_CONFIG["model"], "seed": 123}})
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "run")] + (["--dry-run"] if dry_run else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_ablate_reads_the_configured_capacity_from_the_grid(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    import cyclerec.harness as harness
+
+    calls = []
+    run = harness.run_experiment
+
+    def counting(datasets, method, *args, **kwargs):
+        calls.append((method.name, method.exemplar_capacity))
+        return run(datasets, method, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_experiment", counting)
+    out = tmp_path / "abl"
+    assert main(["ablate", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    # six grid methods plus ADER at half capacity; ADER at capacity 40 is a grid run
+    assert sorted(calls) == sorted([(name, 40) for name in
+                                    ("ER_random", "ER_loss", "ER_herding", "ADER_equal", "ADER_fix", "ADER")]
+                                   + [("ADER", 20)])
+    ader = [r for r in (out / "cycle_reports.tsv").read_text().splitlines()[1:]
+            if r.split("\t")[0] == "ADER" and r.split("\t")[3] == "20"]
+    mean = np.mean([float(r.split("\t")[4]) for r in ader])
+    lines = (out / "capacity.txt").read_text().splitlines()
+    assert [line.split()[0] for line in lines[3:5]] == ["20", "40"]
+    assert lines[4].split()[1] == f"{100 * mean:.2f}%"
+    assert (out / "ablation.txt").read_text().startswith("Ablation study")
+
+
 def test_ablate_dry_run_lists_ablation_methods(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["ablate", "--config", str(cfg), "--dry-run"]) == 0

@@ -21,7 +21,7 @@ from cyclerec.model import (
     ModelConfig,
     _encode_rows,
     _pad_batch,
-    features_all_positions,
+    extract_features_batch,
     init_model,
     loss_and_gradients,
     zero_gradients,
@@ -193,9 +193,9 @@ def _row_masks(monkeypatch, state, spec, prefixes):
     seen = []
     encode_batch = model_mod._encode_batch
 
-    def spy(state, ids, valid, pos, masks=None, need_cache=False, query_cols=None):
+    def spy(state, ids, valid, pos, query_cols, masks=None, need_cache=False):
         seen.append((masks, query_cols))
-        return encode_batch(state, ids, valid, pos, masks, need_cache, query_cols)
+        return encode_batch(state, ids, valid, pos, query_cols, masks, need_cache)
 
     monkeypatch.setattr(model_mod, "_encode_batch", spy)
     _, chunks = _encode_rows(state, prefixes, spec.train_mode, spec.dropout_seed, need_cache=True)
@@ -295,17 +295,26 @@ def test_shared_prefix_gradients_match_finite_differences():
 
 @pytest.mark.parametrize("heads", [1, 2])
 def test_all_position_features_match_reference(heads):
+    # every prefix of a sequence shares its pass, so one call queries every position
     state = _random_model(heads, 2, 0.0)
-    for prefix in ([3], [1, 4, 1, 5, 9, 2, 6], list(range(12))):
-        ids, valid, pos = _pad_batch([tuple(prefix)[-state.config.max_seq_len :]])
-        expected, _ = reference_encode_batch(state, ids, valid, pos, last_only=False)
-        np.testing.assert_allclose(features_all_positions(state, prefix), expected[0], rtol=0, atol=TOL)
+    for seq in ([3], [1, 4, 1, 5, 9, 2, 6], list(range(12))):
+        window = tuple(seq)[-state.config.max_seq_len :]
+        expected, _ = reference_encode_batch(state, *_pad_batch([window]), last_only=False)
+        got = extract_features_batch(state, [window[:j] for j in range(1, len(window) + 1)])
+        np.testing.assert_allclose(got, expected[0], rtol=0, atol=TOL)
 
 
 def test_padded_batch_all_positions_match_reference():
-    # left padding inside one chunk: real positions agree, padded ones are never read
+    # left padding inside one chunk, every real position queried through the
+    # slot table: real positions agree, padded ones are never read
     state = _random_model(2, 2, 0.0)
     ids, valid, pos = _pad_batch([(1, 2, 3, 4, 5), (6,), (7, 8)])
-    got, _ = model_mod._encode_batch(state, ids, valid, pos)
+    L = ids.shape[1]
+    table = np.full(ids.shape, -1)
+    for b, row in enumerate(valid):
+        cols = np.flatnonzero(row)
+        table[b, : len(cols)] = cols
+    got, _ = model_mod._encode_batch(state, ids, valid, pos, table)
     expected, _ = reference_encode_batch(state, ids, valid, pos, last_only=False)
-    np.testing.assert_allclose(got[valid], expected[valid], rtol=0, atol=TOL)
+    assert L == 5 and got.shape == (int(valid.sum()), state.config.embed_dim)
+    np.testing.assert_allclose(got, expected[valid], rtol=0, atol=TOL)

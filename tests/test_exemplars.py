@@ -5,16 +5,13 @@ import pytest
 
 from cyclerec.data import TrainingExample
 from cyclerec.exemplars import (
-    ExemplarSet,
     SelectionStrategy,
     allocate_quota,
     equal_quota,
     herding_order,
-    herding_select,
     select_exemplars,
 )
-from cyclerec.losses import ce_loss
-from cyclerec.model import ModelConfig, init_model
+from cyclerec.model import BatchSpec, ModelConfig, extract_features_batch, init_model, loss_and_gradients
 
 CFG = ModelConfig(embed_dim=8, block_count=1, max_seq_len=10, dtype="float64")
 
@@ -196,11 +193,15 @@ def test_herding_matches_exhaustive_oracle_randomized():
 
 
 def test_herding_select_returns_examples_in_selection_order():
-    candidates = [TrainingExample((i,), 5) for i in range(4)]
-    feats = np.array([[3.0], [1.0], [0.0], [2.0]])
-    # mean = 1.5; first pick is the closest single feature: 1.0 (index 1)
-    picked = herding_select(candidates, feats, 2)
-    assert picked[0] == candidates[1]
+    # an item's exemplars are stored in herding order: first the candidate
+    # whose feature is closest to the item's mean feature
+    m = init_model(CFG, 8, seed=3)
+    candidates = [TrainingExample((i,), 5) for i in range(6)]
+    store = select_exemplars(m, candidates, capacity=3, strategy=SelectionStrategy.HERDING)
+    feats = extract_features_batch(m, [ex.prefix for ex in candidates])
+    closest = int(np.argmin(np.linalg.norm(feats - feats.mean(axis=0), axis=1)))
+    assert store.groups[5][0] == candidates[closest]
+    assert store.groups[5] == [candidates[i] for i in herding_order(feats, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +242,7 @@ def test_select_loss_keeps_smallest_ce():
     rng = np.random.default_rng(6)
     m = init_model(CFG, 6, seed=3)
     candidates = [TrainingExample((0, 1), 3), TrainingExample((2, 4), 3), TrainingExample((5,), 3)]
-    losses = [ce_loss(m, [ex])[0] for ex in candidates]
+    losses = [loss_and_gradients(m, BatchSpec(ce_examples=[ex]))[0].ce for ex in candidates]
     store = select_exemplars(m, candidates, capacity=1, strategy=SelectionStrategy.LOSS)
     assert store.groups[3] == [candidates[int(np.argmin(losses))]]
 
@@ -277,16 +278,3 @@ def test_select_empty_pool_errors():
     m = init_model(CFG, 4, seed=0)
     with pytest.raises(ValueError):
         select_exemplars(m, [], 5, SelectionStrategy.HERDING)
-
-
-def test_exemplar_set_round_trip(tmp_path):
-    rng = np.random.default_rng(9)
-    m = init_model(CFG, 7, seed=6)
-    pool = _pool(rng, 7, 30)
-    store = select_exemplars(m, pool, 12, SelectionStrategy.HERDING, created_cycle=3)
-    path = tmp_path / "exemplars.tsv"
-    store.save(path, strategy="herding", seed=0)
-    loaded = ExemplarSet.load(path)
-    assert loaded.capacity == store.capacity
-    assert loaded.created_cycle == store.created_cycle
-    assert loaded.groups == store.groups

@@ -16,8 +16,9 @@ from cyclerec.harness import (
     run_experiment,
     update_model,
 )
-from cyclerec.losses import ce_loss
-from cyclerec.model import DivergenceError, ModelConfig, init_model
+from cyclerec.losses import ce_from_logits, teacher_probabilities
+from cyclerec.model import DivergenceError, ModelConfig, extract_features_batch, init_model
+from cyclerec.reporting import cycle_rows, summarize_rows
 
 MODEL_CFG = ModelConfig(embed_dim=16, block_count=2, max_seq_len=16)
 
@@ -149,6 +150,23 @@ def test_first_cycle_ader_identical_to_dropout_baseline():
     assert ader_state.exemplars is not None and drop_state.exemplars is None
 
 
+def test_kd_methods_carry_teacher_distributions_across_cycles():
+    # a cycle ends with the distillation targets of the next one: the
+    # end-of-cycle model's distributions on the new exemplars, over its items
+    datasets, _ = tiny_stream()
+    loop = tiny_loop()
+    ader_state, _ = run_one_cycle(MethodSpec(MethodKind.ADER, exemplar_capacity=50), datasets, loop)
+    exemplars = ader_state.exemplars.all_examples()
+    expected = teacher_probabilities(ader_state.model, exemplars, datasets[0].item_count_after)
+    assert ader_state.teacher_probs.shape == (len(exemplars), datasets[0].item_count_after)
+    np.testing.assert_array_equal(ader_state.teacher_probs, expected)
+    er_state, _ = run_one_cycle(MethodSpec(MethodKind.ER_HERDING, exemplar_capacity=50), datasets, loop)
+    assert er_state.exemplars is not None and er_state.teacher_probs is None
+    # the next cycle distils against them, from its first epoch on
+    records = update_model(ader_state, datasets[1], MethodSpec(MethodKind.ADER, exemplar_capacity=50), loop)
+    assert records[0].lambda_t > 0.0 and records[0].kd > 0.0
+
+
 def test_zero_lambda_base_ader_tracks_dropout_across_cycles():
     datasets, _ = tiny_stream(cycles=3)
     loop = tiny_loop()
@@ -219,7 +237,9 @@ def test_early_stop_restores_best_validation_parameters():
     records = update_model(state, datasets[0], method, loop)
     best_logged = min(r.val_loss for r in records)
     assert records[-1].val_loss > best_logged  # the stop fired after the best epoch
-    loss, _ = ce_loss(state.model, datasets[0].validation)
+    val = datasets[0].validation
+    feats = extract_features_batch(state.model, [ex.prefix for ex in val])
+    loss, _ = ce_from_logits(feats @ state.model.params["item_emb"].T, np.array([ex.target for ex in val]))
     assert loss == pytest.approx(best_logged, rel=1e-6)
 
 
@@ -358,10 +378,10 @@ def test_compare_methods_single_row():
     datasets, _ = tiny_stream(cycles=2)
     cmp = compare_methods(datasets, [MethodSpec(MethodKind.FINETUNE)], [1],
                           tiny_loop(epochs=2, patience=1), MODEL_CFG)
-    assert cmp.methods() == ["Finetune"]
-    summary = cmp.summary()
-    assert "recall@20" in summary["Finetune"]
-    assert summary["Finetune"]["recall@20"][1] == 0.0  # single seed -> zero stdev
+    assert [(r.method.name, r.seed) for r in cmp.runs] == [("Finetune", 1)]
+    assert "recall@20" in cmp.runs[0].means
+    table = summarize_rows(cycle_rows(cmp)).splitlines()
+    assert table[-1].startswith("Finetune") and table[-1].count("± 0.00") == 4  # single seed -> zero stdev
 
 
 def test_compare_methods_grid_and_worker_equivalence():

@@ -7,16 +7,13 @@ import pytest
 from cyclerec.data import TrainingExample
 from cyclerec.losses import (
     adaptive_lambda,
-    ader_loss,
     ce_from_logits,
-    ce_loss,
-    ewc_penalty,
     fisher_diagonal,
     kd_from_logits,
     kd_loss,
     teacher_probabilities,
 )
-from cyclerec.model import BatchSpec, ModelConfig, init_model, loss_and_gradients
+from cyclerec.model import BatchSpec, DivergenceError, ModelConfig, init_model, loss_and_gradients
 
 CFG = ModelConfig(embed_dim=8, block_count=1, max_seq_len=10, dtype="float64")
 
@@ -58,14 +55,6 @@ def test_ce_gradient_identity_vs_finite_differences():
             dn = logits.copy(); dn[r, c] -= h
             fd = (ce_from_logits(up, targets)[0] - ce_from_logits(dn, targets)[0]) / (2 * h)
             assert fd == pytest.approx(dlogits[r, c], abs=1e-6)
-
-
-def test_ce_loss_wrapper_validates():
-    m = init_model(CFG, 6, seed=1)
-    with pytest.raises(ValueError):
-        ce_loss(m, [])
-    with pytest.raises(ValueError):
-        ce_loss(m, [TrainingExample((0,), 5)], item_range=4)
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +131,6 @@ def test_kd_restricts_to_old_item_range():
     assert dlogits.shape == (1, 6)
 
 
-def test_kd_temperature_scaling():
-    rng = np.random.default_rng(3)
-    student = rng.normal(size=(2, 5))
-    teacher = rng.dirichlet(np.ones(5), size=2)
-    loss_t1, d1 = kd_from_logits(student, teacher, temperature=1.0)
-    loss_t2, d2 = kd_from_logits(student, teacher, temperature=2.0)
-    assert loss_t1 != pytest.approx(loss_t2)
-    p2 = np.exp(student / 2 - (student / 2).max(axis=1, keepdims=True))
-    p2 /= p2.sum(axis=1, keepdims=True)
-    np.testing.assert_allclose(d2, (p2 - teacher) / (2 * 2), atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # adaptive lambda
 # ---------------------------------------------------------------------------
@@ -207,23 +184,49 @@ def test_lambda_matches_rational_arithmetic():
 # ---------------------------------------------------------------------------
 
 
+# the combined loss is evaluated in one place, model.loss_and_gradients
+
+CE_ROWS = [TrainingExample((0, 1), 2), TrainingExample((3, 4, 5), 1)]
+KD_ROWS = [TrainingExample((0,), 4), TrainingExample((2, 3), 5)]
+
+
+def _kd_spec(weight, teacher=None):
+    if teacher is None:
+        teacher = np.random.default_rng(5).dirichlet(np.ones(6), size=len(KD_ROWS))
+    return BatchSpec(ce_examples=CE_ROWS, kd_examples=KD_ROWS, kd_teacher_probs=teacher,
+                     kd_item_range=6, kd_weight=weight)
+
+
 def test_ader_loss_reduces_to_ce_without_kd():
-    assert ader_loss(1.7, 0.0, 0.9).total == pytest.approx(1.7)
+    m = init_model(CFG, 8, seed=13)
+    plain, _ = loss_and_gradients(m, BatchSpec(ce_examples=CE_ROWS))
+    breakdown, _ = loss_and_gradients(m, BatchSpec(ce_examples=CE_ROWS, kd_weight=0.9))  # no exemplars
+    assert breakdown.kd == 0.0
+    assert breakdown.total == pytest.approx(plain.total, rel=1e-12)
 
 
 def test_ader_loss_weighted_sum():
-    breakdown = ader_loss(1.0, 0.5, 0.64)
-    assert breakdown.total == pytest.approx(1.32)
-    assert breakdown.ce == 1.0 and breakdown.kd == 0.5
+    m = init_model(CFG, 8, seed=14)
+    plain, _ = loss_and_gradients(m, BatchSpec(ce_examples=CE_ROWS))
+    breakdown, _ = loss_and_gradients(m, _kd_spec(0.64))
+    assert breakdown.ce == pytest.approx(plain.ce, rel=1e-10)
+    assert breakdown.kd > 0.0
+    assert breakdown.total == pytest.approx(breakdown.ce + 0.64 * breakdown.kd, rel=1e-12)
 
 
 def test_ader_loss_zero_lambda_is_plain_ce():
-    assert ader_loss(2.5, 9.9, 0.0).total == pytest.approx(2.5)
+    m = init_model(CFG, 8, seed=15)
+    plain, g_plain = loss_and_gradients(m, BatchSpec(ce_examples=CE_ROWS))
+    breakdown, grads = loss_and_gradients(m, _kd_spec(0.0))
+    assert breakdown.total == plain.total and breakdown.kd == 0.0
+    for name in grads:
+        np.testing.assert_array_equal(grads[name], g_plain[name])
 
 
 def test_ader_loss_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        ader_loss(float("nan"), 0.0, 0.5)
+    m = init_model(CFG, 8, seed=16)
+    with pytest.raises(DivergenceError):
+        loss_and_gradients(m, _kd_spec(0.5, teacher=np.full((len(KD_ROWS), 6), np.nan)))
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +260,20 @@ def test_fisher_empty_errors():
         fisher_diagonal(m, [])
 
 
+def _ewc(m, anchor, fisher, weight=1.0):
+    """The EWC term alone: a step with no CE or KD rows."""
+    breakdown, grads = loss_and_gradients(
+        m, BatchSpec(ewc_anchor=anchor, ewc_fisher=fisher, ewc_weight=weight)
+    )
+    assert breakdown.total == pytest.approx(weight * breakdown.ewc)
+    return breakdown.ewc, grads
+
+
 def test_ewc_zero_at_anchor():
     m = init_model(CFG, 5, seed=9)
     anchor = {k: v.copy() for k, v in m.params.items()}
     fisher = {k: np.ones_like(v) for k, v in m.params.items()}
-    penalty, grads = ewc_penalty(m, anchor, fisher)
+    penalty, grads = _ewc(m, anchor, fisher)
     assert penalty == 0.0
     assert all(np.all(g == 0) for g in grads.values())
 
@@ -272,17 +284,18 @@ def test_ewc_scalar_hand_computed():
     fisher = {k: np.zeros_like(v) for k, v in m.params.items()}
     anchor["item_emb"][0, 0] -= 3.0  # theta - anchor = 3
     fisher["item_emb"][0, 0] = 2.0
-    penalty, grads = ewc_penalty(m, anchor, fisher)
+    penalty, grads = _ewc(m, anchor, fisher, weight=2.5)
     assert penalty == pytest.approx(9.0)
-    assert grads["item_emb"][0, 0] == pytest.approx(6.0)
+    assert grads["item_emb"][0, 0] == pytest.approx(2.5 * 6.0)
+    assert np.count_nonzero(grads["item_emb"]) == 1
 
 
 def test_ewc_penalty_linear_in_fisher():
     m = init_model(CFG, 5, seed=11)
     anchor = {k: v + 0.1 for k, v in m.params.items()}
     fisher = {k: np.abs(v) for k, v in m.params.items()}
-    p1, _ = ewc_penalty(m, anchor, fisher)
-    p2, _ = ewc_penalty(m, anchor, {k: 2 * f for k, f in fisher.items()})
+    p1, _ = _ewc(m, anchor, fisher)
+    p2, _ = _ewc(m, anchor, {k: 2 * f for k, f in fisher.items()})
     assert p2 == pytest.approx(2 * p1)
 
 
@@ -290,6 +303,6 @@ def test_ewc_shape_mismatch_errors():
     m = init_model(CFG, 5, seed=12)
     anchor = {k: v.copy() for k, v in m.params.items()}
     fisher = {k: np.ones_like(v) for k, v in m.params.items()}
-    anchor["item_emb"] = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        ewc_penalty(m, anchor, fisher)
+    anchor["item_emb"] = np.zeros((1, 8))  # would broadcast silently
+    with pytest.raises(ValueError, match="shape mismatch"):
+        _ewc(m, anchor, fisher)

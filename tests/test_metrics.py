@@ -144,8 +144,6 @@ def test_aggregate_unweighted_by_cycle_size():
         report(1, {20: 1.0}, {20: 1.0}, count=1000),
     ]
     assert aggregate(reports)["recall@20"] == pytest.approx(0.5)
-    weighted = aggregate(reports, weight_by_examples=True)
-    assert weighted["recall@20"] == pytest.approx(1000 / 1010)
 
 
 def test_aggregate_empty_errors():

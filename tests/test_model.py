@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cyclerec.data import TrainingExample
+from cyclerec.losses import _softmax, teacher_probabilities
 from cyclerec.model import (
     BatchSpec,
     _chunk_plan,
@@ -13,16 +14,10 @@ from cyclerec.model import (
     DivergenceError,
     ModelConfig,
     adam_step,
-    extract_features,
     extract_features_batch,
-    features_all_positions,
     grow_vocabulary,
     init_model,
-    load_model,
     loss_and_gradients,
-    predict_logits,
-    save_model,
-    softmax,
     zero_gradients,
 )
 
@@ -32,6 +27,23 @@ SMALL = ModelConfig(embed_dim=8, block_count=1, attention_heads=1, max_seq_len=1
 def small_model(item_count=12, seed=3, **overrides):
     cfg = ModelConfig(**{**SMALL.__dict__, **overrides})
     return init_model(cfg, item_count, seed=seed)
+
+
+def features(m, prefix, train_mode=False, dropout_seed=0):
+    """Features of one prefix, encoded alone."""
+    return extract_features_batch(m, [tuple(prefix)], train_mode, dropout_seed)[0]
+
+
+def softmax(z):
+    """The shared softmax (``losses._softmax``) of one logit vector."""
+    return _softmax(np.asarray(z, dtype=np.float64)[None])[2][0]
+
+
+def constant_features(m, value):
+    """Make every feature ``value``: zero the final layer norm's gain, set its bias."""
+    last = f"blocks.{m.config.block_count - 1}.ln2."
+    m.params[last + "g"][:] = 0.0
+    m.params[last + "b"][:] = value
 
 
 def states_equal(a, b):
@@ -70,13 +82,13 @@ def test_init_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(dtype="float16")
     with pytest.raises(ValueError):
-        init_model(SMALL, item_count=0)
+        init_model(SMALL, item_count=0, seed=0)
 
 
 def test_zero_dropout_train_matches_eval():
     m = small_model()
-    f_train = extract_features(m, [1, 2, 3], train_mode=True, dropout_seed=4)
-    f_eval = extract_features(m, [1, 2, 3], train_mode=False)
+    f_train = features(m, [1, 2, 3], train_mode=True, dropout_seed=4)
+    f_eval = features(m, [1, 2, 3], train_mode=False)
     np.testing.assert_array_equal(f_train, f_eval)
 
 
@@ -111,11 +123,6 @@ def test_softmax_shift_invariance_and_normalization():
         np.testing.assert_allclose(p, q, atol=1e-12)
 
 
-def test_softmax_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        softmax(np.array([np.nan, 0.0]))
-
-
 # ---------------------------------------------------------------------------
 # features
 # ---------------------------------------------------------------------------
@@ -123,33 +130,38 @@ def test_softmax_rejects_nonfinite():
 
 def test_feature_of_length_one_prefix_uses_item_and_position_zero():
     m = small_model()
-    f1 = extract_features(m, [4])
-    per_pos = features_all_positions(m, [4, 7, 2])
-    np.testing.assert_allclose(f1, per_pos[0], atol=1e-10)
+    f1 = features(m, [4])
+    rng = np.random.default_rng(1)
+    m.params["pos_emb"][1:] = rng.normal(size=m.params["pos_emb"][1:].shape)
+    others = np.arange(m.item_count) != 4
+    m.params["item_emb"][others] = rng.normal(size=(int(others.sum()), 8))
+    np.testing.assert_array_equal(features(m, [4]), f1)
 
 
 def test_causality_prefix_features_match_within_longer_sequence():
+    # all prefixes of one sequence share its pass: each reads the root's
+    # features at its own last position, which must not see later items
     m = small_model(item_count=12, seed=8)
     seq = [3, 1, 4, 1, 5, 9, 2, 6]
-    per_pos = features_all_positions(m, seq)
-    for j in range(1, len(seq)):
-        np.testing.assert_allclose(
-            extract_features(m, seq[:j]), per_pos[j - 1], atol=1e-10
-        )
+    prefixes = [tuple(seq[:j]) for j in range(1, len(seq) + 1)]
+    assert len(set(_prefix_roots(prefixes).tolist())) == 1
+    shared = extract_features_batch(m, prefixes)
+    for j, prefix in enumerate(prefixes):
+        np.testing.assert_allclose(shared[j], features(m, prefix), atol=1e-10)
 
 
 def test_feature_independent_of_batch_padding():
     m = small_model(seed=2)
-    single = extract_features(m, [5, 6])
+    single = features(m, [5, 6])
     batch = extract_features_batch(m, [(5, 6), (1, 2, 3, 4, 5, 6, 7), (9,)])
     np.testing.assert_allclose(single, batch[0], atol=1e-12)
 
 
 def test_dropout_deterministic_per_seed():
     m = small_model(dropout_rate=0.4)
-    a = extract_features(m, [1, 2, 3], train_mode=True, dropout_seed=11)
-    b = extract_features(m, [1, 2, 3], train_mode=True, dropout_seed=11)
-    c = extract_features(m, [1, 2, 3], train_mode=True, dropout_seed=12)
+    a = features(m, [1, 2, 3], train_mode=True, dropout_seed=11)
+    b = features(m, [1, 2, 3], train_mode=True, dropout_seed=11)
+    c = features(m, [1, 2, 3], train_mode=True, dropout_seed=12)
     np.testing.assert_array_equal(a, b)
     assert not np.allclose(a, c)
 
@@ -157,13 +169,13 @@ def test_dropout_deterministic_per_seed():
 def test_prefix_index_out_of_range_errors():
     m = small_model(item_count=5)
     with pytest.raises(ValueError, match="out of range"):
-        extract_features(m, [7])
+        features(m, [7])
 
 
 def test_prefix_longer_than_max_seq_len_keeps_most_recent():
     m = small_model(max_seq_len=4)
-    long_feat = extract_features(m, [1, 2, 3, 4, 5, 6])
-    trimmed = extract_features(m, [3, 4, 5, 6])
+    long_feat = features(m, [1, 2, 3, 4, 5, 6])
+    trimmed = features(m, [3, 4, 5, 6])
     np.testing.assert_allclose(long_feat, trimmed, atol=1e-12)
 
 
@@ -172,28 +184,31 @@ def test_prefix_longer_than_max_seq_len_keeps_most_recent():
 # ---------------------------------------------------------------------------
 
 
+# the decoder is the shared item embedding: logit_i = feature . item_emb_i
+
+
 def test_logits_argmax_for_orthogonal_embeddings():
     m = small_model(item_count=8)
-    emb = np.zeros((8, 8))
-    np.fill_diagonal(emb, 1.0)
-    m.params["item_emb"] = emb
-    logits = predict_logits(m, emb[3])
-    assert int(np.argmax(logits)) == 3
+    m.params["item_emb"] = np.eye(8)
+    constant_features(m, np.eye(8)[3])
+    probs = teacher_probabilities(m, [TrainingExample((1, 2), 0)], 8)
+    assert int(np.argmax(probs[0])) == 3
 
 
 def test_logits_item_range_restriction():
     m = small_model(item_count=9)
-    f = extract_features(m, [1])
-    assert predict_logits(m, f, item_range=6).shape == (6,)
+    ex = [TrainingExample((1,), 0)]
+    assert teacher_probabilities(m, ex, 6).shape == (1, 6)
     with pytest.raises(ValueError):
-        predict_logits(m, f, item_range=10)
+        teacher_probabilities(m, ex, 10)
 
 
 def test_zero_feature_gives_uniform_softmax():
     m = small_model(item_count=7)
-    logits = predict_logits(m, np.zeros(8))
-    np.testing.assert_allclose(logits, 0.0)
-    np.testing.assert_allclose(softmax(logits), np.full(7, 1 / 7))
+    constant_features(m, 0.0)
+    np.testing.assert_array_equal(features(m, [1, 5]), 0.0)
+    probs = teacher_probabilities(m, [TrainingExample((1, 5), 0)], 7)
+    np.testing.assert_allclose(probs[0], np.full(7, 1 / 7))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +324,7 @@ def test_prefix_roots_group_only_true_prefixes_after_trimming():
     assert _prefix_roots(trimmed).tolist() == [2, 2, 2, 3, 4, 5, 3, 2]
     m = small_model(max_seq_len=3, block_count=2)
     shared, _ = _encode_rows(m, prefixes)
-    alone = np.stack([extract_features(m, p) for p in prefixes])
+    alone = np.stack([features(m, p) for p in prefixes])
     np.testing.assert_allclose(shared, alone, rtol=0, atol=1e-12)
 
 
@@ -405,11 +420,9 @@ def test_grow_preserves_existing_rows_bit_exactly():
 def test_grow_preserves_old_item_logits_bit_exactly():
     m = small_model(item_count=6, seed=9)
     prefix = [0, 2, 4]
-    feats_before = extract_features(m, prefix)
-    logits_before = predict_logits(m, feats_before, item_range=6)
+    logits_before = features(m, prefix) @ m.params["item_emb"][:6].T
     grow_vocabulary(m, 10, seed=3)
-    feats_after = extract_features(m, prefix)
-    logits_after = predict_logits(m, feats_after, item_range=6)
+    logits_after = features(m, prefix) @ m.params["item_emb"][:6].T
     assert np.array_equal(logits_before, logits_after)
 
 
@@ -420,31 +433,31 @@ def test_grow_shrink_errors():
 
 
 # ---------------------------------------------------------------------------
-# checkpointing
+# checkpointing: early stopping keeps the best epoch as a ``ModelState.copy``
 # ---------------------------------------------------------------------------
 
 
-def test_checkpoint_round_trip_bit_exact(tmp_path):
+def test_checkpoint_round_trip_bit_exact():
     m = small_model(seed=13, dropout_rate=0.2)
     grads = zero_gradients(m)
     grads["item_emb"][:] = 0.05
     adam_step(m, grads)
-    path = tmp_path / "model.npz"
-    save_model(m, path)
-    loaded = load_model(path)
-    assert loaded.config == m.config
-    assert states_equal(m, loaded)
-    assert all(loaded.params[k].dtype == m.params[k].dtype for k in m.params)
+    snapshot = m.copy()
+    assert snapshot.config == m.config
+    assert states_equal(m, snapshot)
+    assert all(snapshot.params[k].dtype == m.params[k].dtype for k in m.params)
+    adam_step(m, grads)  # training on leaves the snapshot as it was
+    assert snapshot.step == 1 and not states_equal(m, snapshot)
 
 
-def test_checkpoint_float32_round_trip(tmp_path):
+def test_checkpoint_float32_round_trip():
     cfg = ModelConfig(embed_dim=8, block_count=1, max_seq_len=6, dtype="float32")
     m = init_model(cfg, 4, seed=0)
-    path = tmp_path / "model32.npz"
-    save_model(m, path)
-    loaded = load_model(path)
-    assert loaded.params["item_emb"].dtype == np.float32
-    assert states_equal(m, loaded)
+    snapshot = m.copy()
+    m.params["item_emb"] += 1.0
+    m.adam_v["pos_emb"] += 1.0
+    assert snapshot.params["item_emb"].dtype == np.float32
+    assert states_equal(snapshot, init_model(cfg, 4, seed=0))
 
 
 def test_float32_training_step_keeps_dtype():
