@@ -57,11 +57,28 @@ _TOP_DEFAULTS = {
 }
 
 
+# keys ``build_datasets`` reads under ``data``, besides the one source
+_DATA_KEYS = {"synthetic", "events", "cycles", "columns", "min_item_support", "min_session_length",
+              "period_days", "validation_fraction", "split_seed"}
+_TOP_KEYS = {"data", "methods", "seeds", "model", "training", "capacity_sweep", *_TOP_DEFAULTS}
+
+
+def _reject_unknown(keys, known: set, where: str) -> None:
+    unknown = sorted(str(k) for k in keys if k not in known)
+    if unknown:
+        raise ConfigError(f"unknown field{'s' if len(unknown) > 1 else ''} {where}: {', '.join(unknown)}")
+
+
 def resolve_config(raw: dict) -> dict:
-    """Validate a run config and fill in defaults; returns the full snapshot."""
+    """Validate a run config and fill in defaults; returns the full snapshot.
+
+    An unknown key at the top level or under ``data`` is a ``ConfigError``,
+    so a typo cannot silently fall back to a default.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     cfg = dict(raw)
+    _reject_unknown(cfg, _TOP_KEYS, "in the config")
     for req in ("data", "methods", "seeds"):
         if req not in cfg:
             raise ConfigError(f"missing required field: {req}")
@@ -72,6 +89,7 @@ def resolve_config(raw: dict) -> dict:
     data = cfg["data"]
     if not isinstance(data, dict) or len(set(data) & {"synthetic", "events", "cycles"}) != 1:
         raise ConfigError("field 'data' must hold exactly one of: synthetic, events, cycles")
+    _reject_unknown(data, _DATA_KEYS, "in 'data'")
     if "synthetic" in data:
         try:
             data_mod.SyntheticStreamConfig(**data["synthetic"])

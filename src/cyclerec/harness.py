@@ -2,7 +2,10 @@
 
 For each update cycle the current model is grown to the new vocabulary,
 trained with the method's loss recipe, evaluated on the *next* cycle's
-data, and the exemplar store is refreshed. Training stops early on the
+data, and the exemplar store is refreshed. An epoch visits the training
+pool as whole session chains in a random order, cut into steps of
+``batch_size`` rows, so a step encodes each session once, as SASRec
+batches whole sequences. Training stops early on the
 validation cross entropy (dropout off, over the item range training
 uses): after ``patience`` (default 5) epochs without a strict decrease it
 stops and restores the parameters of the best epoch. Validation
@@ -32,6 +35,7 @@ from .model import (
     DivergenceError,
     ModelConfig,
     ModelState,
+    _prefix_roots,
     extract_features_batch,
     grow_vocabulary,
     init_model,
@@ -144,9 +148,6 @@ class ExperimentState:
     """Everything carried across cycles for one method run."""
 
     model: ModelState
-    # the end-of-cycle model's distributions on ``exemplars``, over its item
-    # range: the next cycle's distillation targets (KD methods only)
-    teacher_probs: np.ndarray | None = None
     exemplars: ExemplarSet | None = None
     joint_buffer: list[TrainingExample] = field(default_factory=list)
     ewc_anchor: dict[str, np.ndarray] | None = None
@@ -220,6 +221,18 @@ def _validation_scores(model: ModelState, examples, batch_size: int) -> tuple[fl
     return loss, recall_at_k(target_ranks(logits, targets), VAL_RECALL_K)
 
 
+def _session_chains(pool: Sequence[TrainingExample], max_seq_len: int) -> list[np.ndarray]:
+    """Pool indices grouped by the root of their trimmed prefixes, each chain ascending.
+
+    Rows whose trimmed prefixes nest share a root (``model._prefix_roots``),
+    so a chain is in practice one session's training positions; a session
+    longer than ``max_seq_len`` splits where its trimmed windows stop nesting.
+    """
+    roots = _prefix_roots([tuple(ex.prefix[-max_seq_len:]) for ex in pool])
+    order = np.argsort(roots, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(roots[order])) + 1)
+
+
 def update_model(
     state: ExperimentState,
     cycle_data: CycleDataset,
@@ -238,6 +251,22 @@ def update_model(
 
     model = state.model
     old_item_count = model.item_count
+    exemplar_examples = state.exemplars.all_examples() if state.exemplars else []
+    lambda_t = 0.0
+    if method.kind in KD_KINDS and exemplar_examples:
+        if method.kind is MethodKind.ADER_FIX:
+            lambda_t = method.fixed_lambda
+        else:
+            lambda_t = adaptive_lambda(
+                method.lambda_base, old_item_count, cycle_data.item_count_after,
+                len(exemplar_examples), len(cycle_data.train),
+            )
+    kd_examples = exemplar_examples if lambda_t != 0.0 else []
+    if kd_examples:
+        # the model is still the previous cycle's restored one: the teacher
+        teacher_probs = teacher_probabilities(
+            model, kd_examples, old_item_count, batch_size=loop_cfg.eval_batch_size,
+        )
     grow_vocabulary(model, cycle_data.item_count_after, seed=_derived_seed(loop_cfg.seed, t, 101))
     if state.ewc_anchor is not None:
         extra = model.item_count - state.ewc_anchor["item_emb"].shape[0]
@@ -246,28 +275,15 @@ def update_model(
             state.ewc_anchor["item_emb"] = np.concatenate([state.ewc_anchor["item_emb"], pad])
             state.ewc_fisher["item_emb"] = np.concatenate([state.ewc_fisher["item_emb"], pad])
 
-    exemplar_examples = state.exemplars.all_examples() if state.exemplars else []
     ce_pool: list[TrainingExample] = list(cycle_data.train)
     if method.kind is MethodKind.JOINT:
         ce_pool = list(state.joint_buffer) + ce_pool
     if method.kind in ER_KINDS and exemplar_examples:
         ce_pool = ce_pool + exemplar_examples
 
-    lambda_t = 0.0
-    kd_examples: list[TrainingExample] = []
-    if method.kind in KD_KINDS and state.teacher_probs is not None and exemplar_examples:
-        if method.kind is MethodKind.ADER_FIX:
-            lambda_t = method.fixed_lambda
-        else:
-            lambda_t = adaptive_lambda(
-                method.lambda_base, old_item_count, model.item_count,
-                len(exemplar_examples), len(cycle_data.train),
-            )
-        if lambda_t != 0.0:
-            kd_examples = exemplar_examples
-
     ewc_active = method.kind is MethodKind.EWC and state.ewc_anchor is not None
 
+    chains = _session_chains(ce_pool, model.config.max_seq_len)
     kd_bs = loop_cfg.kd_batch_size or loop_cfg.batch_size
     kd_cursor = 0
     stopper = EarlyStopper(loop_cfg.patience)
@@ -278,7 +294,8 @@ def update_model(
 
     for epoch in range(1, loop_cfg.max_epochs + 1):
         rng = np.random.default_rng(np.random.SeedSequence([loop_cfg.seed, t, epoch, 7]))
-        order = rng.permutation(len(ce_pool))
+        # whole chains in a random order, cut every batch_size rows
+        order = np.concatenate([chains[i] for i in rng.permutation(len(chains))])
         sums = {"ce": 0.0, "kd": 0.0, "ewc": 0.0, "total": 0.0}
         steps = 0
         for lo in range(0, len(order), loop_cfg.batch_size):
@@ -293,7 +310,7 @@ def update_model(
                 sel = [(kd_cursor + j) % len(kd_examples) for j in range(min(kd_bs, len(kd_examples)))]
                 kd_cursor = (kd_cursor + len(sel)) % len(kd_examples)
                 spec.kd_examples = [kd_examples[j] for j in sel]
-                spec.kd_teacher_probs = state.teacher_probs[sel]
+                spec.kd_teacher_probs = teacher_probs[sel]
                 spec.kd_item_range = old_item_count
                 spec.kd_weight = lambda_t
             if ewc_active:
@@ -342,10 +359,6 @@ def update_model(
     if method.kind is MethodKind.JOINT:
         state.joint_buffer.extend(cycle_data.train)
 
-    if method.kind in KD_KINDS:
-        state.teacher_probs = teacher_probabilities(
-            model, state.exemplars.all_examples(), model.item_count, batch_size=loop_cfg.eval_batch_size,
-        )
     state.last_cycle = t
     return records
 

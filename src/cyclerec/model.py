@@ -1,32 +1,33 @@
 """Self-attentive next-item model: forward pass, exact backward pass, Adam.
 
 Training runs in the configured dtype (float32 by default); oracle checks
-use float64. Batched forwards sort prefixes by length into chunks and
-left-pad each chunk; the causal mask combined with a key-validity mask
-guarantees a padded slot can never influence a real position, so
-per-example features are independent of batch composition.
+use float64.
 
 Rows that share a session prefix share one pass. Each row's trimmed
 prefix maps to a root: a row of the same call that it is a prefix of and
 that is a prefix of no other row (in lexicographic order, a row is a
 prefix of some row if and only if it is a prefix of the next one). Only
-roots are encoded. Under the causal mask a row's features are its root's
-at the row's last item, so the last block runs its queries at each row's
-(root, column) only: they sit in a (roots, m) slot table, m being the most
-rows any root of the chunk serves, and K and V still span every position
-of each root. With dropout on, inner-block masks are drawn per root
-token, so rows sharing a root share them, as one SASRec pass over the
-session would; last-block masks are drawn per row.
+roots are encoded, and under the causal mask a row's features are its
+root's hidden state at the row's last item. The roots of one call are
+packed first-fit-decreasing into rows as wide as the longest root
+(sequence packing; Krell et al. 2021, arXiv 2107.02027): each root is a
+segment whose positions restart at 0, and a token attends only to real
+tokens of its own segment, causally. So segments never see each other
+or the padding, and per-row features are independent of what else the
+call holds. Every block runs at every token, forward and backward,
+through one code path. With dropout on, masks are drawn once per call,
+per real token and block, so rows sharing a root share every mask, as
+one SASRec pass over the session would.
 
-The encoder runs token-major: a chunk's hidden states are one contiguous
-(B*L, D) matrix, so every projection, residual, dropout multiply, layer
-norm and feed-forward layer is one 2-D GEMM or elementwise op, forward and
-backward. Q, K and V are one fused (D, 3D) projection (K and V a (D, 2D)
-one in the last block), and only the attention core (scores, mask,
-softmax, context) uses (B, H, L, L) or slot-table (B, H, m, L) views.
-Keys carry no bias: the softmax would cancel it. Gradients are
-hand-derived reverse-mode and checked against central finite differences
-and a per-row batch-major reference in the test suite.
+The encoder runs token-major: the packed hidden states are one
+contiguous (B*L, D) matrix, so every projection, residual, dropout
+multiply, layer norm and feed-forward layer is one 2-D GEMM or
+elementwise op, forward and backward. Q, K and V are one fused (D, 3D)
+projection, and only the attention core (scores, mask, softmax, context)
+uses (B, H, L, L) views. Keys carry no bias: the softmax would cancel it.
+Gradients are hand-derived reverse-mode and checked against central
+finite differences and a per-row batch-major reference in the test
+suite.
 """
 
 from __future__ import annotations
@@ -181,54 +182,6 @@ def _softmax_last_inplace(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _pad_batch(trimmed: Sequence[Sequence[int]]):
-    """Left-pad already-trimmed prefixes into ids, validity and position arrays."""
-    lengths = np.fromiter(map(len, trimmed), dtype=np.int64, count=len(trimmed))
-    if lengths.min() < 1:
-        raise ValueError("empty prefix")
-    L = int(lengths.max())
-    pad = L - lengths
-    valid = np.arange(L) >= pad[:, None]
-    ids = np.zeros(valid.shape, dtype=np.int64)
-    ids[valid] = np.fromiter(itertools.chain.from_iterable(trimmed), dtype=np.int64, count=int(lengths.sum()))
-    pos = np.maximum(np.arange(L) - pad[:, None], 0)
-    return ids, valid, pos
-
-
-# Fixed cost of one chunk in padded-token units: below it, splitting a
-# length-sorted batch further costs more in per-call numpy overhead than it
-# saves in padding.
-CHUNK_OVERHEAD_TOKENS = 512
-
-
-def _chunk_plan(lengths: np.ndarray) -> list[np.ndarray]:
-    """Split rows into length-sorted chunks minimising padded work.
-
-    Chunk cost is rows * longest length + ``CHUNK_OVERHEAD_TOKENS``; an
-    exact dynamic program over the boundaries between distinct lengths.
-    """
-    order = np.argsort(lengths, kind="stable")
-    sorted_len = lengths[order]
-    ends = np.append(np.flatnonzero(np.diff(sorted_len)) + 1, len(order)).tolist()
-    starts = [0] + ends
-    longest_of = sorted_len[np.array(ends) - 1].tolist()
-    best = [0.0]
-    prev = [0]
-    # plain Python lists: the loop is short, and numpy calls would cost more than the arithmetic
-    for j, (end, longest) in enumerate(zip(ends, longest_of), start=1):
-        costs = [best[i] + (end - starts[i]) * longest + CHUNK_OVERHEAD_TOKENS for i in range(j)]
-        i = min(range(j), key=costs.__getitem__)  # first minimum, as np.argmin
-        best.append(costs[i])
-        prev.append(i)
-    chunks = []
-    j = len(ends)
-    while j > 0:
-        i = prev[j]
-        chunks.append(order[starts[i] : ends[j - 1]])
-        j = i
-    return chunks[::-1]
-
-
 # Reductions below go through matmuls with one-vectors: BLAS handles the
 # strided last-axis sums far faster than numpy's reduce on these shapes.
 
@@ -268,29 +221,24 @@ def _ln_backward(dy: np.ndarray, g: np.ndarray, cache):
 def _encode_batch(
     state: ModelState,
     ids: np.ndarray,
-    valid: np.ndarray,
+    seg: np.ndarray,
     pos: np.ndarray,
-    query_cols: np.ndarray,
-    masks: Sequence[np.ndarray] | None = None,
+    masks: np.ndarray | None = None,
     need_cache: bool = False,
 ):
-    """Run the encoder over one padded batch, token-major.
+    """Run the encoder over one packed batch, token-major, at every token.
 
-    Hidden states are one (B*L, D) matrix, so every projection, residual,
-    dropout multiply, layer norm and feed-forward layer is a single 2-D
-    GEMM or elementwise op; only the attention core uses (B, H, m, L)
-    views. Q, K and V come from one (D, 3D) GEMM.
-
-    ``query_cols`` is a (B, m) slot table: the columns of row b that the
-    caller reads, in ascending order, -1 marking an empty slot. The final
-    block computes queries, attention output, feed-forward and layer norms
-    at those columns only: K and V still span every position, as one
-    (D, 2D) GEMM, the attention core runs on the slot table, and the rest
-    runs on an (n, D) matrix of the n filled slots, in slot order.
-    ``masks`` holds one scaled dropout-mask pair per block, shaped
-    (2, B, L, D) for an inner block and (2, n, D) for the final one, for
-    the attention and feed-forward outputs, or is None for no dropout.
-    Returns the (n, D) query features and an optional cache.
+    ``ids``, ``seg`` and ``pos`` are (B, L): each token's item, its segment
+    (-1 on padding) and its position within the segment. A token attends to
+    the tokens of its own segment up to itself, so segments packed into one
+    row never see each other, and padding is never a key. Hidden states are
+    one (B*L, D) matrix, so every projection, residual, dropout multiply,
+    layer norm and feed-forward layer is a single 2-D GEMM or elementwise
+    op; only the attention core uses (B, H, L, L) views. Q, K and V come
+    from one (D, 3D) GEMM. ``masks`` holds the scaled dropout masks,
+    (blocks, 2, B*L, D) for the attention and feed-forward outputs, or is
+    None for no dropout. Returns the (B*L, D) final hidden states and an
+    optional cache; values at padding are finite and never read.
     """
     cfg = state.config
     P = state.params
@@ -303,63 +251,29 @@ def _encode_batch(
 
     x = P["item_emb"][ids.ravel()]
     x += P["pos_emb"][pos.ravel()]
-    x *= valid.reshape(-1, 1)
     fill = cfg.np_dtype.type(MASK_FILL)
-    causal = np.tril(np.ones((L, L), dtype=bool))
-    last_block = cfg.block_count - 1
-    m = query_cols.shape[1]
-    flat = query_cols.ravel()
-    slots = np.flatnonzero(flat >= 0)
-    full = len(slots) == B * m
-    tok = slots // m * L + flat[slots]
-    # an empty slot queries the last column; its output is never read
-    cols = np.where(query_cols >= 0, query_cols, L - 1)
-    query_allowed = (np.arange(L) <= cols[:, :, None]) & valid[:, None, :]
+    allowed = (seg[:, :, None] == seg[:, None, :]) & (seg >= 0)[:, None, :]
+    allowed &= np.tril(np.ones((L, L), dtype=bool))
+    blocked = ~allowed[:, None]
 
     blocks = []
     for b in range(cfg.block_count):
         p = f"blocks.{b}."
-        last = b == last_block
-        # queries join the fused projection unless only some columns ask
-        names = "kv" if last else "qkv"
-        w = np.concatenate([P[p + "attn.w" + n] for n in names], axis=1)
+        w = np.concatenate([P[p + "attn.wq"], P[p + "attn.wk"], P[p + "attn.wv"]], axis=1)
         proj = x @ w
-        if not last:
-            proj[:, :D] += P[p + "attn.bq"]
-        proj[:, -D:] += P[p + "attn.bv"]
-        heads = proj.reshape(B, L, len(names), H, D // H).transpose(2, 0, 3, 1, 4)
-        if last:
-            lq = m
-            xq = x[tok]
-            q = xq @ P[p + "attn.wq"] + P[p + "attn.bq"]
-            if not full:
-                q_table = np.zeros((B * m, D), dtype=q.dtype)
-                q_table[slots] = q
-                q = q_table
-            qh = q.reshape(B, m, H, D // H).transpose(0, 2, 1, 3)
-            kh, vh = heads
-            allowed = query_allowed
-            keep_q = None  # every query column holds a real token
-        else:
-            lq = L
-            xq = x
-            qh, kh, vh = heads
-            allowed = causal[None] & valid[:, None, :]
-            keep_q = valid.reshape(-1, 1)
+        proj[:, :D] += P[p + "attn.bq"]
+        proj[:, 2 * D :] += P[p + "attn.bv"]
+        qh, kh, vh = proj.reshape(B, L, 3, H, D // H).transpose(2, 0, 3, 1, 4)
         scores = qh @ kh.swapaxes(-1, -2)
         scores *= scale
-        np.copyto(scores, fill, where=~allowed[:, None, :, :])
+        np.copyto(scores, fill, where=blocked)
         attn = _softmax_last_inplace(scores)
-        ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(B * lq, D)
-        if last and not full:
-            ctx = ctx[slots]
-        mask1, mask2 = masks[b].reshape(2, -1, D) if masks is not None else (None, None)
+        ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(B * L, D)
+        mask1, mask2 = masks[b] if masks is not None else (None, None)
         r1 = ctx @ P[p + "attn.wo"] + P[p + "attn.bo"]
-        if keep_q is not None:
-            r1 *= keep_q
         if mask1 is not None:
             r1 *= mask1
-        r1 += xq
+        r1 += x
         x1, ln1c = _ln_forward(r1, P[p + "ln1.g"], P[p + "ln1.b"])
         h = x1 @ P[p + "ff.w1"] + P[p + "ff.b1"]
         np.maximum(h, 0.0, out=h)
@@ -370,15 +284,13 @@ def _encode_batch(
         x2, ln2c = _ln_forward(r2, P[p + "ln2.g"], P[p + "ln2.b"])
         if need_cache:
             blocks.append(
-                {"x": x, "xq": xq, "w": w, "names": names, "qh": qh, "kh": kh, "vh": vh, "attn": attn,
-                 "ctx": ctx, "keep_q": keep_q, "mask1": mask1, "ln1c": ln1c, "x1": x1, "h": h,
-                 "mask2": mask2, "ln2c": ln2c}
+                {"x": x, "w": w, "qh": qh, "kh": kh, "vh": vh, "attn": attn, "ctx": ctx, "mask1": mask1,
+                 "ln1c": ln1c, "x1": x1, "h": h, "mask2": mask2, "ln2c": ln2c}
             )
         x = x2
     cache = None
     if need_cache:
-        cache = {"ids": ids, "valid": valid, "pos": pos, "scale": scale, "blocks": blocks,
-                 "slots": slots, "m": m, "full": full, "tok": tok}
+        cache = {"ids": ids, "seg": seg, "pos": pos, "scale": scale, "blocks": blocks}
     return x, cache
 
 
@@ -399,6 +311,32 @@ def _prefix_roots(trimmed: Sequence[tuple[int, ...]]) -> np.ndarray:
     return root
 
 
+def _pack(lengths: np.ndarray) -> tuple[np.ndarray, int]:
+    """First-fit-decreasing packing of segments into rows as wide as the longest.
+
+    Returns each segment's first token as a flat index into the (rows, width)
+    layout, and the number of rows.
+    """
+    width = int(lengths.max())
+    size = lengths.tolist()
+    free: list[int] = []  # space left in each row
+    start = np.empty(len(size), dtype=np.int64)
+    full = 0  # every row before this one is full
+    # plain Python lists: the rows are few, and numpy calls would cost more than the scan
+    for i in np.argsort(-lengths, kind="stable").tolist():
+        while full < len(free) and free[full] == 0:
+            full += 1
+        for row in range(full, len(free)):
+            if free[row] >= size[i]:
+                break
+        else:
+            row = len(free)
+            free.append(width)
+        start[i] = row * width + width - free[row]
+        free[row] -= size[i]
+    return start, len(free)
+
+
 def _encode_rows(
     state: ModelState,
     prefixes: Sequence[Sequence[int]],
@@ -406,67 +344,49 @@ def _encode_rows(
     dropout_seed: int = 0,
     need_cache: bool = False,
 ):
-    """Last-position features of each prefix, sharing one pass per root.
+    """Last-position features of each prefix, from one packed pass over their roots.
 
-    Each trimmed prefix maps to its root (``_prefix_roots``); only the roots
-    are encoded, in length-sorted chunks. Under the causal mask a row's
-    features are its root's at the row's last item, so the final block
-    queries the roots there, through a (roots, m) slot table per chunk with
-    m the most rows of any root in it. Dropout masks for every chunk come
-    from one draw per call, seeded by ``dropout_seed``: inner-block masks
-    per root token, so rows sharing a root share them, and final-block
-    masks per row. Returns the (rows, D) features and, with ``need_cache``,
-    the ``(row indices in slot order, cache)`` pair of each chunk for
-    ``_encode_backward``.
+    Each trimmed prefix maps to its root (``_prefix_roots``). The roots are
+    packed first-fit-decreasing into rows as wide as the longest root, with
+    positions restarting at 0 in each segment, and encoded in one call.
+    Under the causal mask a row's features are its root's hidden state at
+    the row's last item. With dropout on, masks come from one draw per
+    call, seeded by ``dropout_seed``, per real token and block, so rows
+    sharing a root share every mask. Returns the (rows, D) features and,
+    with ``need_cache``, the cache ``_encode_backward`` reads.
     """
     cfg = state.config
     dt = cfg.np_dtype
     d = cfg.embed_dim
     trimmed = [tuple(p[-cfg.max_seq_len :]) for p in prefixes]
     lengths = np.fromiter(map(len, trimmed), dtype=np.int64, count=len(trimmed))
+    if lengths.min() < 1:
+        raise ValueError("empty prefix")
     roots, group = np.unique(_prefix_roots(trimmed), return_inverse=True)
     root_len = lengths[roots]
-    chunks = _chunk_plan(root_len)
-    chunk_of = np.empty(len(roots), dtype=np.int64)
-    slot_of = np.empty(len(roots), dtype=np.int64)
-    for c, members in enumerate(chunks):
-        chunk_of[members] = c
-        slot_of[members] = np.arange(len(members))
-    # rows by chunk, then root slot, then length: each chunk's rows in slot order
-    order = np.lexsort((lengths, slot_of[group], chunk_of[group]))
-    row_root = group[order]
-    first = np.flatnonzero(np.diff(row_root, prepend=-1))
-    rank = np.arange(len(order)) - np.repeat(first, np.diff(first, append=len(order)))  # among its root's rows
-    row_bounds = np.searchsorted(chunk_of[row_root], np.arange(len(chunks) + 1))
-    plans = []
-    for c, members in enumerate(chunks):
-        lo, hi = row_bounds[c], row_bounds[c + 1]
-        L = int(root_len[members].max())
-        table = np.full((len(members), int(rank[lo:hi].max()) + 1), -1, dtype=np.int64)
-        # roots are left-padded to L, so a row's last item sits at this column
-        table[slot_of[row_root[lo:hi]], rank[lo:hi]] = L - root_len[row_root[lo:hi]] + lengths[order[lo:hi]] - 1
-        plans.append((members, order[lo:hi], table, L))
-    masks: list = [None] * len(chunks)
+    start, rows = _pack(root_len)
+    width = int(root_len.max())
+    # flat index of every root token, root after root
+    offsets = np.cumsum(root_len) - root_len
+    tok = np.repeat(start - offsets, root_len) + np.arange(int(root_len.sum()))
+    ids = np.zeros(rows * width, dtype=np.int64)
+    ids[tok] = np.fromiter(itertools.chain.from_iterable(trimmed[i] for i in roots), dtype=np.int64, count=len(tok))
+    seg = np.full(rows * width, -1, dtype=np.int64)
+    seg[tok] = np.repeat(np.arange(len(roots)), root_len)
+    pos = np.zeros(rows * width, dtype=np.int64)
+    pos[tok] = tok - np.repeat(start, root_len)
+    masks = None
     if train_mode and cfg.dropout_rate > 0.0:
-        # per chunk: per-token mask pairs for the inner blocks, per-row pairs
-        # for the final block
-        shapes = [
-            [(2, len(members), L, d)] * (cfg.block_count - 1) + [(2, len(rows), d)]
-            for members, rows, _, L in plans
-        ]
-        sizes = [math.prod(shape) for chunk in shapes for shape in chunk]
         rng = np.random.default_rng(np.random.SeedSequence([dropout_seed]))
-        flat = (rng.random(sum(sizes), dtype=dt) >= cfg.dropout_rate) * dt.type(1.0 / (1.0 - cfg.dropout_rate))
-        pieces = iter(np.split(flat, np.cumsum(sizes)[:-1]))
-        masks = [[next(pieces).reshape(shape) for shape in chunk] for chunk in shapes]
-    feats = np.empty((len(trimmed), d), dtype=dt)
-    caches = []
-    for c, (members, rows, table, _) in enumerate(plans):
-        ids, valid, pos = _pad_batch([trimmed[i] for i in roots[members]])
-        feats[rows], cache = _encode_batch(state, ids, valid, pos, table, masks[c], need_cache)
-        if need_cache:
-            caches.append((rows, cache))
-    return feats, caches
+        keep = rng.random((cfg.block_count, 2, len(tok), d), dtype=dt) >= cfg.dropout_rate
+        masks = np.zeros((cfg.block_count, 2, rows * width, d), dtype=dt)
+        masks[:, :, tok] = keep * dt.type(1.0 / (1.0 - cfg.dropout_rate))
+    shape = (rows, width)
+    hidden, cache = _encode_batch(state, ids.reshape(shape), seg.reshape(shape), pos.reshape(shape), masks, need_cache)
+    last = start[group] + lengths - 1  # each row's last item, in its root's segment
+    if need_cache:
+        cache["last"] = last
+    return hidden[last], cache
 
 
 def _scatter_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
@@ -481,15 +401,14 @@ def _scatter_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
     out[keys[starts]] += np.add.reduceat(rows[order], starts, axis=0)
 
 
-def _encode_backward(state: ModelState, cache: dict, dquery: np.ndarray, grads: dict[str, np.ndarray]) -> None:
-    """Accumulate encoder gradients into ``grads`` given d(loss)/d(query features).
+def _encode_backward(state: ModelState, cache: dict, dfeats: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+    """Accumulate encoder gradients into ``grads`` given d(loss)/d(row features).
 
-    ``cache`` must come from a forward pass with a slot table, and
-    ``dquery`` holds one row per filled slot, in slot order. Gradients flow
-    through the same token-major layout as the forward pass: the fused
+    ``cache`` comes from ``_encode_rows``. Each row's gradient lands on its
+    last token, equal rows summed, and flows back through every block at
+    every token, in the forward pass's token-major layout: the fused
     projection's weight gradients come from one GEMM and its input
-    gradient from another, and in the final block dK and dV come out of
-    the slot-table matmuls, summed over each root's queries.
+    gradient from another. Padding receives exactly zero gradient.
     """
     cfg = state.config
     P = state.params
@@ -497,14 +416,12 @@ def _encode_backward(state: ModelState, cache: dict, dquery: np.ndarray, grads: 
     D = cfg.embed_dim
     H = cfg.attention_heads
     scale = cache["scale"]
-    m, slots, full, tok = cache["m"], cache["slots"], cache["full"], cache["tok"]
 
-    dx = dquery
+    dx = np.zeros((B * L, D), dtype=dfeats.dtype)
+    _scatter_rows(dx, cache["last"], dfeats)
     for b in range(cfg.block_count - 1, -1, -1):
         c = cache["blocks"][b]
         p = f"blocks.{b}."
-        last = b == cfg.block_count - 1
-        lq = m if last else L
         dr2, dg2, db2 = _ln_backward(dx, P[p + "ln2.g"], c["ln2c"])
         grads[p + "ln2.g"] += dg2
         grads[p + "ln2.b"] += db2
@@ -521,56 +438,35 @@ def _encode_backward(state: ModelState, cache: dict, dquery: np.ndarray, grads: 
         dr1, dg1, db1 = _ln_backward(dx1, P[p + "ln1.g"], c["ln1c"])
         grads[p + "ln1.g"] += dg1
         grads[p + "ln1.b"] += db1
-        do = dr1 * c["keep_q"] if c["keep_q"] is not None else dr1.copy()
-        if c["mask1"] is not None:
-            do *= c["mask1"]
+        do = dr1 * c["mask1"] if c["mask1"] is not None else dr1
         grads[p + "attn.wo"] += c["ctx"].T @ do
         grads[p + "attn.bo"] += _col_sum(do)
-        dctx = do @ P[p + "attn.wo"].T
-        if last and not full:
-            dctx_table = np.zeros((B * m, D), dtype=dctx.dtype)
-            dctx_table[slots] = dctx
-            dctx = dctx_table
-        dctx = dctx.reshape(B, lq, H, D // H).transpose(0, 2, 1, 3)
+        dctx = (do @ P[p + "attn.wo"].T).reshape(B, L, H, D // H).transpose(0, 2, 1, 3)
         attn = c["attn"]
         dscores = dctx @ c["vh"].swapaxes(-1, -2)
         # softmax rows: ds = a * (da - sum(da * a))
         dscores -= (dscores * attn).sum(axis=-1, keepdims=True)
         dscores *= attn
         dscores *= scale
-        names = c["names"]
-        dproj = np.empty((B, L, len(names), H, D // H), dtype=dx.dtype)
-        dheads = dproj.transpose(2, 0, 3, 1, 4)
-        np.matmul(attn.swapaxes(-1, -2), dctx, out=dheads[-1])
-        np.matmul(dscores.swapaxes(-1, -2), c["qh"], out=dheads[-2])
-        if not last:
-            np.matmul(dscores, c["kh"], out=dheads[0])
-        dproj = dproj.reshape(B * L, len(names) * D)
+        dproj = np.empty((B, L, 3, H, D // H), dtype=dx.dtype)
+        dq, dk, dv = dproj.transpose(2, 0, 3, 1, 4)
+        np.matmul(dscores, c["kh"], out=dq)
+        np.matmul(dscores.swapaxes(-1, -2), c["qh"], out=dk)
+        np.matmul(attn.swapaxes(-1, -2), dctx, out=dv)
+        dproj = dproj.reshape(B * L, 3 * D)
         dw = c["x"].T @ dproj
         db = _col_sum(dproj)
-        for i, n in enumerate(names):
+        for i, n in enumerate("qkv"):
             grads[p + "attn.w" + n] += dw[:, i * D : (i + 1) * D]
-        grads[p + "attn.bv"] += db[-D:]
+        grads[p + "attn.bq"] += db[:D]
+        grads[p + "attn.bv"] += db[2 * D :]
         dx = dproj @ c["w"].T
-        if not last:
-            grads[p + "attn.bq"] += db[:D]
-            dx += dr1
-        else:
-            dq = (dscores @ c["kh"]).transpose(0, 2, 1, 3).reshape(B * m, D)
-            if not full:
-                dq = dq[slots]
-            grads[p + "attn.wq"] += c["xq"].T @ dq
-            grads[p + "attn.bq"] += _col_sum(dq)
-            # the query and the residual read the query tokens only; equal rows
-            # share a token, and tokens come sorted, so each run sums in one go
-            dr1 += dq @ P[p + "attn.wq"].T
-            starts = np.flatnonzero(np.diff(tok, prepend=-1))
-            dx[tok[starts]] += np.add.reduceat(dr1, starts, axis=0)
+        dx += dr1
 
-    valid = cache["valid"].ravel()
-    flat_dx = dx[valid]
-    _scatter_rows(grads["item_emb"], cache["ids"].ravel()[valid], flat_dx)
-    _scatter_rows(grads["pos_emb"], cache["pos"].ravel()[valid], flat_dx)
+    real = cache["seg"].ravel() >= 0
+    flat_dx = dx[real]
+    _scatter_rows(grads["item_emb"], cache["ids"].ravel()[real], flat_dx)
+    _scatter_rows(grads["pos_emb"], cache["pos"].ravel()[real], flat_dx)
 
 
 def extract_features_batch(
@@ -632,7 +528,7 @@ def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdow
         raise ValueError("loss_and_gradients: KD requires teacher probs and an old-item range")
     n_ce = len(ce_rows)
     if ce_rows or kd_rows:
-        feats, chunks = _encode_rows(
+        feats, cache = _encode_rows(
             state, [ex.prefix for ex in ce_rows + kd_rows], spec.train_mode, spec.dropout_seed, need_cache=True
         )
         dfeats = np.zeros_like(feats)
@@ -651,8 +547,7 @@ def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdow
             dlogits *= spec.kd_weight
             grads["item_emb"][: spec.kd_item_range] += dlogits.T @ kd_feats
             dfeats[n_ce:] = dlogits @ E[: spec.kd_item_range]
-        for rows, cache in chunks:
-            _encode_backward(state, cache, dfeats[rows], grads)
+        _encode_backward(state, cache, dfeats, grads)
 
     if spec.ewc_anchor is not None and spec.ewc_weight != 0.0:
         if spec.ewc_fisher is None:

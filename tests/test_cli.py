@@ -127,6 +127,21 @@ def test_run_bad_method_config_exits_1(tmp_path, capsys, overrides, dry_run):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("overrides,key", [
+    ({"exemplar_capacty": 5}, "exemplar_capacty"),
+    ({"data": {"cycles": "prepped/cycles.txt", "period_dayz": 3}}, "period_dayz"),
+])
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_run_unknown_config_key_exits_1(tmp_path, capsys, overrides, key, dry_run):
+    # a misspelt key would otherwise leave its setting at the default
+    path = write_config(tmp_path, overrides)
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "run")] + (["--dry-run"] if dry_run else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_usage_error_exits_1(capsys):
     assert main(["run"]) == 1  # --config is required
 

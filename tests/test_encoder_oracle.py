@@ -1,13 +1,15 @@
-"""The token-major encoder against a batch-major float64 reference.
+"""The packed token-major encoder against a batch-major float64 reference.
 
 The reference below runs every dense product as a stacked matmul over
-(B, L, D) hidden states with separate Q, K and V projections: the layout
-the encoder used before it went token-major. Encoding every row alone, it
-must reproduce the production encoder, which encodes each shared prefix
-once, to 1e-10 in float64 in features and gradients, whatever the
-chunking, head count, dropout or KD mix.
+left-padded (B, L, D) hidden states with separate Q, K and V projections:
+the layout the encoder used before it went token-major. Encoding every
+row alone, it must reproduce the production encoder, which encodes each
+shared prefix once and packs several sessions into one row, to 1e-10 in
+float64 in features and gradients, whatever the packing, head count,
+dropout or KD mix.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +22,6 @@ from cyclerec.model import (
     BatchSpec,
     ModelConfig,
     _encode_rows,
-    _pad_batch,
     extract_features_batch,
     init_model,
     loss_and_gradients,
@@ -28,6 +29,18 @@ from cyclerec.model import (
 )
 
 TOL = 1e-10
+
+
+def _pad_batch(trimmed):
+    """Left-pad already-trimmed prefixes into ids, validity and position arrays."""
+    lengths = np.array([len(t) for t in trimmed])
+    L = int(lengths.max())
+    pad = L - lengths
+    valid = np.arange(L) >= pad[:, None]
+    ids = np.zeros(valid.shape, dtype=np.int64)
+    ids[valid] = list(itertools.chain.from_iterable(trimmed))
+    pos = np.maximum(np.arange(L) - pad[:, None], 0)
+    return ids, valid, pos
 
 
 def _split_heads(x, heads):
@@ -166,7 +179,7 @@ def _random_model(heads, blocks, dropout, item_count=15, seed=4):
 def _shared_prefix_spec(rng, dropout):
     """A step whose rows share roots: every prefix of a few sessions, one longer
     than ``max_seq_len``, duplicate rows, KD rows sharing roots with CE rows, and
-    enough unrelated short rows that the roots run in several chunks."""
+    enough unrelated short rows that several segments share a packed row."""
     sessions = [tuple(int(v) for v in rng.integers(0, 11, size=n)) for n in (6, 9, 14, 4)]
     rows = [TrainingExample(s[:k], s[k]) for s in sessions for k in range(1, len(s))]
     rows += [rows[int(i)] for i in rng.integers(0, len(rows), size=6)]
@@ -185,31 +198,41 @@ def _shared_prefix_spec(rng, dropout):
     )
 
 
-def _row_masks(monkeypatch, state, spec, prefixes):
-    """Each row's dropout masks as the encoder drew them, cut to the row alone.
-
-    Inner blocks: the root's masks at the row's tokens; final block: the row's own.
-    """
+def _packed_masks(monkeypatch, state, spec, prefixes):
+    """The dropout masks the encoder drew, as (blocks, 2, rows, width, D), and the row cache."""
     seen = []
     encode_batch = model_mod._encode_batch
 
-    def spy(state, ids, valid, pos, query_cols, masks=None, need_cache=False):
-        seen.append((masks, query_cols))
-        return encode_batch(state, ids, valid, pos, query_cols, masks, need_cache)
+    def spy(state, ids, seg, pos, masks=None, need_cache=False):
+        seen.append((masks, ids.shape))
+        return encode_batch(state, ids, seg, pos, masks, need_cache)
 
     monkeypatch.setattr(model_mod, "_encode_batch", spy)
-    _, chunks = _encode_rows(state, prefixes, spec.train_mode, spec.dropout_seed, need_cache=True)
+    _, cache = _encode_rows(state, prefixes, spec.train_mode, spec.dropout_seed, need_cache=True)
     monkeypatch.undo()
-    row_masks = [None] * len(prefixes)
-    for (rows, _), (masks, table) in zip(chunks, seen):
-        if masks is None:
-            continue
-        for k, (row, (b, j)) in enumerate(zip(rows, np.argwhere(table >= 0))):  # slot order
-            last = table[b, j]
-            first = last - min(len(prefixes[row]), state.config.max_seq_len) + 1
-            inner = [(m[0, b, first : last + 1][None], m[1, b, first : last + 1][None]) for m in masks[:-1]]
-            row_masks[row] = inner + [(masks[-1][0, k][None, None], masks[-1][1, k][None, None])]
-    return row_masks, chunks
+    (masks, shape), = seen  # one encoder call per step
+    if masks is not None:
+        masks = masks.reshape(masks.shape[:2] + shape + masks.shape[-1:])
+    return masks, cache
+
+
+def _row_masks(monkeypatch, state, spec, prefixes):
+    """Each row's dropout masks as the encoder drew them, cut to the row alone.
+
+    Inner blocks: the root segment's masks at the row's tokens; final block:
+    the masks at the row's last token, which the row reads.
+    """
+    masks, cache = _packed_masks(monkeypatch, state, spec, prefixes)
+    if masks is None:
+        return [None] * len(prefixes), cache
+    width = cache["ids"].shape[1]
+    row_masks = []
+    for prefix, last in zip(prefixes, cache["last"]):
+        r, col = divmod(int(last), width)
+        first = col - min(len(prefix), state.config.max_seq_len) + 1
+        inner = [(m[0, r, first : col + 1][None], m[1, r, first : col + 1][None]) for m in masks[:-1]]
+        row_masks.append(inner + [(masks[-1, 0, r, col][None, None], masks[-1, 1, r, col][None, None])])
+    return row_masks, cache
 
 
 def reference_loss_and_gradients(state, spec, row_masks):
@@ -237,15 +260,18 @@ def reference_loss_and_gradients(state, spec, row_masks):
 
 @pytest.mark.parametrize("heads,blocks,dropout", [(1, 2, 0.0), (2, 2, 0.3), (2, 3, 0.3), (1, 1, 0.3)])
 def test_token_major_encoder_matches_reference(monkeypatch, heads, blocks, dropout):
-    # the shared-root encoder against every row encoded alone by the batch-major
-    # reference; with dropout, the reference gets the masks each row was given
+    # the packed shared-root encoder against every row encoded alone by the
+    # batch-major reference; with dropout, the reference gets the masks each
+    # row was given
     rng = np.random.default_rng(heads * 10 + blocks)
     state = _random_model(heads, blocks, dropout, item_count=30)
     spec = _shared_prefix_spec(rng, dropout)
     prefixes = [ex.prefix for ex in list(spec.ce_examples) + list(spec.kd_examples)]
-    row_masks, chunks = _row_masks(monkeypatch, state, spec, prefixes)
-    assert len(chunks) > 1
-    assert max(cache["m"] for _, cache in chunks) > 1  # some root serves several rows
+    row_masks, cache = _row_masks(monkeypatch, state, spec, prefixes)
+    seg = cache["seg"]
+    assert max(len(set(row[row >= 0].tolist())) for row in seg) > 1  # a row packs several segments
+    trimmed = {tuple(p)[-state.config.max_seq_len :] for p in prefixes}
+    assert seg.max() + 1 < len(trimmed)  # some root serves several distinct rows
     feats, _ = _encode_rows(state, prefixes, spec.train_mode, spec.dropout_seed)
     loss, grads = loss_and_gradients(state, spec)
     ref_feats, ref_loss, ref_grads = reference_loss_and_gradients(state, spec, row_masks)
@@ -258,25 +284,31 @@ def test_token_major_encoder_matches_reference(monkeypatch, heads, blocks, dropo
 
 
 def test_rows_sharing_a_root_share_inner_dropout_masks(monkeypatch):
-    # a prefix and its root see the same inner-block masks on their common
-    # tokens, but draw their final-block masks apart
+    # a prefix reads its root's pass, so in every block, the final one
+    # included, its masks are the root's masks on their common tokens
     state = _random_model(1, 2, 0.3)
     spec = BatchSpec(ce_examples=[TrainingExample((3, 1, 4), 1), TrainingExample((3, 1, 4, 1, 5), 9)],
                      train_mode=True, dropout_seed=2)
+    masks, cache = _packed_masks(monkeypatch, state, spec, [ex.prefix for ex in spec.ce_examples])
+    assert cache["seg"].tolist() == [[0, 0, 0, 0, 0]]  # one segment: the longer row
+    assert cache["last"].tolist() == [2, 4]
     (short, long), _ = _row_masks(monkeypatch, state, spec, [ex.prefix for ex in spec.ce_examples])
     np.testing.assert_array_equal(short[0][0], long[0][0][:, :3])
     np.testing.assert_array_equal(short[0][1], long[0][1][:, :3])
-    assert not np.array_equal(short[1][0], long[1][0])
+    np.testing.assert_array_equal(short[1][0][0, 0], masks[1, 0, 0, 2])
+    np.testing.assert_array_equal(short[1][1][0, 0], masks[1, 1, 0, 2])
+    assert not np.array_equal(short[1][0], long[1][0])  # the rows read different tokens
 
 
 def test_shared_prefix_gradients_match_finite_differences():
-    # central differences in float64 with dropout on, over a step whose rows
-    # share roots; the masks depend on the seed and the rows only
+    # central differences in float64 with dropout on and a fixed dropout
+    # seed, over a packed step whose rows share roots; the masks depend on
+    # the seed and the rows only
     rng = np.random.default_rng(5)
     state = _random_model(2, 2, 0.3, item_count=30)
     spec = _shared_prefix_spec(rng, 0.3)
     _, grads = loss_and_gradients(state, spec)
-    h = 1e-6
+    h = 1e-5  # central differences: O(h^2) truncation, O(1e-16 * loss / h) rounding
     worst = 0.0
     for name in sorted(state.params):
         param = state.params[name]
@@ -305,16 +337,17 @@ def test_all_position_features_match_reference(heads):
 
 
 def test_padded_batch_all_positions_match_reference():
-    # left padding inside one chunk, every real position queried through the
-    # slot table: real positions agree, padded ones are never read
+    # three sessions packed by hand into two rows, one with trailing padding:
+    # every real token agrees with its session encoded alone, positions
+    # restarting in each segment, and padding stays finite
     state = _random_model(2, 2, 0.0)
-    ids, valid, pos = _pad_batch([(1, 2, 3, 4, 5), (6,), (7, 8)])
-    L = ids.shape[1]
-    table = np.full(ids.shape, -1)
-    for b, row in enumerate(valid):
-        cols = np.flatnonzero(row)
-        table[b, : len(cols)] = cols
-    got, _ = model_mod._encode_batch(state, ids, valid, pos, table)
-    expected, _ = reference_encode_batch(state, ids, valid, pos, last_only=False)
-    assert L == 5 and got.shape == (int(valid.sum()), state.config.embed_dim)
-    np.testing.assert_allclose(got, expected[valid], rtol=0, atol=TOL)
+    sessions = [(1, 2, 3, 4, 5), (6,), (7, 8)]
+    ids = np.array([[1, 2, 3, 4, 5], [6, 7, 8, 0, 0]])
+    seg = np.array([[0, 0, 0, 0, 0], [1, 2, 2, -1, -1]])
+    pos = np.array([[0, 1, 2, 3, 4], [0, 0, 1, 0, 0]])
+    got, _ = model_mod._encode_batch(state, ids, seg, pos)
+    assert got.shape == (10, state.config.embed_dim) and np.isfinite(got).all()
+    tokens = got.reshape(2, 5, -1)
+    for k, session in enumerate(sessions):
+        expected, _ = reference_encode_batch(state, *_pad_batch([session]), last_only=False)
+        np.testing.assert_allclose(tokens[seg == k], expected[0], rtol=0, atol=TOL)

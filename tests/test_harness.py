@@ -150,21 +150,49 @@ def test_first_cycle_ader_identical_to_dropout_baseline():
     assert ader_state.exemplars is not None and drop_state.exemplars is None
 
 
-def test_kd_methods_carry_teacher_distributions_across_cycles():
-    # a cycle ends with the distillation targets of the next one: the
-    # end-of-cycle model's distributions on the new exemplars, over its items
+def test_kd_methods_carry_teacher_distributions_across_cycles(monkeypatch):
+    # a cycle distils against the previous cycle's restored model: its
+    # distributions on the stored exemplars, over the items it knew,
+    # computed once when the cycle starts and only when distillation runs
+    import cyclerec.harness as harness_mod
+
+    passes = []
+    real = harness_mod.teacher_probabilities
+
+    def counting(model, exemplars, item_range, batch_size=512):
+        passes.append(item_range)
+        return real(model, exemplars, item_range, batch_size=batch_size)
+
+    monkeypatch.setattr(harness_mod, "teacher_probabilities", counting)
     datasets, _ = tiny_stream()
     loop = tiny_loop()
-    ader_state, _ = run_one_cycle(MethodSpec(MethodKind.ADER, exemplar_capacity=50), datasets, loop)
+    ader = MethodSpec(MethodKind.ADER, exemplar_capacity=50)
+    ader_state, _ = run_one_cycle(ader, datasets, loop)
+    assert passes == []  # cycle 0 has nothing to distil
+    teacher = ader_state.model.copy()
     exemplars = ader_state.exemplars.all_examples()
-    expected = teacher_probabilities(ader_state.model, exemplars, datasets[0].item_count_after)
-    assert ader_state.teacher_probs.shape == (len(exemplars), datasets[0].item_count_after)
-    np.testing.assert_array_equal(ader_state.teacher_probs, expected)
-    er_state, _ = run_one_cycle(MethodSpec(MethodKind.ER_HERDING, exemplar_capacity=50), datasets, loop)
-    assert er_state.exemplars is not None and er_state.teacher_probs is None
-    # the next cycle distils against them, from its first epoch on
-    records = update_model(ader_state, datasets[1], MethodSpec(MethodKind.ADER, exemplar_capacity=50), loop)
+    expected = teacher_probabilities(teacher, exemplars, datasets[0].item_count_after)
+    assert expected.shape == (len(exemplars), datasets[0].item_count_after)
+    seen = []
+    real_step = harness_mod.loss_and_gradients
+
+    def recording(model, spec):
+        seen.append((spec.kd_examples, spec.kd_teacher_probs))
+        return real_step(model, spec)
+
+    monkeypatch.setattr(harness_mod, "loss_and_gradients", recording)
+    records = update_model(ader_state, datasets[1], ader, loop)
+    assert passes == [datasets[0].item_count_after]
     assert records[0].lambda_t > 0.0 and records[0].kd > 0.0
+    kd_rows, probs = seen[0]
+    rows = [exemplars.index(ex) for ex in kd_rows]
+    np.testing.assert_array_equal(probs, expected[rows])
+    # without distillation no teacher pass runs
+    passes.clear()
+    zero = MethodSpec(MethodKind.ADER, exemplar_capacity=50, lambda_base=0.0)
+    state, _ = run_one_cycle(zero, datasets, loop)
+    update_model(state, datasets[1], zero, loop)
+    assert passes == []
 
 
 def test_zero_lambda_base_ader_tracks_dropout_across_cycles():
@@ -190,6 +218,50 @@ def test_joint_buffer_accumulates_history():
     assert state.joint_buffer == datasets[0].train
     update_model(state, datasets[1], method, loop)
     assert state.joint_buffer == datasets[0].train + datasets[1].train
+
+
+@pytest.mark.parametrize("method", [MethodKind.DROPOUT, MethodKind.JOINT])
+def test_epochs_visit_whole_session_chains_in_steps_of_batch_size(monkeypatch, method):
+    import cyclerec.harness as harness_mod
+
+    steps = []
+    real = harness_mod.loss_and_gradients
+
+    def recording(model, spec):
+        steps.append(list(spec.ce_examples))
+        return real(model, spec)
+
+    monkeypatch.setattr(harness_mod, "loss_and_gradients", recording)
+    datasets, _ = tiny_stream(cycles=3)
+    loop = tiny_loop(epochs=2, patience=1)
+    spec = MethodSpec(method)
+    orders = []
+    for _ in range(2):  # the same seed twice
+        state = ExperimentState(model=init_model(
+            ModelConfig(**{**MODEL_CFG.__dict__, "dropout_rate": 0.3}), datasets[0].item_count_after, seed=3,
+        ))
+        steps.clear()
+        update_model(state, datasets[0], spec, loop)
+        update_model(state, datasets[1], spec, loop)
+        orders.append([[id(ex) for ex in step] for step in steps])
+    assert orders[0] == orders[1]
+
+    pool = datasets[0].train + datasets[1].train if method is MethodKind.JOINT else datasets[1].train
+    chains = harness_mod._session_chains(pool, MODEL_CFG.max_seq_len)
+    assert max(len(chain) for chain in chains) > 1
+    chain_of = {id(pool[i]): c for c, chain in enumerate(chains) for i in chain.tolist()}
+    for c, chain in enumerate(chains):  # a chain nests in its longest row
+        longest = max((pool[i].prefix for i in chain.tolist()), key=len)
+        assert all(longest[: len(pool[i].prefix)] == pool[i].prefix for i in chain.tolist())
+    per_epoch = math.ceil(len(pool) / loop.batch_size)
+    cycle_steps = orders[0][-2 * per_epoch :]  # cycle 1's two epochs
+    for epoch in (cycle_steps[:per_epoch], cycle_steps[per_epoch:]):
+        assert [len(step) for step in epoch[:-1]] == [loop.batch_size] * (per_epoch - 1)
+        rows = [row for step in epoch for row in step]
+        assert sorted(rows) == sorted(id(ex) for ex in pool)  # every pool row once
+        runs = [chain_of[row] for k, row in enumerate(rows) if k == 0 or chain_of[row] != chain_of[rows[k - 1]]]
+        assert len(runs) == len(set(runs)) == len(chains)  # each chain in one contiguous run
+    assert cycle_steps[:per_epoch] != cycle_steps[per_epoch:]  # epochs reorder the chains
 
 
 def test_update_model_cycle_order_enforced():

@@ -7,8 +7,8 @@ from cyclerec.data import TrainingExample
 from cyclerec.losses import _softmax, teacher_probabilities
 from cyclerec.model import (
     BatchSpec,
-    _chunk_plan,
     _encode_rows,
+    _pack,
     _prefix_roots,
     _scatter_rows,
     DivergenceError,
@@ -293,24 +293,54 @@ def test_duplicated_example_doubles_contribution():
         np.testing.assert_allclose(g_abb[name], (2 * g_a[name] + 4 * g_b[name]) / 6, atol=1e-12)
 
 
-def test_length_chunked_batch_matches_per_example_gradients():
-    # many short rows plus a few long ones: the planner splits the batch into
-    # length-sorted chunks, whose summed gradients must equal the mean of
-    # per-example gradients
+def test_packed_batch_matches_per_example_gradients():
+    # many short rows plus a few long ones: the short roots share packed rows
+    # with each other and with the long ones' slack, and the step's gradients
+    # must equal the mean of per-example gradients
     rng = np.random.default_rng(7)
     m = small_model(item_count=12, seed=5, block_count=2)
     examples = [TrainingExample((int(rng.integers(0, 12)),), int(rng.integers(0, 12))) for _ in range(200)]
     examples += [TrainingExample(tuple(int(v) for v in rng.integers(0, 12, size=9)), int(rng.integers(0, 12)))
                  for _ in range(4)]
-    lengths = np.array([len(ex.prefix) for ex in examples])
-    chunks = _chunk_plan(lengths)
-    assert len(chunks) > 1
-    assert sorted(np.concatenate(chunks).tolist()) == list(range(len(examples)))
+    _, cache = _encode_rows(m, [ex.prefix for ex in examples], need_cache=True)
+    assert max(len(set(row[row >= 0].tolist())) for row in cache["seg"]) > 1
     _, g_batch = loss_and_gradients(m, BatchSpec(ce_examples=examples))
     singles = [loss_and_gradients(m, BatchSpec(ce_examples=[ex]))[1] for ex in examples]
     for name in g_batch:
         expected = sum(g[name] for g in singles) / len(examples)
         np.testing.assert_allclose(g_batch[name], expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pack_segments_fit_their_rows_without_overlap(seed):
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 30, size=int(rng.integers(1, 80)))
+    start, rows = _pack(lengths)
+    width = int(lengths.max())
+    used = np.zeros(rows * width, dtype=int)
+    for first, n in zip(start.tolist(), lengths.tolist()):
+        assert first // width == (first + n - 1) // width  # inside one row
+        used[first : first + n] += 1
+    assert used.max() == 1 and used.sum() == lengths.sum()  # no overlap, nothing lost
+    assert used.reshape(rows, width).any(axis=1).all()  # no empty row
+
+
+def test_long_session_packs_one_segment_per_nesting_run():
+    # max_seq_len 3: the prefixes of an 8-item session trim to (1,), (1, 2),
+    # (1, 2, 3) -- one root -- and then to four shifted windows that nest in
+    # nothing, so the call packs five segments of three tokens
+    session = tuple(range(1, 9))
+    prefixes = [session[:k] for k in range(1, 8)]
+    m = small_model(max_seq_len=3, block_count=2)
+    feats, cache = _encode_rows(m, prefixes, need_cache=True)
+    assert cache["ids"].shape == (5, 3)
+    assert sorted(cache["seg"].ravel().tolist()) == [s for s in range(5) for _ in range(3)]
+    assert cache["pos"].tolist() == [[0, 1, 2]] * 5
+    last = cache["last"]
+    assert (last[:3] == last[2] - np.array([2, 1, 0])).all()  # the first three rows read one pass
+    assert (last[2:] % 3 == 2).all() and len(set((last[2:] // 3).tolist())) == 5  # then one segment each
+    alone = np.stack([features(m, p) for p in prefixes])
+    np.testing.assert_allclose(feats, alone, rtol=0, atol=1e-12)
 
 
 def test_prefix_roots_group_only_true_prefixes_after_trimming():
