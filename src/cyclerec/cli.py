@@ -44,6 +44,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value}")
+    return value
+
+
 _MODEL_DEFAULTS = {"embed_dim": 32, "block_count": 2, "attention_heads": 1, "max_seq_len": 50}
 _TRAINING_DEFAULTS = {"max_epochs": 100, "patience": 5, "batch_size": 128, "learning_rate": 5e-4}
 _TOP_DEFAULTS = {
@@ -90,6 +110,12 @@ def resolve_config(raw: dict) -> dict:
     if not isinstance(data, dict) or len(set(data) & {"synthetic", "events", "cycles"}) != 1:
         raise ConfigError("field 'data' must hold exactly one of: synthetic, events, cycles")
     _reject_unknown(data, _DATA_KEYS, "in 'data'")
+    period = data.get("period_days", 7)
+    if isinstance(period, bool) or not isinstance(period, int) or period < 1:
+        raise ConfigError(f"field 'data.period_days' must be a positive integer, got {period!r}")
+    fraction = data.get("validation_fraction", 0.1)
+    if isinstance(fraction, bool) or not isinstance(fraction, (int, float)) or not 0.0 <= fraction < 1.0:
+        raise ConfigError(f"field 'data.validation_fraction' must be in [0, 1), got {fraction!r}")
     if "synthetic" in data:
         try:
             data_mod.SyntheticStreamConfig(**data["synthetic"])
@@ -131,7 +157,7 @@ def build_datasets(resolved: dict):
     datasets = data_mod.split_cycles(
         sessions,
         registry,
-        period_seconds=int(data.get("period_days", 7)) * 86400,
+        period_seconds=data.get("period_days", 7) * 86400,
         validation_fraction=data.get("validation_fraction", 0.1),
         seed=data.get("split_seed", 0),
         max_seq_len=resolved["model"]["max_seq_len"],
@@ -310,11 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-col", default="timestamp")
     p.add_argument("--item-col", default="item_id")
     p.add_argument("--delimiter", default=None)
-    p.add_argument("--period-days", type=int, default=7)
+    p.add_argument("--period-days", type=_positive_int, default=7)
     p.add_argument("--min-item-support", type=int, default=5)
     p.add_argument("--min-session-length", type=int, default=2)
-    p.add_argument("--validation-fraction", type=float, default=0.1)
-    p.add_argument("--max-seq-len", type=int, default=50)
+    p.add_argument("--validation-fraction", type=_fraction, default=0.1)
+    p.add_argument("--max-seq-len", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_preprocess)
 
@@ -322,14 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None, help="override the config's seed list")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--dry-run", action="store_true", help="print the resolved config and exit")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("ablate", help="run the ablation grid plus an exemplar-budget sweep")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--dry-run", action="store_true")
     p.set_defaults(func=cmd_ablate)
 

@@ -230,6 +230,8 @@ def expand_session(session: Session, max_seq_len: int = DEFAULT_MAX_SEQ_LEN) -> 
     items = session.items
     if len(items) < 2:
         raise ValueError("expand_session: session shorter than 2")
+    if max_seq_len < 1:
+        raise ValueError(f"expand_session: max_seq_len must be >= 1, got {max_seq_len}")
     out = []
     for j in range(1, len(items)):
         lo = max(0, j - max_seq_len)
@@ -263,6 +265,10 @@ def split_cycles(
     """
     if not sessions:
         raise ValueError("split_cycles: no sessions")
+    if period_seconds <= 0:
+        raise ValueError(f"split_cycles: period_seconds must be positive, got {period_seconds}")
+    if not 0.0 <= validation_fraction < 1.0:
+        raise ValueError(f"split_cycles: validation_fraction must be in [0, 1), got {validation_fraction}")
     ordered = sorted(enumerate(sessions), key=lambda t: (t[1].start_time, t[0]))
     min_time = ordered[0][1].start_time
     buckets: dict[int, list[Session]] = {}

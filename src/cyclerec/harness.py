@@ -35,6 +35,7 @@ from .model import (
     DivergenceError,
     ModelConfig,
     ModelState,
+    Workspace,
     _prefix_roots,
     extract_features_batch,
     grow_vocabulary,
@@ -212,9 +213,10 @@ def evaluate_model(
     return recall, mrr, 1.0 - len(rows) / len(examples)
 
 
-def _validation_scores(model: ModelState, examples, batch_size: int) -> tuple[float, float]:
+def _validation_scores(model: ModelState, examples, batch_size: int, workspace: Workspace) -> tuple[float, float]:
     """Cross entropy and Recall@20 over the model's full item range, dropout off."""
-    feats = extract_features_batch(model, [ex.prefix for ex in examples], batch_size=batch_size)
+    feats = extract_features_batch(model, [ex.prefix for ex in examples], batch_size=batch_size,
+                                   workspace=workspace)
     logits = feats @ model.params["item_emb"].T
     targets = np.array([ex.target for ex in examples])
     loss, _ = ce_from_logits(logits, targets)
@@ -284,6 +286,10 @@ def update_model(
     ewc_active = method.kind is MethodKind.EWC and state.ewc_anchor is not None
 
     chains = _session_chains(ce_pool, model.config.max_seq_len)
+    # every step and validation pass of the cycle takes its arrays from one
+    # workspace; each step's gradients are consumed by adam_step before the
+    # next step or pass reuses them
+    workspace = Workspace()
     kd_bs = loop_cfg.kd_batch_size or loop_cfg.batch_size
     kd_cursor = 0
     stopper = EarlyStopper(loop_cfg.patience)
@@ -305,6 +311,7 @@ def update_model(
                 ce_item_range=model.item_count,
                 train_mode=method.dropout_rate > 0.0,
                 dropout_seed=_derived_seed(loop_cfg.seed, t, epoch, steps),
+                workspace=workspace,
             )
             if kd_examples:
                 sel = [(kd_cursor + j) % len(kd_examples) for j in range(min(kd_bs, len(kd_examples)))]
@@ -327,7 +334,7 @@ def update_model(
                 sums[key] += val
             steps += 1
         val_loss, val_recall = (
-            _validation_scores(model, cycle_data.validation, loop_cfg.eval_batch_size)
+            _validation_scores(model, cycle_data.validation, loop_cfg.eval_batch_size, workspace)
             if has_validation
             else (0.0, 0.0)
         )
@@ -336,7 +343,8 @@ def update_model(
         logger.debug("cycle %d epoch %d: total=%.4f val_loss=%.4f val_recall@%d=%.4f",
                      t, epoch, sums["total"] / steps, val_loss, VAL_RECALL_K, val_recall)
         # the stopper maximises, so it tracks the negated loss
-        if has_validation and stopper.update(-val_loss, epoch, model.copy):
+        # a new best overwrites the previous best's vectors, so the cycle allocates one snapshot
+        if has_validation and stopper.update(-val_loss, epoch, lambda: model.copy(out=stopper.best_payload)):
             break
 
     if has_validation and stopper.best_payload is not None:
@@ -445,6 +453,8 @@ def compare_methods(
         raise ValueError("compare_methods: need at least one seed")
     if not methods:
         raise ValueError("compare_methods: need at least one method")
+    if workers < 1:
+        raise ValueError(f"compare_methods: workers must be >= 1, got {workers}")
     jobs = [
         (list(datasets), method, dataclasses.replace(loop_cfg, seed=seed), model_cfg, tuple(ks))
         for method in methods

@@ -34,43 +34,57 @@ class LossBreakdown:
     total: float = 0.0
 
 
-def _softmax(logits: np.ndarray, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _softmax(
+    logits: np.ndarray, scale: float = 1.0, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise softmax of ``logits`` from one ``exp`` pass, as ``(z, log_norm, probs)``.
 
     ``z`` is the logits less their row maximum and ``z - log_norm`` the
     log-softmax; ``probs`` is the softmax times ``scale``. Callers that need
     the log-probability of one entry per row read it without a full pass.
+    ``out`` is an optional pair of arrays shaped like ``logits`` that
+    receive ``z`` and ``probs``; the first may be ``logits`` itself.
     """
-    z = logits - logits.max(axis=-1, keepdims=True)
-    probs = np.exp(z)
+    z_out, probs_out = out if out is not None else (None, None)
+    z = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=z_out)
+    probs = np.exp(z, out=probs_out)
     total = probs.sum(axis=-1, keepdims=True)
     probs *= scale / total
     return z, np.log(total), probs
 
 
-def ce_from_logits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+def ce_from_logits(
+    logits: np.ndarray, targets: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[float, np.ndarray]:
     """Mean cross entropy over rows and its per-logit gradient.
 
     gradient = (softmax(logits) - onehot(target)) / n
+
+    ``out`` is passed to ``_softmax``; the gradient is its second array.
     """
     n = logits.shape[0]
     rows = np.arange(n)
-    z, log_norm, dlogits = _softmax(logits, 1.0 / n)
+    z, log_norm, dlogits = _softmax(logits, 1.0 / n, out)
     loss = float((log_norm[:, 0] - z[rows, targets]).mean())
     dlogits[rows, targets] -= 1.0 / n
     return loss, dlogits
 
 
-def kd_from_logits(student_logits: np.ndarray, teacher_probs: np.ndarray) -> tuple[float, np.ndarray]:
+def kd_from_logits(
+    student_logits: np.ndarray, teacher_probs: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[float, np.ndarray]:
     """Soft-label cross entropy against a frozen teacher distribution.
 
     loss = -(1/n) sum_rows sum_i teacher_i * log softmax(student)_i
     gradient = (softmax(student) - teacher) / n
+
+    ``out`` is passed to ``_softmax``; the gradient is its second array.
     """
     n = student_logits.shape[0]
     scale = 1.0 / n
-    z, log_norm, dlogits = _softmax(student_logits, scale)
-    loss = float(-(teacher_probs * (z - log_norm)).sum() / n)
+    z, log_norm, dlogits = _softmax(student_logits, scale, out)
+    z -= log_norm  # the log-softmax, in z's array: a fresh one or the caller's ``out``
+    loss = float(-(teacher_probs * z).sum() / n)
     dlogits -= scale * teacher_probs
     return loss, dlogits
 

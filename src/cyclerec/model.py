@@ -28,14 +28,24 @@ uses (B, H, L, L) views. Keys carry no bias: the softmax would cancel it.
 Gradients are hand-derived reverse-mode and checked against central
 finite differences and a per-row batch-major reference in the test
 suite.
+
+Memory: the parameters and the two Adam moments are one flat vector
+each, and the named arrays are views of their segments, so Adam is one
+fused update. Every per-step array of a training step (the packed
+layout, dropout draw and masks, forward cache, backward temporaries,
+logits and the flat gradient vector) is written with ``out=`` into a
+``Workspace`` whose buffers grow to the largest step and are then
+reused, so only a step that outgrows a buffer allocates a large array.
+Adam runs over the flat vectors in chunks that stay in cache.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+import operator
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,6 +55,7 @@ from .losses import LossBreakdown, ce_from_logits, kd_from_logits
 LN_EPS = 1e-8
 MASK_FILL = -1e9
 NEW_ROW_SCALE = 0.01
+ADAM_CHUNK = 1 << 16  # elements per Adam pass: the pass's five arrays stay in a core's L2 cache
 
 
 class DivergenceError(RuntimeError):
@@ -75,29 +86,29 @@ class ModelConfig:
         return np.dtype(self.dtype)
 
 
-@dataclass
-class ModelState:
-    """All learnable parameters plus Adam moments and the step counter."""
+class Workspace:
+    """Per-step arrays reused across the steps of one training cycle.
 
-    config: ModelConfig
-    item_count: int
-    params: dict[str, np.ndarray]
-    adam_m: dict[str, np.ndarray]
-    adam_v: dict[str, np.ndarray]
-    step: int = 0
+    ``ws(key, shape, dtype)`` returns a C-contiguous array of that shape
+    cut from the buffer kept under ``key``. A buffer is replaced when a
+    request outgrows it and reused otherwise; its contents are whatever the
+    last user left. So an array taken in one step is valid until the next
+    step on the same workspace.
+    """
 
-    def copy(self) -> "ModelState":
-        return ModelState(
-            config=self.config,
-            item_count=self.item_count,
-            params={k: v.copy() for k, v in self.params.items()},
-            adam_m={k: v.copy() for k, v in self.adam_m.items()},
-            adam_v={k: v.copy() for k, v in self.adam_v.items()},
-            step=self.step,
-        )
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def __call__(self, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[key] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
 def _param_shapes(cfg: ModelConfig, item_count: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in the order of the flat vectors (``item_emb`` first)."""
     d = cfg.embed_dim
     shapes: dict[str, tuple[int, ...]] = {
         "item_emb": (item_count, d),
@@ -120,6 +131,75 @@ def _param_shapes(cfg: ModelConfig, item_count: int) -> dict[str, tuple[int, ...
     return shapes
 
 
+def _views(flat: np.ndarray, shapes: Iterable[tuple[str, tuple[int, ...]]]) -> dict[str, np.ndarray]:
+    """Name -> view of its segment of ``flat``, segments laid end to end in ``shapes`` order."""
+    views = {}
+    offset = 0
+    for name, shape in shapes:
+        size = math.prod(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return views
+
+
+@dataclass
+class ModelState:
+    """All learnable parameters plus Adam moments and the step counter.
+
+    ``flat_params``, ``flat_m`` and ``flat_v`` hold the parameters and the
+    two moments, one vector each; ``params``, ``adam_m`` and ``adam_v`` map
+    each name to a view of its segment. Write named arrays in place. An
+    entry replaced outright is packed back into a new vector by the next
+    ``copy``, ``adam_step`` or ``grow_vocabulary``.
+    """
+
+    config: ModelConfig
+    item_count: int
+    flat_params: np.ndarray
+    flat_m: np.ndarray
+    flat_v: np.ndarray
+    step: int = 0
+    params: dict[str, np.ndarray] = field(init=False, repr=False)
+    adam_m: dict[str, np.ndarray] = field(init=False, repr=False)
+    adam_v: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._bind()
+
+    def _bind(self) -> None:
+        """Point the named arrays at the segments of the current vectors."""
+        shapes = _param_shapes(self.config, self.item_count).items()
+        self.params = _views(self.flat_params, shapes)
+        self.adam_m = _views(self.flat_m, shapes)
+        self.adam_v = _views(self.flat_v, shapes)
+
+    def _sync(self) -> None:
+        """Re-pack each vector one of whose named arrays is no longer a view of it."""
+        for attr, named in (("flat_params", self.params), ("flat_m", self.adam_m), ("flat_v", self.adam_v)):
+            flat = getattr(self, attr)
+            if any(a.base is not flat for a in named.values()):
+                flat = np.concatenate([np.asarray(a, self.config.np_dtype).ravel() for a in named.values()])
+                setattr(self, attr, flat)
+                named.update(_views(flat, [(k, a.shape) for k, a in named.items()]))
+
+    def copy(self, out: "ModelState | None" = None) -> "ModelState":
+        """An equal state sharing no memory with this one, written into ``out``'s vectors if given.
+
+        ``out`` must be another state of the same config and item count.
+        """
+        self._sync()
+        if out is None:
+            return ModelState(self.config, self.item_count, self.flat_params.copy(), self.flat_m.copy(),
+                              self.flat_v.copy(), self.step)
+        if out is self or (out.config, out.item_count) != (self.config, self.item_count):
+            raise ValueError("ModelState.copy: out must be another state of the same shape")
+        out._sync()
+        for attr in ("flat_params", "flat_m", "flat_v"):
+            np.copyto(getattr(out, attr), getattr(self, attr))
+        out.step = self.step
+        return out
+
+
 def _init_tensor(
     name: str, shape: tuple[int, ...], d: int, rng: np.random.Generator, dtype: np.dtype
 ) -> np.ndarray:
@@ -140,16 +220,20 @@ def init_model(cfg: ModelConfig, item_count: int, seed: int) -> ModelState:
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     shapes = _param_shapes(cfg, item_count)
     dt = cfg.np_dtype
-    params = {name: _init_tensor(name, shape, cfg.embed_dim, rng, dt) for name, shape in shapes.items()}
-    zeros = lambda: {name: np.zeros(shape, dtype=dt) for name, shape in shapes.items()}
-    return ModelState(cfg, item_count, params, zeros(), zeros(), step=0)
+    size = sum(math.prod(shape) for shape in shapes.values())
+    state = ModelState(cfg, item_count, np.empty(size, dt), np.zeros(size, dt), np.zeros(size, dt))
+    for name, shape in shapes.items():
+        state.params[name][...] = _init_tensor(name, shape, cfg.embed_dim, rng, dt)
+    return state
 
 
 def grow_vocabulary(state: ModelState, new_item_count: int, seed: int = 0) -> ModelState:
     """Append embedding rows for new items; existing rows stay bit-identical.
 
     New rows use the embedding init distribution scaled down so old-item
-    softmax mass is roughly preserved at the growth boundary.
+    softmax mass is roughly preserved at the growth boundary. The flat
+    vectors are rebuilt once, with the rows spliced in after ``item_emb``'s
+    old rows (its segment comes first).
     """
     if new_item_count < state.item_count:
         raise ValueError("grow_vocabulary: cannot shrink the vocabulary")
@@ -161,11 +245,14 @@ def grow_vocabulary(state: ModelState, new_item_count: int, seed: int = 0) -> Mo
     bound = 1.0 / math.sqrt(d)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     rows = (rng.uniform(-bound, bound, (extra, d)) * NEW_ROW_SCALE).astype(dt)
-    zeros = np.zeros((extra, d), dtype=dt)
-    state.params["item_emb"] = np.concatenate([state.params["item_emb"], rows])
-    state.adam_m["item_emb"] = np.concatenate([state.adam_m["item_emb"], zeros])
-    state.adam_v["item_emb"] = np.concatenate([state.adam_v["item_emb"], zeros.copy()])
+    zeros = np.zeros(extra * d, dtype=dt)
+    state._sync()
+    cut = state.item_count * d
+    for attr, new in (("flat_params", rows.ravel()), ("flat_m", zeros), ("flat_v", zeros)):
+        flat = getattr(state, attr)
+        setattr(state, attr, np.concatenate([flat[:cut], new, flat[cut:]]))
     state.item_count = new_item_count
+    state._bind()
     return state
 
 
@@ -191,30 +278,37 @@ def _col_sum(x: np.ndarray) -> np.ndarray:
     return np.ones(flat.shape[0], dtype=flat.dtype) @ flat
 
 
-def _ln_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    d = x.shape[-1]
-    mean_vec = np.full(d, 1.0 / d, dtype=x.dtype)
-    mu = x @ mean_vec
-    xc = x - mu[..., None]
-    var = (xc * xc) @ mean_vec
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = np.multiply(xc, inv[..., None], out=xc)
-    y = np.multiply(xhat, g)
+def _ln_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray, ws: Workspace, key: str):
+    """Layer norm of the (N, D) rows of ``x``; output, ``xhat`` and ``inv`` go to ``ws`` under ``key``."""
+    n, d = x.shape
+    dt = x.dtype
+    mean_vec = np.full(d, 1.0 / d, dtype=dt)
+    mu = np.matmul(x, mean_vec, out=ws("ln.mu", (n,), dt))
+    xc = np.subtract(x, mu[:, None], out=ws(key + "xhat", (n, d), dt))
+    var = np.matmul(np.multiply(xc, xc, out=ws("scratch", (n, d), dt)), mean_vec, out=ws("ln.var", (n,), dt))
+    var += LN_EPS
+    inv = np.sqrt(var, out=ws(key + "inv", (n,), dt))
+    np.divide(1.0, inv, out=inv)
+    xhat = np.multiply(xc, inv[:, None], out=xc)
+    y = np.multiply(xhat, g, out=ws(key + "y", (n, d), dt))
     np.add(y, b, out=y)
     return y, (xhat, inv)
 
 
-def _ln_backward(dy: np.ndarray, g: np.ndarray, cache):
+def _ln_backward(dy: np.ndarray, g: np.ndarray, cache, ws: Workspace, key: str):
+    """Layer-norm backward; the input gradient goes to ``ws`` under ``key``."""
     xhat, inv = cache
-    d = dy.shape[-1]
-    mean_vec = np.full(d, 1.0 / d, dtype=dy.dtype)
-    dg = _col_sum(dy * xhat)
+    n, d = dy.shape
+    dt = dy.dtype
+    mean_vec = np.full(d, 1.0 / d, dtype=dt)
+    tmp = ws("scratch", (n, d), dt)
+    dg = _col_sum(np.multiply(dy, xhat, out=tmp))
     db = _col_sum(dy)
-    dx = dy * g
-    m2 = (dx * xhat) @ mean_vec
-    dx -= (dx @ mean_vec)[..., None]
-    dx -= xhat * m2[..., None]
-    dx *= inv[..., None]
+    dx = np.multiply(dy, g, out=ws(key, (n, d), dt))
+    m2 = np.matmul(np.multiply(dx, xhat, out=tmp), mean_vec, out=ws("lnb.m2", (n,), dt))
+    dx -= np.matmul(dx, mean_vec, out=ws("lnb.mean", (n,), dt))[:, None]
+    dx -= np.multiply(xhat, m2[:, None], out=tmp)
+    dx *= inv[:, None]
     return dx, dg, db
 
 
@@ -225,6 +319,7 @@ def _encode_batch(
     pos: np.ndarray,
     masks: np.ndarray | None = None,
     need_cache: bool = False,
+    ws: Workspace | None = None,
 ):
     """Run the encoder over one packed batch, token-major, at every token.
 
@@ -238,50 +333,66 @@ def _encode_batch(
     from one (D, 3D) GEMM. ``masks`` holds the scaled dropout masks,
     (blocks, 2, B*L, D) for the attention and feed-forward outputs, or is
     None for no dropout. Returns the (B*L, D) final hidden states and an
-    optional cache; values at padding are finite and never read.
+    optional cache, all arrays of ``ws``; values at padding are finite and
+    never read.
     """
+    ws = ws or Workspace()
     cfg = state.config
     P = state.params
     if ids.max() >= state.item_count:
         raise ValueError("prefix item index out of range")
     B, L = ids.shape
+    N = B * L
     D = cfg.embed_dim
     H = cfg.attention_heads
+    dt = cfg.np_dtype
     scale = 1.0 / math.sqrt(D // H)
 
-    x = P["item_emb"][ids.ravel()]
-    x += P["pos_emb"][pos.ravel()]
-    fill = cfg.np_dtype.type(MASK_FILL)
-    allowed = (seg[:, :, None] == seg[:, None, :]) & (seg >= 0)[:, None, :]
+    # take with mode="wrap" writes straight into ``out`` and indexes like x[i] for -n <= i < n
+    x = np.take(P["item_emb"], ids.ravel(), axis=0, out=ws("x", (N, D), dt), mode="wrap")
+    x += np.take(P["pos_emb"], pos.ravel(), axis=0, out=ws("residual", (N, D), dt), mode="wrap")
+    fill = dt.type(MASK_FILL)
+    allowed = np.equal(seg[:, :, None], seg[:, None, :], out=ws("allowed", (B, L, L), bool))
+    allowed &= (seg >= 0)[:, None, :]
     allowed &= np.tril(np.ones((L, L), dtype=bool))
-    blocked = ~allowed[:, None]
+    blocked = np.logical_not(allowed[:, None], out=ws("blocked", (B, 1, L, L), bool))
 
     blocks = []
     for b in range(cfg.block_count):
         p = f"blocks.{b}."
-        w = np.concatenate([P[p + "attn.wq"], P[p + "attn.wk"], P[p + "attn.wv"]], axis=1)
-        proj = x @ w
+        # the cache keeps every block's arrays; without it every block reuses
+        # block 0's, each overwritten only after its last read (the block
+        # input, block 0's ln2.y, is last read before ln2 writes it)
+        k = p if need_cache else "blocks.0."
+        w = np.concatenate([P[p + "attn.wq"], P[p + "attn.wk"], P[p + "attn.wv"]], axis=1,
+                           out=ws(k + "w", (D, 3 * D), dt))
+        proj = np.matmul(x, w, out=ws(k + "proj", (N, 3 * D), dt))
         proj[:, :D] += P[p + "attn.bq"]
         proj[:, 2 * D :] += P[p + "attn.bv"]
         qh, kh, vh = proj.reshape(B, L, 3, H, D // H).transpose(2, 0, 3, 1, 4)
-        scores = qh @ kh.swapaxes(-1, -2)
+        scores = np.matmul(qh, kh.swapaxes(-1, -2), out=ws(k + "attn", (B, H, L, L), dt))
         scores *= scale
         np.copyto(scores, fill, where=blocked)
         attn = _softmax_last_inplace(scores)
-        ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(B * L, D)
+        ctx = ws(k + "ctx", (B, L, H, D // H), dt)
+        np.matmul(attn, vh, out=ctx.transpose(0, 2, 1, 3))
+        ctx = ctx.reshape(N, D)
         mask1, mask2 = masks[b] if masks is not None else (None, None)
-        r1 = ctx @ P[p + "attn.wo"] + P[p + "attn.bo"]
+        r1 = np.matmul(ctx, P[p + "attn.wo"], out=ws("residual", (N, D), dt))
+        r1 += P[p + "attn.bo"]
         if mask1 is not None:
             r1 *= mask1
         r1 += x
-        x1, ln1c = _ln_forward(r1, P[p + "ln1.g"], P[p + "ln1.b"])
-        h = x1 @ P[p + "ff.w1"] + P[p + "ff.b1"]
+        x1, ln1c = _ln_forward(r1, P[p + "ln1.g"], P[p + "ln1.b"], ws, k + "ln1.")
+        h = np.matmul(x1, P[p + "ff.w1"], out=ws(k + "h", (N, D), dt))
+        h += P[p + "ff.b1"]
         np.maximum(h, 0.0, out=h)
-        r2 = h @ P[p + "ff.w2"] + P[p + "ff.b2"]
+        r2 = np.matmul(h, P[p + "ff.w2"], out=ws("residual", (N, D), dt))
+        r2 += P[p + "ff.b2"]
         if mask2 is not None:
             r2 *= mask2
         r2 += x1
-        x2, ln2c = _ln_forward(r2, P[p + "ln2.g"], P[p + "ln2.b"])
+        x2, ln2c = _ln_forward(r2, P[p + "ln2.g"], P[p + "ln2.b"], ws, k + "ln2.")
         if need_cache:
             blocks.append(
                 {"x": x, "w": w, "qh": qh, "kh": kh, "vh": vh, "attn": attn, "ctx": ctx, "mask1": mask1,
@@ -343,6 +454,7 @@ def _encode_rows(
     train_mode: bool = False,
     dropout_seed: int = 0,
     need_cache: bool = False,
+    ws: Workspace | None = None,
 ):
     """Last-position features of each prefix, from one packed pass over their roots.
 
@@ -353,8 +465,10 @@ def _encode_rows(
     the row's last item. With dropout on, masks come from one draw per
     call, seeded by ``dropout_seed``, per real token and block, so rows
     sharing a root share every mask. Returns the (rows, D) features and,
-    with ``need_cache``, the cache ``_encode_backward`` reads.
+    with ``need_cache``, the cache ``_encode_backward`` reads; both are
+    arrays of ``ws``.
     """
+    ws = ws or Workspace()
     cfg = state.config
     dt = cfg.np_dtype
     d = cfg.embed_dim
@@ -366,107 +480,136 @@ def _encode_rows(
     root_len = lengths[roots]
     start, rows = _pack(root_len)
     width = int(root_len.max())
+    slots = rows * width
     # flat index of every root token, root after root
     offsets = np.cumsum(root_len) - root_len
     tok = np.repeat(start - offsets, root_len) + np.arange(int(root_len.sum()))
-    ids = np.zeros(rows * width, dtype=np.int64)
+    ids = ws("ids", (slots,), np.int64)
+    ids.fill(0)
     ids[tok] = np.fromiter(itertools.chain.from_iterable(trimmed[i] for i in roots), dtype=np.int64, count=len(tok))
-    seg = np.full(rows * width, -1, dtype=np.int64)
+    seg = ws("seg", (slots,), np.int64)
+    seg.fill(-1)
     seg[tok] = np.repeat(np.arange(len(roots)), root_len)
-    pos = np.zeros(rows * width, dtype=np.int64)
+    pos = ws("pos", (slots,), np.int64)
+    pos.fill(0)
     pos[tok] = tok - np.repeat(start, root_len)
     masks = None
     if train_mode and cfg.dropout_rate > 0.0:
         rng = np.random.default_rng(np.random.SeedSequence([dropout_seed]))
-        keep = rng.random((cfg.block_count, 2, len(tok), d), dtype=dt) >= cfg.dropout_rate
-        masks = np.zeros((cfg.block_count, 2, rows * width, d), dtype=dt)
-        masks[:, :, tok] = keep * dt.type(1.0 / (1.0 - cfg.dropout_rate))
+        shape = (cfg.block_count, 2, len(tok), d)
+        masks = ws("dropout.masks", (cfg.block_count, 2, slots, d), dt)
+        # the draw is cut from the masks' buffer: it is read into keep before the masks are written
+        draw = rng.random(shape, dtype=dt, out=ws("dropout.masks", shape, dt))
+        keep = np.greater_equal(draw, cfg.dropout_rate, out=ws("dropout.keep", shape, bool))
+        masks.fill(0)
+        masks[:, :, tok] = keep
+        masks *= dt.type(1.0 / (1.0 - cfg.dropout_rate))
     shape = (rows, width)
-    hidden, cache = _encode_batch(state, ids.reshape(shape), seg.reshape(shape), pos.reshape(shape), masks, need_cache)
+    hidden, cache = _encode_batch(state, ids.reshape(shape), seg.reshape(shape), pos.reshape(shape), masks,
+                                  need_cache, ws)
     last = start[group] + lengths - 1  # each row's last item, in its root's segment
     if need_cache:
         cache["last"] = last
-    return hidden[last], cache
+    return np.take(hidden, last, axis=0, out=ws("feats", (len(trimmed), d), dt), mode="wrap"), cache
 
 
-def _scatter_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
+def _scatter_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray, ws: Workspace | None = None) -> None:
     """``out[index[i]] += rows[i]`` with repeated indices summed, like ``np.add.at``.
 
     Rows are sorted by index and each run of equal indices is summed with
     one ``reduceat``, so only the rows that occur are touched.
     """
+    ws = ws or Workspace()
     order = np.argsort(index, kind="stable")
     keys = index[order]
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    out[keys[starts]] += np.add.reduceat(rows[order], starts, axis=0)
+    dest = keys[starts]
+    shape = (len(starts),) + rows.shape[1:]
+    sums = np.add.reduceat(np.take(rows, order, axis=0, out=ws("scatter.rows", rows.shape, rows.dtype), mode="wrap"),
+                           starts, axis=0, out=ws("scatter.sums", shape, rows.dtype))
+    acc = np.take(out, dest, axis=0, out=ws("scatter.acc", shape, out.dtype), mode="wrap")
+    acc += sums
+    out[dest] = acc
 
 
-def _encode_backward(state: ModelState, cache: dict, dfeats: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+def _encode_backward(
+    state: ModelState, cache: dict, dfeats: np.ndarray, grads: dict[str, np.ndarray], ws: Workspace | None = None
+) -> None:
     """Accumulate encoder gradients into ``grads`` given d(loss)/d(row features).
 
     ``cache`` comes from ``_encode_rows``. Each row's gradient lands on its
     last token, equal rows summed, and flows back through every block at
     every token, in the forward pass's token-major layout: the fused
     projection's weight gradients come from one GEMM and its input
-    gradient from another. Padding receives exactly zero gradient.
+    gradient from another. Padding receives exactly zero gradient. Every
+    temporary is an array of ``ws``.
     """
+    ws = ws or Workspace()
     cfg = state.config
     P = state.params
     B, L = cache["ids"].shape
+    N = B * L
     D = cfg.embed_dim
     H = cfg.attention_heads
+    dt = dfeats.dtype
     scale = cache["scale"]
 
-    dx = np.zeros((B * L, D), dtype=dfeats.dtype)
-    _scatter_rows(dx, cache["last"], dfeats)
+    # three (N, D) buffers take turns, each reused once its last reader has run:
+    # "grad.a" holds dx, dhpre, do and the next dx; "grad.b" dr2, then dr1;
+    # "grad.c" df, dx1, dctx and finally the real tokens' dx
+    dx = ws("grad.a", (N, D), dt)
+    dx.fill(0)
+    _scatter_rows(dx, cache["last"], dfeats, ws)
+    dw = ws("dw", (D, D), dt)  # each weight gradient, added to ``grads`` as soon as it is made
     for b in range(cfg.block_count - 1, -1, -1):
         c = cache["blocks"][b]
         p = f"blocks.{b}."
-        dr2, dg2, db2 = _ln_backward(dx, P[p + "ln2.g"], c["ln2c"])
+        dr2, dg2, db2 = _ln_backward(dx, P[p + "ln2.g"], c["ln2c"], ws, "grad.b")
         grads[p + "ln2.g"] += dg2
         grads[p + "ln2.b"] += db2
-        df = dr2 * c["mask2"] if c["mask2"] is not None else dr2
-        grads[p + "ff.w2"] += c["h"].T @ df
+        df = np.multiply(dr2, c["mask2"], out=ws("grad.c", (N, D), dt)) if c["mask2"] is not None else dr2
+        grads[p + "ff.w2"] += np.matmul(c["h"].T, df, out=dw)
         grads[p + "ff.b2"] += _col_sum(df)
-        dhpre = df @ P[p + "ff.w2"].T
-        dhpre *= c["h"] > 0.0
-        grads[p + "ff.w1"] += c["x1"].T @ dhpre
+        dhpre = np.matmul(df, P[p + "ff.w2"].T, out=ws("grad.a", (N, D), dt))
+        dhpre *= np.greater(c["h"], 0.0, out=ws("relu", (N, D), bool))
+        grads[p + "ff.w1"] += np.matmul(c["x1"].T, dhpre, out=dw)
         grads[p + "ff.b1"] += _col_sum(dhpre)
-        dx1 = dhpre @ P[p + "ff.w1"].T
+        dx1 = np.matmul(dhpre, P[p + "ff.w1"].T, out=ws("grad.c", (N, D), dt))
         dx1 += dr2
 
-        dr1, dg1, db1 = _ln_backward(dx1, P[p + "ln1.g"], c["ln1c"])
+        dr1, dg1, db1 = _ln_backward(dx1, P[p + "ln1.g"], c["ln1c"], ws, "grad.b")
         grads[p + "ln1.g"] += dg1
         grads[p + "ln1.b"] += db1
-        do = dr1 * c["mask1"] if c["mask1"] is not None else dr1
-        grads[p + "attn.wo"] += c["ctx"].T @ do
+        do = np.multiply(dr1, c["mask1"], out=ws("grad.a", (N, D), dt)) if c["mask1"] is not None else dr1
+        grads[p + "attn.wo"] += np.matmul(c["ctx"].T, do, out=dw)
         grads[p + "attn.bo"] += _col_sum(do)
-        dctx = (do @ P[p + "attn.wo"].T).reshape(B, L, H, D // H).transpose(0, 2, 1, 3)
+        dctx = np.matmul(do, P[p + "attn.wo"].T, out=ws("grad.c", (N, D), dt))
+        dctx = dctx.reshape(B, L, H, D // H).transpose(0, 2, 1, 3)
         attn = c["attn"]
-        dscores = dctx @ c["vh"].swapaxes(-1, -2)
+        dscores = np.matmul(dctx, c["vh"].swapaxes(-1, -2), out=ws("dscores", (B, H, L, L), dt))
         # softmax rows: ds = a * (da - sum(da * a))
-        dscores -= (dscores * attn).sum(axis=-1, keepdims=True)
+        dscores -= np.multiply(dscores, attn, out=ws("dscores.tmp", (B, H, L, L), dt)).sum(axis=-1, keepdims=True)
         dscores *= attn
         dscores *= scale
-        dproj = np.empty((B, L, 3, H, D // H), dtype=dx.dtype)
+        dproj = ws("dproj", (B, L, 3, H, D // H), dt)
         dq, dk, dv = dproj.transpose(2, 0, 3, 1, 4)
         np.matmul(dscores, c["kh"], out=dq)
         np.matmul(dscores.swapaxes(-1, -2), c["qh"], out=dk)
         np.matmul(attn.swapaxes(-1, -2), dctx, out=dv)
-        dproj = dproj.reshape(B * L, 3 * D)
-        dw = c["x"].T @ dproj
+        dproj = dproj.reshape(N, 3 * D)
+        dwqkv = np.matmul(c["x"].T, dproj, out=ws("dwqkv", (D, 3 * D), dt))
         db = _col_sum(dproj)
         for i, n in enumerate("qkv"):
-            grads[p + "attn.w" + n] += dw[:, i * D : (i + 1) * D]
+            grads[p + "attn.w" + n] += dwqkv[:, i * D : (i + 1) * D]
         grads[p + "attn.bq"] += db[:D]
         grads[p + "attn.bv"] += db[2 * D :]
-        dx = dproj @ c["w"].T
+        dx = np.matmul(dproj, c["w"].T, out=ws("grad.a", (N, D), dt))
         dx += dr1
 
-    real = cache["seg"].ravel() >= 0
-    flat_dx = dx[real]
-    _scatter_rows(grads["item_emb"], cache["ids"].ravel()[real], flat_dx)
-    _scatter_rows(grads["pos_emb"], cache["pos"].ravel()[real], flat_dx)
+    real = np.flatnonzero(cache["seg"].ravel() >= 0)
+    flat_dx = np.take(dx, real, axis=0, out=ws("grad.c", (len(real), D), dt), mode="wrap")
+    _scatter_rows(grads["item_emb"], cache["ids"].ravel()[real], flat_dx, ws)
+    _scatter_rows(grads["pos_emb"], cache["pos"].ravel()[real], flat_dx, ws)
 
 
 def extract_features_batch(
@@ -475,12 +618,18 @@ def extract_features_batch(
     train_mode: bool = False,
     dropout_seed: int = 0,
     batch_size: int = 512,
+    workspace: Workspace | None = None,
 ) -> np.ndarray:
-    """Feature vectors (final-block output at the last position) per prefix."""
+    """Feature vectors (final-block output at the last position) per prefix.
+
+    The chunks share ``workspace`` (a throwaway one if None); each chunk's
+    features are copied out before the next.
+    """
     out = np.empty((len(prefixes), state.config.embed_dim), dtype=state.config.np_dtype)
+    ws = workspace or Workspace()
     for lo in range(0, len(prefixes), batch_size):
         chunk = prefixes[lo : lo + batch_size]
-        out[lo : lo + len(chunk)], _ = _encode_rows(state, chunk, train_mode, dropout_seed)
+        out[lo : lo + len(chunk)], _ = _encode_rows(state, chunk, train_mode, dropout_seed, ws=ws)
     return out
 
 
@@ -491,7 +640,11 @@ def extract_features_batch(
 
 @dataclass
 class BatchSpec:
-    """One optimization step's inputs: examples plus the loss recipe."""
+    """One optimization step's inputs: examples plus the loss recipe.
+
+    ``workspace`` supplies the step's arrays; without one the step gets a
+    throwaway workspace.
+    """
 
     ce_examples: Sequence[TrainingExample] = ()
     ce_item_range: int | None = None
@@ -504,10 +657,29 @@ class BatchSpec:
     ewc_weight: float = 0.0
     train_mode: bool = False
     dropout_seed: int = 0
+    workspace: Workspace | None = None
+
+
+class _FlatGradients(dict):
+    """Gradients named like ``state.params``: views of one vector laid out like ``state.flat_params``.
+
+    ``workspace`` is the step workspace that holds the vector, if any;
+    ``adam_step`` takes its scratch arrays from it.
+    """
+
+    def __init__(self, flat: np.ndarray, state: ModelState, workspace: Workspace | None = None):
+        super().__init__(_views(flat, [(name, p.shape) for name, p in state.params.items()]))
+        self.flat = flat
+        self.workspace = workspace
+        self._made = tuple(self.values())
+
+    def intact(self) -> bool:
+        """True while every entry is still the view it was made as, so ``flat`` holds them all."""
+        return len(self) == len(self._made) and all(map(operator.is_, self.values(), self._made))
 
 
 def zero_gradients(state: ModelState) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(p) for name, p in state.params.items()}
+    return _FlatGradients(np.zeros(state.flat_params.size, dtype=state.flat_params.dtype), state)
 
 
 def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
@@ -515,9 +687,14 @@ def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdow
 
     total = ce + kd_weight * kd + ewc_weight * ewc, each term present only
     when its inputs are supplied. Raises ``DivergenceError`` on a
-    non-finite total.
+    non-finite total. The gradients are views of one vector of the step's
+    workspace, valid until the next step on it.
     """
-    grads = zero_gradients(state)
+    ws = spec.workspace or Workspace()
+    dt = state.config.np_dtype
+    D = state.config.embed_dim
+    grads = _FlatGradients(ws("grads", (state.flat_params.size,), dt), state, ws)
+    grads.flat.fill(0)
     E = state.params["item_emb"]
     ce_val = kd_val = ewc_val = 0.0
 
@@ -529,36 +706,47 @@ def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdow
     n_ce = len(ce_rows)
     if ce_rows or kd_rows:
         feats, cache = _encode_rows(
-            state, [ex.prefix for ex in ce_rows + kd_rows], spec.train_mode, spec.dropout_seed, need_cache=True
+            state, [ex.prefix for ex in ce_rows + kd_rows], spec.train_mode, spec.dropout_seed, need_cache=True,
+            ws=ws,
         )
-        dfeats = np.zeros_like(feats)
+        dfeats = ws("dfeats", feats.shape, dt)  # the CE rows, then the KD rows, each written whole
         if ce_rows:
             item_range = spec.ce_item_range if spec.ce_item_range is not None else state.item_count
             targets = np.array([ex.target for ex in ce_rows])
             if targets.max() >= item_range:
                 raise ValueError("loss_and_gradients: CE target outside item range")
             ce_feats = feats[:n_ce]
-            ce_val, dlogits = ce_from_logits(ce_feats @ E[:item_range].T, targets)
-            grads["item_emb"][:item_range] += dlogits.T @ ce_feats
-            dfeats[:n_ce] = dlogits @ E[:item_range]
+            logits = np.matmul(ce_feats, E[:item_range].T, out=ws("logits", (n_ce, item_range), dt))
+            ce_val, dlogits = ce_from_logits(logits, targets, out=(logits, ws("dlogits", logits.shape, dt)))
+            grads["item_emb"][:item_range] += np.matmul(dlogits.T, ce_feats, out=ws("demb", (item_range, D), dt))
+            np.matmul(dlogits, E[:item_range], out=dfeats[:n_ce])
         if kd_rows:
             kd_feats = feats[n_ce:]
-            kd_val, dlogits = kd_from_logits(kd_feats @ E[: spec.kd_item_range].T, spec.kd_teacher_probs)
+            kd_range = spec.kd_item_range
+            logits = np.matmul(kd_feats, E[:kd_range].T, out=ws("logits", (len(kd_rows), kd_range), dt))
+            kd_val, dlogits = kd_from_logits(logits, spec.kd_teacher_probs,
+                                             out=(logits, ws("dlogits", logits.shape, dt)))
             dlogits *= spec.kd_weight
-            grads["item_emb"][: spec.kd_item_range] += dlogits.T @ kd_feats
-            dfeats[n_ce:] = dlogits @ E[: spec.kd_item_range]
-        _encode_backward(state, cache, dfeats, grads)
+            grads["item_emb"][:kd_range] += np.matmul(dlogits.T, kd_feats, out=ws("demb", (kd_range, D), dt))
+            np.matmul(dlogits, E[:kd_range], out=dfeats[n_ce:])
+        _encode_backward(state, cache, dfeats, grads, ws)
 
     if spec.ewc_anchor is not None and spec.ewc_weight != 0.0:
         if spec.ewc_fisher is None:
             raise ValueError("loss_and_gradients: EWC requires fisher weights")
         for name, theta in state.params.items():
             fw = spec.ewc_fisher[name]
-            if spec.ewc_anchor[name].shape != theta.shape or fw.shape != theta.shape:
+            anchor = spec.ewc_anchor[name]
+            if anchor.shape != theta.shape or fw.shape != theta.shape:
                 raise ValueError(f"loss_and_gradients: EWC shape mismatch for {name}")
-            diff = theta - spec.ewc_anchor[name]
-            ewc_val += 0.5 * float((fw * diff * diff).sum())
-            grads[name] += spec.ewc_weight * fw * diff
+            diff = np.subtract(theta, anchor, out=ws("ewc.diff", theta.shape, np.result_type(theta, anchor)))
+            term = ws("ewc.term", theta.shape, np.result_type(fw, diff))
+            np.multiply(fw, diff, out=term)
+            term *= diff
+            ewc_val += 0.5 * float(term.sum())
+            np.multiply(fw, spec.ewc_weight, out=term)  # ewc_weight * fw * diff
+            term *= diff
+            grads[name] += term
 
     total = ce_val + spec.kd_weight * kd_val + spec.ewc_weight * ewc_val
     if not math.isfinite(total):
@@ -574,21 +762,45 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> ModelState:
-    """Bias-corrected Adam update, in place. Returns the state for chaining."""
+    """Bias-corrected Adam update, in place, over the flat vectors in cache-sized chunks. Returns the state.
+
+    ``grads`` maps every parameter name to an array of its shape. Gradients
+    from ``loss_and_gradients`` or ``zero_gradients`` are read as their flat
+    vector; any other dict is packed into one first.
+    """
     if set(grads) != set(state.params):
         raise ValueError("adam_step: gradient names do not match parameters")
+    for name, theta in state.params.items():
+        if grads[name].shape != theta.shape:
+            raise ValueError(f"adam_step: shape mismatch for {name}")
+    state._sync()
+    if isinstance(grads, _FlatGradients) and grads.intact():
+        g, ws = grads.flat, grads.workspace or Workspace()
+    else:
+        g, ws = np.concatenate([grads[name].ravel() for name in state.params]), Workspace()
     state.step += 1
     bc1 = 1.0 - beta1 ** state.step
     bc2 = 1.0 - beta2 ** state.step
-    for name, theta in state.params.items():
-        g = grads[name]
-        if g.shape != theta.shape:
-            raise ValueError(f"adam_step: shape mismatch for {name}")
-        m = state.adam_m[name]
-        v = state.adam_v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    theta, m, v = state.flat_params, state.flat_m, state.flat_v
+    n = min(ADAM_CHUNK, g.size)
+    tmp_g, tmp_m = ws("adam.tmp", (n,), g.dtype), ws("adam.tmp", (n,), m.dtype)  # one buffer unless dtypes differ
+    denom = ws("adam.denom", (n,), v.dtype)
+    for lo in range(0, g.size, ADAM_CHUNK):
+        c = slice(lo, lo + ADAM_CHUNK)
+        gc, mc, vc = g[c], m[c], v[c]
+        k = len(gc)
+        mc *= beta1
+        mc += np.multiply(gc, 1.0 - beta1, out=tmp_g[:k])
+        vc *= beta2
+        sq = np.multiply(gc, gc, out=tmp_g[:k])
+        sq *= 1.0 - beta2
+        vc += sq
+        # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        update = np.divide(mc, bc1, out=tmp_m[:k])
+        update *= lr
+        den = np.divide(vc, bc2, out=denom[:k])
+        np.sqrt(den, out=den)
+        den += eps
+        update /= den
+        theta[c] -= update
     return state

@@ -206,6 +206,44 @@ def test_preprocess_writes_cycles_and_statistics(tmp_path, capsys):
     assert len(stats_lines) == 1 + len(cycles)  # header + one row per cycle
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--period-days", "0"),  # divided by in split_cycles
+    ("--period-days", "-7"),
+    ("--validation-fraction", "-0.2"),
+    ("--validation-fraction", "1.5"),
+    ("--max-seq-len", "0"),  # empty prefixes
+])
+def test_preprocess_bad_split_setting_is_a_usage_error(tmp_path, capsys, option, value):
+    events = write_events(tmp_path)
+    out = tmp_path / "prep"
+    argv = ["preprocess", "--input", str(events), "--out", str(out), "--min-item-support", "2", option, value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert option in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_zero_workers_is_a_usage_error(tmp_path, capsys, command):
+    argv = [command, "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "run"), "--workers", "0"]
+    assert main(argv) == 1
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("period_days", 0),
+    ("period_days", -7),
+    ("validation_fraction", -0.2),
+    ("validation_fraction", 1.5),
+])
+def test_bad_split_config_field_exits_1(tmp_path, capsys, field, value):
+    path = write_config(tmp_path, {"data": {"events": "events.csv", field: value}})
+    assert main(["run", "--config", str(path), "--dry-run"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"data.{field}" in err
+
+
 def test_preprocess_idempotent_bytes(tmp_path, capsys):
     events = write_events(tmp_path)
     out1, out2 = tmp_path / "p1", tmp_path / "p2"

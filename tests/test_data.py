@@ -178,6 +178,11 @@ def test_expand_too_short_errors():
         expand_session(Session([1], 0))
 
 
+def test_expand_rejects_nonpositive_max_seq_len():
+    with pytest.raises(ValueError, match="max_seq_len"):
+        expand_session(Session([1, 2, 3], 0), max_seq_len=0)
+
+
 # ---------------------------------------------------------------------------
 # split_cycles
 # ---------------------------------------------------------------------------
@@ -199,6 +204,18 @@ def test_split_buckets_by_week():
     assert [d.cycle_id for d in datasets] == [0, 1]
     assert len(datasets[0].train) == 2  # two sessions of length 2
     assert len(datasets[1].train) == 1
+
+
+@pytest.mark.parametrize("setting", [
+    {"period_seconds": 0},
+    {"period_seconds": -WEEK},
+    {"validation_fraction": -0.2},
+    {"validation_fraction": 1.5},
+])
+def test_split_rejects_bad_settings(setting):
+    sessions, registry = _registered_sessions([["a", "b"], ["b", "c"]], [0, 8 * DAY])
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        split_cycles(sessions, registry, **setting)
 
 
 def test_split_validation_fraction():

@@ -203,9 +203,9 @@ def _packed_masks(monkeypatch, state, spec, prefixes):
     seen = []
     encode_batch = model_mod._encode_batch
 
-    def spy(state, ids, seg, pos, masks=None, need_cache=False):
+    def spy(state, ids, seg, pos, masks=None, need_cache=False, ws=None):
         seen.append((masks, ids.shape))
-        return encode_batch(state, ids, seg, pos, masks, need_cache)
+        return encode_batch(state, ids, seg, pos, masks, need_cache, ws)
 
     monkeypatch.setattr(model_mod, "_encode_batch", spy)
     _, cache = _encode_rows(state, prefixes, spec.train_mode, spec.dropout_seed, need_cache=True)

@@ -468,6 +468,12 @@ def test_compare_methods_grid_and_worker_equivalence():
         assert a.means == b.means
 
 
+def test_compare_methods_rejects_zero_workers():
+    datasets, _ = tiny_stream(cycles=2)
+    with pytest.raises(ValueError, match="workers"):
+        compare_methods(datasets, [MethodSpec(MethodKind.FINETUNE)], [1], tiny_loop(), MODEL_CFG, workers=0)
+
+
 def test_compare_methods_validates_inputs():
     datasets, _ = tiny_stream(cycles=2)
     with pytest.raises(ValueError):

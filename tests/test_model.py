@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from cyclerec.model import (
     _scatter_rows,
     DivergenceError,
     ModelConfig,
+    Workspace,
     adam_step,
     extract_features_batch,
     grow_vocabulary,
@@ -498,3 +500,156 @@ def test_float32_training_step_keeps_dtype():
     adam_step(m, grads)
     assert all(g.dtype == np.float32 for g in grads.values())
     assert all(p.dtype == np.float32 for p in m.params.values())
+
+
+# ---------------------------------------------------------------------------
+# flat state and the step workspace
+# ---------------------------------------------------------------------------
+
+
+def reference_adam_step(state, grads, lr=5e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-parameter Adam loop that the fused update over the flat vectors replaced."""
+    state.step += 1
+    bc1 = 1.0 - beta1 ** state.step
+    bc2 = 1.0 - beta2 ** state.step
+    for name, theta in state.params.items():
+        g = grads[name]
+        m = state.adam_m[name]
+        v = state.adam_v[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def float32_model(item_count=20, **overrides):
+    cfg = ModelConfig(**{"embed_dim": 8, "block_count": 2, "attention_heads": 2, "max_seq_len": 6,
+                         "dropout_rate": 0.3, **overrides})
+    return init_model(cfg, item_count, seed=7)
+
+
+def random_gradients(state, rng):
+    return {k: rng.normal(size=p.shape).astype(p.dtype) for k, p in state.params.items()}
+
+
+def test_fused_adam_matches_per_parameter_loop_bit_for_bit():
+    # plain-dict gradients, workspace gradients, a state after grow_vocabulary
+    # and the copy of a state all step exactly as the per-name loop does
+    rng = np.random.default_rng(0)
+    fused, ref = float32_model(), float32_model()
+    for step in range(4):
+        grads = random_gradients(fused, rng)
+        adam_step(fused, {k: g.copy() for k, g in grads.items()}, lr=1e-2)
+        reference_adam_step(ref, grads, lr=1e-2)
+        assert states_equal(fused, ref), step
+    spec = BatchSpec(ce_examples=[TrainingExample((1, 2, 3), 4), TrainingExample((5,), 6)], train_mode=True,
+                     dropout_seed=3, workspace=Workspace())
+    _, grads = loss_and_gradients(fused, spec)
+    reference_adam_step(ref, {k: g.copy() for k, g in grads.items()}, lr=1e-2)
+    adam_step(fused, grads, lr=1e-2)
+    assert states_equal(fused, ref)
+
+    grow_vocabulary(fused, 26, seed=4)
+    grow_vocabulary(ref, 26, seed=4)
+    for _ in range(3):
+        grads = random_gradients(fused, rng)
+        adam_step(fused, grads, lr=1e-2)
+        reference_adam_step(ref, grads, lr=1e-2)
+    assert states_equal(fused, ref)
+
+    snapshot = fused.copy()
+    for a, b in zip((fused.flat_params, fused.flat_m, fused.flat_v),
+                    (snapshot.flat_params, snapshot.flat_m, snapshot.flat_v)):
+        assert not np.shares_memory(a, b)
+    for named in ("params", "adam_m", "adam_v"):
+        for k, arr in getattr(snapshot, named).items():
+            assert not np.shares_memory(arr, fused.flat_params) and not np.shares_memory(arr, fused.flat_m)
+            assert not np.shares_memory(arr, fused.flat_v), (named, k)
+    ref_snapshot = float32_model(26)
+    for named in ("params", "adam_m", "adam_v"):
+        for k, arr in getattr(ref, named).items():
+            getattr(ref_snapshot, named)[k][...] = arr
+    ref_snapshot.step = ref.step
+    for _ in range(2):
+        grads = random_gradients(snapshot, rng)
+        adam_step(snapshot, grads, lr=1e-2)
+        reference_adam_step(ref_snapshot, grads, lr=1e-2)
+    assert states_equal(snapshot, ref_snapshot)
+    assert states_equal(fused, ref)  # stepping the copy left the original as it was
+
+
+def test_adam_adopts_a_replaced_parameter_array():
+    # a named array replaced outright (not written in place) is what adam updates
+    rng = np.random.default_rng(1)
+    fused, ref = float32_model(), float32_model()
+    table = rng.normal(size=fused.params["item_emb"].shape).astype(np.float32)
+    fused.params["item_emb"] = table.copy()
+    ref.params["item_emb"] = table.copy()
+    grads = random_gradients(fused, rng)
+    adam_step(fused, grads)
+    reference_adam_step(ref, grads)
+    assert states_equal(fused, ref)
+    np.testing.assert_array_equal(fused.copy().params["item_emb"], ref.params["item_emb"])
+
+
+def test_copy_into_a_snapshot_reuses_its_vectors():
+    rng = np.random.default_rng(2)
+    m = float32_model()
+    snapshot = m.copy()
+    vectors = (snapshot.flat_params, snapshot.flat_m, snapshot.flat_v)
+    adam_step(m, random_gradients(m, rng))
+    assert m.copy(out=snapshot) is snapshot
+    assert states_equal(m, snapshot)
+    assert all(a is b for a, b in zip(vectors, (snapshot.flat_params, snapshot.flat_m, snapshot.flat_v)))
+    assert not np.shares_memory(m.flat_params, snapshot.flat_params)
+    with pytest.raises(ValueError):
+        m.copy(out=float32_model(item_count=21))
+    with pytest.raises(ValueError):
+        m.copy(out=m)
+
+
+def _workspace_steps(rng, item_count):
+    """Steps of different sizes with dropout, KD and EWC terms; the first holds every later step's rows."""
+    sessions = [tuple(int(v) for v in rng.integers(0, item_count, size=int(n))) for n in rng.integers(2, 10, 12)]
+    rows = [TrainingExample(s[:k], s[k]) for s in sessions for k in range(1, len(s))]
+    teacher = rng.dirichlet(np.ones(item_count - 4), size=len(rows)).astype(np.float32)
+    picks = [np.arange(len(rows))] + [np.sort(rng.choice(len(rows), size=n, replace=False)) for n in (5, 30, 12, 1)]
+    specs = []
+    for pick in picks:
+        ce, kd = pick[: len(pick) * 2 // 3 + 1], pick[len(pick) * 2 // 3 + 1 :]
+        specs.append(BatchSpec(
+            ce_examples=[rows[i] for i in ce],
+            kd_examples=[rows[i] for i in kd],
+            kd_teacher_probs=teacher[kd],
+            kd_item_range=item_count - 4,
+            kd_weight=0.6 if len(kd) else 0.0,
+            train_mode=True,
+            dropout_seed=int(rng.integers(1000)),
+        ))
+    return specs
+
+
+def test_workspace_steps_match_fresh_ones_and_stop_allocating():
+    rng = np.random.default_rng(3)
+    shared, fresh = float32_model(), float32_model()
+    anchor = {k: (v + rng.normal(scale=0.1, size=v.shape)).astype(np.float32) for k, v in shared.params.items()}
+    fisher = {k: np.abs(rng.normal(size=v.shape)).astype(np.float32) for k, v in shared.params.items()}
+    ws = Workspace()
+    specs = _workspace_steps(rng, 20)
+    for i, spec in enumerate(specs * 2):
+        spec = dataclasses.replace(spec, ewc_anchor=anchor, ewc_fisher=fisher, ewc_weight=3.0)
+        got, got_grads = loss_and_gradients(shared, dataclasses.replace(spec, workspace=ws))
+        want, want_grads = loss_and_gradients(fresh, spec)
+        assert got == want, i
+        assert got.ewc > 0.0 and (got.kd > 0.0 or not spec.kd_examples), i
+        assert set(got_grads) == set(want_grads)
+        for name in want_grads:
+            np.testing.assert_array_equal(got_grads[name], want_grads[name], err_msg=f"step {i}: {name}")
+        adam_step(shared, got_grads, lr=1e-2)
+        adam_step(fresh, want_grads, lr=1e-2)
+        assert states_equal(shared, fresh), i
+        if i == 0:
+            buffers = dict(ws._buffers)
+    assert ws._buffers.keys() == buffers.keys()  # nothing grew after the largest step
+    assert all(ws._buffers[key] is buf for key, buf in buffers.items())
