@@ -104,8 +104,6 @@ def resolve_config(raw: dict) -> dict:
             raise ConfigError(f"missing required field: {req}")
     if not cfg["methods"]:
         raise ConfigError("field 'methods' must list at least one method")
-    if not cfg["seeds"]:
-        raise ConfigError("field 'seeds' must list at least one seed")
     data = cfg["data"]
     if not isinstance(data, dict) or len(set(data) & {"synthetic", "events", "cycles"}) != 1:
         raise ConfigError("field 'data' must hold exactly one of: synthetic, events, cycles")
@@ -125,8 +123,10 @@ def resolve_config(raw: dict) -> dict:
     resolved.update(cfg)
     resolved["model"] = {**_MODEL_DEFAULTS, **cfg.get("model", {})}
     resolved["training"] = {**_TRAINING_DEFAULTS, **cfg.get("training", {})}
-    if not resolved["ks"]:
-        raise ConfigError("field 'ks' must be nonempty")
+    for name, low in (("ks", 1), ("seeds", 0)):
+        values = resolved[name]
+        if not isinstance(values, list) or not values or any(type(v) is not int or v < low for v in values):
+            raise ConfigError(f"field '{name}' must list integers >= {low}, got {values!r}")
     try:
         ModelConfig(**resolved["model"])
         TrainLoopConfig(**resolved["training"], seed=0)

@@ -12,6 +12,7 @@ import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -81,15 +82,27 @@ class ItemRegistry:
         reg = cls()
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                idx_s, key, first_seen = line.rstrip("\n").split("\t")
-                if int(idx_s) != len(reg.index_to_key):
+                fields = line.rstrip("\n").split("\t")
+                if len(fields) != 3:
+                    raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+                idx_s, key, first_seen = fields
+                idx, first = _ints([idx_s, first_seen], f"{path}:{lineno}")
+                if idx != len(reg.index_to_key):
                     raise ValueError(
                         f"{path}:{lineno}: registry index {idx_s} out of order, expected {len(reg.index_to_key)}"
                     )
-                reg.key_to_index[key] = int(idx_s)
+                reg.key_to_index[key] = idx
                 reg.index_to_key.append(key)
-                reg.cycle_first_seen.append(int(first_seen))
+                reg.cycle_first_seen.append(first)
         return reg
+
+
+def _ints(texts: Sequence[str], where: str) -> list[int]:
+    """``texts`` as integers, or a ``ValueError`` naming ``where``."""
+    try:
+        return [int(t) for t in texts]
+    except ValueError:
+        raise ValueError(f"{where}: expected integers, got {' '.join(texts)!r}") from None
 
 
 @dataclass
@@ -415,23 +428,37 @@ def save_cycles(datasets: list[CycleDataset], path: str | Path) -> None:
 
 
 def load_cycles(path: str | Path) -> list[CycleDataset]:
+    """Read ``save_cycles``'s file; a malformed line is a ``ValueError`` naming the path and line."""
     datasets: list[CycleDataset] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if line.startswith("#"):
                 parts = line.split()
-                datasets.append(CycleDataset(int(parts[2]), [], [], int(parts[4])))
+                if len(parts) != 5 or parts[:2] != ["#", "cycle"] or parts[3] != "items":
+                    raise ValueError(f"{where}: malformed cycle header {line!r}, expected '# cycle <id> items <count>'")
+                cycle_id, items = _ints(parts[2::2], where)
+                datasets.append(CycleDataset(cycle_id, [], [], items))
                 continue
-            cycle_s, prefix_s, target_s, tag = line.split("\t")
-            ex = TrainingExample(tuple(int(i) for i in prefix_s.split()), int(target_s))
-            if not datasets or datasets[-1].cycle_id != int(cycle_s):
+            fields = line.split("\t")
+            if len(fields) != 4:
+                raise ValueError(f"{where}: expected 4 tab-separated fields, got {len(fields)}")
+            cycle_s, prefix_s, target_s, tag = fields
+            if tag not in ("train", "val"):
+                raise ValueError(f"{where}: split tag {tag!r} is neither 'train' nor 'val'")
+            cycle_id, *prefix, target = _ints([cycle_s, *prefix_s.split(), target_s], where)
+            if not datasets or datasets[-1].cycle_id != cycle_id:
                 header = f"cycle {datasets[-1].cycle_id}" if datasets else "no cycle header"
-                raise ValueError(f"{path}:{lineno}: example of cycle {cycle_s} under {header}")
+                raise ValueError(f"{where}: example of cycle {cycle_s} under {header}")
             ds = datasets[-1]
-            (ds.train if tag == "train" else ds.validation).append(ex)
+            if not prefix:
+                raise ValueError(f"{where}: empty prefix")
+            if min(target, *prefix) < 0 or max(target, *prefix) >= ds.item_count_after:
+                raise ValueError(f"{where}: item index outside cycle {cycle_s}'s [0, {ds.item_count_after})")
+            (ds.train if tag == "train" else ds.validation).append(TrainingExample(tuple(prefix), target))
     return datasets
 
 

@@ -42,6 +42,7 @@ from .model import (
     init_model,
     loss_and_gradients,
     adam_step,
+    splice_item_rows,
 )
 
 logger = logging.getLogger(__name__)
@@ -151,8 +152,8 @@ class ExperimentState:
     model: ModelState
     exemplars: ExemplarSet | None = None
     joint_buffer: list[TrainingExample] = field(default_factory=list)
-    ewc_anchor: dict[str, np.ndarray] | None = None
-    ewc_fisher: dict[str, np.ndarray] | None = None
+    ewc_anchor: np.ndarray | None = None  # laid out like ``model.flat_params``
+    ewc_fisher: np.ndarray | None = None
     last_cycle: int = -1
 
 
@@ -270,12 +271,10 @@ def update_model(
             model, kd_examples, old_item_count, batch_size=loop_cfg.eval_batch_size,
         )
     grow_vocabulary(model, cycle_data.item_count_after, seed=_derived_seed(loop_cfg.seed, t, 101))
-    if state.ewc_anchor is not None:
-        extra = model.item_count - state.ewc_anchor["item_emb"].shape[0]
-        if extra > 0:  # new rows carry zero Fisher weight, so their anchor value is inert
-            pad = np.zeros((extra, model.config.embed_dim), dtype=model.config.np_dtype)
-            state.ewc_anchor["item_emb"] = np.concatenate([state.ewc_anchor["item_emb"], pad])
-            state.ewc_fisher["item_emb"] = np.concatenate([state.ewc_fisher["item_emb"], pad])
+    if state.ewc_anchor is not None:  # new rows carry zero Fisher weight, so their anchor value is inert
+        pad = np.zeros((model.item_count - old_item_count, model.config.embed_dim), dtype=model.config.np_dtype)
+        state.ewc_anchor = splice_item_rows(state.ewc_anchor, old_item_count, pad)
+        state.ewc_fisher = splice_item_rows(state.ewc_fisher, old_item_count, pad)
 
     ce_pool: list[TrainingExample] = list(cycle_data.train)
     if method.kind is MethodKind.JOINT:
@@ -328,7 +327,7 @@ def update_model(
                 breakdown, grads = loss_and_gradients(model, spec)
             except DivergenceError as err:
                 raise DivergenceError(f"cycle {t} epoch {epoch} step {steps}: {err}") from err
-            adam_step(model, grads, lr=loop_cfg.learning_rate)
+            adam_step(model, grads, lr=loop_cfg.learning_rate, workspace=workspace)
             for key, val in (("ce", breakdown.ce), ("kd", breakdown.kd),
                              ("ewc", breakdown.ewc), ("total", breakdown.total)):
                 sums[key] += val
@@ -362,7 +361,7 @@ def update_model(
         if audit is not None:
             audit.append(("exemplars", t, state.exemplars.total_count))
     if method.kind is MethodKind.EWC and state.exemplars is not None:
-        state.ewc_anchor = {k: v.copy() for k, v in model.params.items()}
+        state.ewc_anchor = model.flat_params.copy()
         state.ewc_fisher = fisher_diagonal(model, state.exemplars.all_examples())
     if method.kind is MethodKind.JOINT:
         state.joint_buffer.extend(cycle_data.train)

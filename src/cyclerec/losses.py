@@ -146,19 +146,19 @@ def adaptive_lambda(
     return lambda_base * math.sqrt((old_items / new_items_total) * (exemplar_count / data_count))
 
 
-def fisher_diagonal(
-    model: "ModelState", exemplars: Sequence["TrainingExample"]
-) -> dict[str, np.ndarray]:
-    """Mean of squared per-example cross-entropy gradients, element-wise."""
-    from .model import BatchSpec, loss_and_gradients, zero_gradients
+def fisher_diagonal(model: "ModelState", exemplars: Sequence["TrainingExample"]) -> np.ndarray:
+    """Mean of squared per-example cross-entropy gradients, laid out like ``model.flat_params``.
+
+    Every exemplar's step and square take their arrays from one workspace.
+    """
+    from .model import BatchSpec, Workspace, loss_and_gradients
 
     if not exemplars:
         raise ValueError("fisher_diagonal: empty exemplar set")
-    fisher = zero_gradients(model)
+    ws = Workspace()
+    fisher = np.zeros_like(model.flat_params)
     for ex in exemplars:
-        _, grads = loss_and_gradients(model, BatchSpec(ce_examples=[ex]))
-        for name, g in grads.items():
-            fisher[name] += g * g
-    for name in fisher:
-        fisher[name] /= len(exemplars)
+        _, grads = loss_and_gradients(model, BatchSpec(ce_examples=[ex], workspace=ws))
+        fisher += np.multiply(grads.flat, grads.flat, out=ws("fisher.square", fisher.shape, fisher.dtype))
+    fisher /= len(exemplars)
     return fisher

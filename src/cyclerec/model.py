@@ -29,21 +29,19 @@ Gradients are hand-derived reverse-mode and checked against central
 finite differences and a per-row batch-major reference in the test
 suite.
 
-Memory: the parameters and the two Adam moments are one flat vector
-each, and the named arrays are views of their segments, so Adam is one
-fused update. Every per-step array of a training step (the packed
-layout, dropout draw and masks, forward cache, backward temporaries,
-logits and the flat gradient vector) is written with ``out=`` into a
+Memory: the parameters, the Adam moments, the gradients and the EWC
+anchor and Fisher diagonal are flat vectors in one layout; named arrays
+are views of their segments, written only in place. Every per-step
+array of a training step (packed layout, dropout masks, forward cache,
+backward temporaries, logits, gradients) is written with ``out=`` into a
 ``Workspace`` whose buffers grow to the largest step and are then
-reused, so only a step that outgrows a buffer allocates a large array.
-Adam runs over the flat vectors in chunks that stay in cache.
+reused. Adam runs over the flat vectors in chunks that stay in cache.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -131,15 +129,26 @@ def _param_shapes(cfg: ModelConfig, item_count: int) -> dict[str, tuple[int, ...
     return shapes
 
 
-def _views(flat: np.ndarray, shapes: Iterable[tuple[str, tuple[int, ...]]]) -> dict[str, np.ndarray]:
-    """Name -> view of its segment of ``flat``, segments laid end to end in ``shapes`` order."""
-    views = {}
-    offset = 0
-    for name, shape in shapes:
-        size = math.prod(shape)
-        views[name] = flat[offset : offset + size].reshape(shape)
-        offset += size
-    return views
+class _Views(dict):
+    """Name -> view of its segment of ``flat``, segments laid end to end in ``shapes`` order.
+
+    Write the arrays in place (``x[name] += g``, ``x[name][...] = a``); a
+    different array assigned to a name would not be part of ``flat``, so it raises.
+    """
+
+    def __init__(self, flat: np.ndarray, shapes: Iterable[tuple[str, tuple[int, ...]]]):
+        super().__init__()
+        self.flat = flat
+        offset = 0
+        for name, shape in shapes:
+            size = math.prod(shape)
+            super().__setitem__(name, flat[offset : offset + size].reshape(shape))
+            offset += size
+
+    def __setitem__(self, name: str, value) -> None:
+        # ``x[name] += g`` updates the view in place and then sets that same object back
+        if name not in self or value is not self[name]:
+            raise TypeError(f"{name} is a view of a flat vector: write it in place, not by assignment")
 
 
 @dataclass
@@ -148,9 +157,8 @@ class ModelState:
 
     ``flat_params``, ``flat_m`` and ``flat_v`` hold the parameters and the
     two moments, one vector each; ``params``, ``adam_m`` and ``adam_v`` map
-    each name to a view of its segment. Write named arrays in place. An
-    entry replaced outright is packed back into a new vector by the next
-    ``copy``, ``adam_step`` or ``grow_vocabulary``.
+    each name to a view of its segment, ``item_emb`` first. Named arrays are
+    written in place; assigning a new array to a name raises.
     """
 
     config: ModelConfig
@@ -159,41 +167,33 @@ class ModelState:
     flat_m: np.ndarray
     flat_v: np.ndarray
     step: int = 0
-    params: dict[str, np.ndarray] = field(init=False, repr=False)
-    adam_m: dict[str, np.ndarray] = field(init=False, repr=False)
-    adam_v: dict[str, np.ndarray] = field(init=False, repr=False)
+    params: _Views = field(init=False, repr=False)
+    adam_m: _Views = field(init=False, repr=False)
+    adam_v: _Views = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._bind()
 
+    def _views(self, flat: np.ndarray) -> _Views:
+        """Views of ``flat``, laid out like ``flat_params``, named like ``params``."""
+        return _Views(flat, _param_shapes(self.config, self.item_count).items())
+
     def _bind(self) -> None:
         """Point the named arrays at the segments of the current vectors."""
-        shapes = _param_shapes(self.config, self.item_count).items()
-        self.params = _views(self.flat_params, shapes)
-        self.adam_m = _views(self.flat_m, shapes)
-        self.adam_v = _views(self.flat_v, shapes)
-
-    def _sync(self) -> None:
-        """Re-pack each vector one of whose named arrays is no longer a view of it."""
-        for attr, named in (("flat_params", self.params), ("flat_m", self.adam_m), ("flat_v", self.adam_v)):
-            flat = getattr(self, attr)
-            if any(a.base is not flat for a in named.values()):
-                flat = np.concatenate([np.asarray(a, self.config.np_dtype).ravel() for a in named.values()])
-                setattr(self, attr, flat)
-                named.update(_views(flat, [(k, a.shape) for k, a in named.items()]))
+        self.params = self._views(self.flat_params)
+        self.adam_m = self._views(self.flat_m)
+        self.adam_v = self._views(self.flat_v)
 
     def copy(self, out: "ModelState | None" = None) -> "ModelState":
         """An equal state sharing no memory with this one, written into ``out``'s vectors if given.
 
         ``out`` must be another state of the same config and item count.
         """
-        self._sync()
         if out is None:
             return ModelState(self.config, self.item_count, self.flat_params.copy(), self.flat_m.copy(),
                               self.flat_v.copy(), self.step)
         if out is self or (out.config, out.item_count) != (self.config, self.item_count):
             raise ValueError("ModelState.copy: out must be another state of the same shape")
-        out._sync()
         for attr in ("flat_params", "flat_m", "flat_v"):
             np.copyto(getattr(out, attr), getattr(self, attr))
         out.step = self.step
@@ -227,13 +227,19 @@ def init_model(cfg: ModelConfig, item_count: int, seed: int) -> ModelState:
     return state
 
 
+def splice_item_rows(flat: np.ndarray, item_count: int, rows: np.ndarray) -> np.ndarray:
+    """``flat``, laid out for ``item_count`` items, with ``rows`` appended to ``item_emb`` (the first segment)."""
+    cut = item_count * rows.shape[1]
+    return np.concatenate([flat[:cut], rows.ravel(), flat[cut:]])
+
+
 def grow_vocabulary(state: ModelState, new_item_count: int, seed: int = 0) -> ModelState:
     """Append embedding rows for new items; existing rows stay bit-identical.
 
     New rows use the embedding init distribution scaled down so old-item
     softmax mass is roughly preserved at the growth boundary. The flat
-    vectors are rebuilt once, with the rows spliced in after ``item_emb``'s
-    old rows (its segment comes first).
+    vectors are rebuilt once, by ``splice_item_rows``; the new rows' Adam
+    moments are zero.
     """
     if new_item_count < state.item_count:
         raise ValueError("grow_vocabulary: cannot shrink the vocabulary")
@@ -245,12 +251,9 @@ def grow_vocabulary(state: ModelState, new_item_count: int, seed: int = 0) -> Mo
     bound = 1.0 / math.sqrt(d)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     rows = (rng.uniform(-bound, bound, (extra, d)) * NEW_ROW_SCALE).astype(dt)
-    zeros = np.zeros(extra * d, dtype=dt)
-    state._sync()
-    cut = state.item_count * d
-    for attr, new in (("flat_params", rows.ravel()), ("flat_m", zeros), ("flat_v", zeros)):
-        flat = getattr(state, attr)
-        setattr(state, attr, np.concatenate([flat[:cut], new, flat[cut:]]))
+    zeros = np.zeros_like(rows)
+    for attr, new in (("flat_params", rows), ("flat_m", zeros), ("flat_v", zeros)):
+        setattr(state, attr, splice_item_rows(getattr(state, attr), state.item_count, new))
     state.item_count = new_item_count
     state._bind()
     return state
@@ -642,8 +645,9 @@ def extract_features_batch(
 class BatchSpec:
     """One optimization step's inputs: examples plus the loss recipe.
 
-    ``workspace`` supplies the step's arrays; without one the step gets a
-    throwaway workspace.
+    ``ewc_anchor`` and ``ewc_fisher`` are vectors laid out like
+    ``ModelState.flat_params``. ``workspace`` supplies the step's arrays;
+    without one the step gets a throwaway workspace.
     """
 
     ce_examples: Sequence[TrainingExample] = ()
@@ -652,48 +656,27 @@ class BatchSpec:
     kd_teacher_probs: np.ndarray | None = None
     kd_item_range: int = 0
     kd_weight: float = 0.0
-    ewc_anchor: dict[str, np.ndarray] | None = None
-    ewc_fisher: dict[str, np.ndarray] | None = None
+    ewc_anchor: np.ndarray | None = None
+    ewc_fisher: np.ndarray | None = None
     ewc_weight: float = 0.0
     train_mode: bool = False
     dropout_seed: int = 0
     workspace: Workspace | None = None
 
 
-class _FlatGradients(dict):
-    """Gradients named like ``state.params``: views of one vector laid out like ``state.flat_params``.
-
-    ``workspace`` is the step workspace that holds the vector, if any;
-    ``adam_step`` takes its scratch arrays from it.
-    """
-
-    def __init__(self, flat: np.ndarray, state: ModelState, workspace: Workspace | None = None):
-        super().__init__(_views(flat, [(name, p.shape) for name, p in state.params.items()]))
-        self.flat = flat
-        self.workspace = workspace
-        self._made = tuple(self.values())
-
-    def intact(self) -> bool:
-        """True while every entry is still the view it was made as, so ``flat`` holds them all."""
-        return len(self) == len(self._made) and all(map(operator.is_, self.values(), self._made))
-
-
-def zero_gradients(state: ModelState) -> dict[str, np.ndarray]:
-    return _FlatGradients(np.zeros(state.flat_params.size, dtype=state.flat_params.dtype), state)
-
-
-def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
+def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdown, _Views]:
     """Evaluate the mixed loss and its exact parameter gradients.
 
     total = ce + kd_weight * kd + ewc_weight * ewc, each term present only
     when its inputs are supplied. Raises ``DivergenceError`` on a
-    non-finite total. The gradients are views of one vector of the step's
-    workspace, valid until the next step on it.
+    non-finite total. The gradients are named like ``state.params``: views
+    of one vector (``grads.flat``) of the step's workspace, laid out like
+    ``state.flat_params`` and valid until the next step on it.
     """
     ws = spec.workspace or Workspace()
     dt = state.config.np_dtype
     D = state.config.embed_dim
-    grads = _FlatGradients(ws("grads", (state.flat_params.size,), dt), state, ws)
+    grads = state._views(ws("grads", state.flat_params.shape, dt))
     grads.flat.fill(0)
     E = state.params["item_emb"]
     ce_val = kd_val = ewc_val = 0.0
@@ -732,21 +715,17 @@ def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdow
         _encode_backward(state, cache, dfeats, grads, ws)
 
     if spec.ewc_anchor is not None and spec.ewc_weight != 0.0:
-        if spec.ewc_fisher is None:
-            raise ValueError("loss_and_gradients: EWC requires fisher weights")
-        for name, theta in state.params.items():
-            fw = spec.ewc_fisher[name]
-            anchor = spec.ewc_anchor[name]
-            if anchor.shape != theta.shape or fw.shape != theta.shape:
-                raise ValueError(f"loss_and_gradients: EWC shape mismatch for {name}")
-            diff = np.subtract(theta, anchor, out=ws("ewc.diff", theta.shape, np.result_type(theta, anchor)))
-            term = ws("ewc.term", theta.shape, np.result_type(fw, diff))
-            np.multiply(fw, diff, out=term)
-            term *= diff
-            ewc_val += 0.5 * float(term.sum())
-            np.multiply(fw, spec.ewc_weight, out=term)  # ewc_weight * fw * diff
-            term *= diff
-            grads[name] += term
+        theta, anchor, fw = state.flat_params, spec.ewc_anchor, spec.ewc_fisher
+        if fw is None or anchor.shape != theta.shape or fw.shape != theta.shape:
+            raise ValueError("loss_and_gradients: EWC needs an anchor and Fisher weights laid out like flat_params")
+        diff = np.subtract(theta, anchor, out=ws("ewc.diff", theta.shape, np.result_type(theta, anchor)))
+        term = np.multiply(fw, diff, out=ws("ewc.term", theta.shape, np.result_type(fw, diff)))
+        term *= diff
+        for segment in state._views(term).values():  # summed per parameter: the logged loss keeps its float order
+            ewc_val += 0.5 * float(segment.sum())
+        np.multiply(fw, spec.ewc_weight, out=term)  # ewc_weight * fw * diff
+        term *= diff
+        grads.flat += term
 
     total = ce_val + spec.kd_weight * kd_val + spec.ewc_weight * ewc_val
     if not math.isfinite(total):
@@ -756,47 +735,40 @@ def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdow
 
 def adam_step(
     state: ModelState,
-    grads: dict[str, np.ndarray],
+    grads: _Views,
     lr: float = 5e-4,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
+    workspace: Workspace | None = None,
 ) -> ModelState:
     """Bias-corrected Adam update, in place, over the flat vectors in cache-sized chunks. Returns the state.
 
-    ``grads`` maps every parameter name to an array of its shape. Gradients
-    from ``loss_and_gradients`` or ``zero_gradients`` are read as their flat
-    vector; any other dict is packed into one first.
+    ``grads`` comes from ``loss_and_gradients``; Adam reads its flat vector.
+    Scratch arrays come from ``workspace`` (a throwaway one if None).
     """
-    if set(grads) != set(state.params):
-        raise ValueError("adam_step: gradient names do not match parameters")
-    for name, theta in state.params.items():
-        if grads[name].shape != theta.shape:
-            raise ValueError(f"adam_step: shape mismatch for {name}")
-    state._sync()
-    if isinstance(grads, _FlatGradients) and grads.intact():
-        g, ws = grads.flat, grads.workspace or Workspace()
-    else:
-        g, ws = np.concatenate([grads[name].ravel() for name in state.params]), Workspace()
+    g, theta, m, v = grads.flat, state.flat_params, state.flat_m, state.flat_v
+    if g.shape != theta.shape or g.dtype != theta.dtype:
+        raise ValueError(f"adam_step: gradients {g.dtype}{g.shape} do not match parameters {theta.dtype}{theta.shape}")
+    ws = workspace or Workspace()
     state.step += 1
     bc1 = 1.0 - beta1 ** state.step
     bc2 = 1.0 - beta2 ** state.step
-    theta, m, v = state.flat_params, state.flat_m, state.flat_v
     n = min(ADAM_CHUNK, g.size)
-    tmp_g, tmp_m = ws("adam.tmp", (n,), g.dtype), ws("adam.tmp", (n,), m.dtype)  # one buffer unless dtypes differ
+    tmp = ws("adam.tmp", (n,), g.dtype)
     denom = ws("adam.denom", (n,), v.dtype)
     for lo in range(0, g.size, ADAM_CHUNK):
         c = slice(lo, lo + ADAM_CHUNK)
         gc, mc, vc = g[c], m[c], v[c]
         k = len(gc)
         mc *= beta1
-        mc += np.multiply(gc, 1.0 - beta1, out=tmp_g[:k])
+        mc += np.multiply(gc, 1.0 - beta1, out=tmp[:k])
         vc *= beta2
-        sq = np.multiply(gc, gc, out=tmp_g[:k])
+        sq = np.multiply(gc, gc, out=tmp[:k])
         sq *= 1.0 - beta2
         vc += sq
         # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        update = np.divide(mc, bc1, out=tmp_m[:k])
+        update = np.divide(mc, bc1, out=tmp[:k])
         update *= lr
         den = np.divide(vc, bc2, out=denom[:k])
         np.sqrt(den, out=den)

@@ -244,6 +244,27 @@ def test_bad_split_config_field_exits_1(tmp_path, capsys, field, value):
     assert "config error" in err and f"data.{field}" in err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("ks", [0]),
+    ("ks", [10, -20]),
+    ("ks", [2.5]),
+    ("ks", 20),
+    ("seeds", [1.5]),
+    ("seeds", [-1]),
+    ("seeds", [True]),
+    ("seeds", "1"),
+])
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_bad_ks_or_seeds_exits_1(tmp_path, capsys, field, value, dry_run):
+    # before, these passed a dry run and failed with a traceback after (or during) training
+    path = write_config(tmp_path, {field: value})
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "run")] + (["--dry-run"] if dry_run else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"field '{field}'" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_preprocess_idempotent_bytes(tmp_path, capsys):
     events = write_events(tmp_path)
     out1, out2 = tmp_path / "p1", tmp_path / "p2"

@@ -350,3 +350,38 @@ def test_cycles_id_mismatch_names_path_and_line(tmp_path):
     path.write_text("0\t1 2\t3\ttrain\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"cycles\.txt:1: example of cycle 0 under no cycle header"):
         load_cycles(path)
+
+
+@pytest.mark.parametrize("line,message", [
+    pytest.param("0\t1 2\t3\ttrian", r"split tag 'trian' is neither 'train' nor 'val'", id="misspelt-tag"),
+    pytest.param("0\t1 2\t3", r"expected 4 tab-separated fields, got 3", id="three-fields"),
+    pytest.param("0\t1 2\t3\ttrain\textra", r"expected 4 tab-separated fields, got 5", id="five-fields"),
+    pytest.param("0\t1 x\t3\ttrain", r"expected integers, got '0 1 x 3'", id="non-integer-item"),
+    pytest.param("0\t1 2\t3.0\ttrain", r"expected integers", id="non-integer-target"),
+    pytest.param("0\t-1 2\t3\ttrain", r"item index outside cycle 0's \[0, 5\)", id="negative-item"),
+    pytest.param("0\t1 2\t-2\ttrain", r"item index outside cycle 0's \[0, 5\)", id="negative-target"),
+    pytest.param("0\t1 5\t3\tval", r"item index outside cycle 0's \[0, 5\)", id="item-past-vocabulary"),
+    pytest.param("0\t1 2\t5\ttrain", r"item index outside cycle 0's \[0, 5\)", id="target-past-vocabulary"),
+    pytest.param("0\t\t3\ttrain", r"empty prefix", id="empty-prefix"),
+    pytest.param("# cycle 1", r"malformed cycle header '# cycle 1'", id="short-header"),
+    pytest.param("# cycle 1 vocab 7", r"malformed cycle header", id="header-without-items"),
+    pytest.param("# cycle one items 7", r"expected integers, got 'one 7'", id="non-integer-header"),
+])
+def test_cycles_malformed_line_names_path_and_line(tmp_path, line, message):
+    # each of these loaded silently, was read as validation, or raised without naming the line
+    path = tmp_path / "cycles.txt"
+    path.write_text(f"# cycle 0 items 5\n0\t1 2\t3\ttrain\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"cycles\.txt:3: " + message):
+        load_cycles(path)
+
+
+@pytest.mark.parametrize("line,message", [
+    pytest.param("1\ty", r"expected 3 tab-separated fields, got 2", id="two-fields"),
+    pytest.param("1\ty\t0\t0", r"expected 3 tab-separated fields, got 4", id="four-fields"),
+    pytest.param("1\ty\tfirst", r"expected integers, got '1 first'", id="non-integer-cycle"),
+])
+def test_registry_malformed_line_names_path_and_line(tmp_path, line, message):
+    path = tmp_path / "registry.tsv"
+    path.write_text(f"0\tx\t0\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"registry\.tsv:2: " + message):
+        ItemRegistry.load(path)

@@ -25,7 +25,6 @@ from cyclerec.model import (
     extract_features_batch,
     init_model,
     loss_and_gradients,
-    zero_gradients,
 )
 
 TOL = 1e-10
@@ -249,7 +248,7 @@ def reference_loss_and_gradients(state, spec, row_masks):
     ce, dce = ce_from_logits(feats[:n_ce] @ E.T, np.array([ex.target for ex in spec.ce_examples]))
     kd, dkd = kd_from_logits(feats[n_ce:] @ E[: spec.kd_item_range].T, spec.kd_teacher_probs)
     dkd *= spec.kd_weight
-    grads = zero_gradients(state)
+    _, grads = loss_and_gradients(state, BatchSpec())  # zero, laid out like state.flat_params
     grads["item_emb"] += dce.T @ feats[:n_ce]
     grads["item_emb"][: spec.kd_item_range] += dkd.T @ feats[n_ce:]
     dfeats = np.concatenate([dce @ E, dkd @ E[: spec.kd_item_range]])

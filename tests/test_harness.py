@@ -401,8 +401,9 @@ def test_ewc_penalty_active_from_second_cycle():
 
 
 def test_ewc_trains_in_model_dtype_after_vocabulary_growth(monkeypatch):
-    # the anchor and Fisher rows padded for new items must keep the model's
-    # float32, or the penalty and its gradient silently run in float64
+    # the anchor and Fisher rows added for new items must keep the model's
+    # float32, or the penalty and its gradient silently run in float64; every
+    # old parameter keeps its anchor and Fisher value, and the new rows are zero
     import cyclerec.harness as harness_mod
 
     seen = []
@@ -411,8 +412,7 @@ def test_ewc_trains_in_model_dtype_after_vocabulary_growth(monkeypatch):
     def recording(model, spec):
         breakdown, grads = real(model, spec)
         if spec.ewc_anchor is not None:
-            seen.append(([a.dtype for a in spec.ewc_anchor.values()] + [f.dtype for f in spec.ewc_fisher.values()],
-                         [g.dtype for g in grads.values()]))
+            seen.append((spec.ewc_anchor, spec.ewc_fisher, model.item_count, grads.flat.dtype))
         return breakdown, grads
 
     monkeypatch.setattr(harness_mod, "loss_and_gradients", recording)
@@ -421,14 +421,24 @@ def test_ewc_trains_in_model_dtype_after_vocabulary_growth(monkeypatch):
     cfg = ModelConfig(embed_dim=16, block_count=2, max_seq_len=16, dtype="float32")
     state = ExperimentState(model=init_model(cfg, datasets[0].item_count_after, seed=0))
     method = MethodSpec(MethodKind.EWC, exemplar_capacity=50, ewc_strength=10.0)
-    for ds in datasets[:2]:
-        update_model(state, ds, method, tiny_loop(epochs=2, patience=1))
-    assert seen  # cycle 1 trained against the padded cycle-0 anchor
-    for anchor_dtypes, grad_dtypes in seen:
-        assert set(anchor_dtypes) == {np.dtype(np.float32)}
-        assert set(grad_dtypes) == {np.dtype(np.float32)}
-    assert all(a.dtype == np.float32 for a in state.ewc_anchor.values())
-    assert all(f.dtype == np.float32 for f in state.ewc_fisher.values())
+    update_model(state, datasets[0], method, tiny_loop(epochs=2, patience=1))
+    old_items = state.model.item_count
+    previous = (state.ewc_anchor.copy(), state.ewc_fisher.copy())
+    assert previous[1].any()
+    update_model(state, datasets[1], method, tiny_loop(epochs=2, patience=1))
+    assert seen  # cycle 1 trained against the grown cycle-0 anchor
+    cut, new = old_items * cfg.embed_dim, (datasets[1].item_count_after - old_items) * cfg.embed_dim
+    for anchor, fisher, item_count, grad_dtype in seen:
+        assert item_count == datasets[1].item_count_after
+        assert anchor is seen[0][0] and fisher is seen[0][1]  # grown once per cycle
+        for grown, before in zip((anchor, fisher), previous):
+            assert grown.dtype == np.float32 and grown.shape == state.model.flat_params.shape
+            np.testing.assert_array_equal(grown[:cut], before[:cut])
+            np.testing.assert_array_equal(grown[cut + new :], before[cut:])
+            assert not grown[cut : cut + new].any()
+        assert grad_dtype == np.float32
+    assert state.ewc_anchor.dtype == np.float32 and state.ewc_fisher.dtype == np.float32
+
 
 def test_er_methods_grow_training_pool_with_exemplars():
     datasets, _ = tiny_stream(cycles=3, sessions=50)

@@ -239,19 +239,18 @@ def test_fisher_single_exemplar_is_squared_gradient():
     ex = TrainingExample((0, 2), 4)
     _, grads = loss_and_gradients(m, BatchSpec(ce_examples=[ex]))
     fisher = fisher_diagonal(m, [ex])
-    for name in grads:
-        np.testing.assert_allclose(fisher[name], grads[name] ** 2, atol=1e-15)
+    assert fisher.shape == m.flat_params.shape
+    np.testing.assert_allclose(fisher, grads.flat ** 2, atol=1e-15)
 
 
 def test_fisher_nonnegative_and_mean_over_exemplars():
     m = init_model(CFG, 6, seed=8)
     exs = [TrainingExample((0,), 1), TrainingExample((2, 3), 5)]
     fisher = fisher_diagonal(m, exs)
-    assert all(np.all(f >= 0) for f in fisher.values())
+    assert np.all(fisher >= 0)
     f0 = fisher_diagonal(m, [exs[0]])
     f1 = fisher_diagonal(m, [exs[1]])
-    for name in fisher:
-        np.testing.assert_allclose(fisher[name], (f0[name] + f1[name]) / 2, atol=1e-15)
+    np.testing.assert_allclose(fisher, (f0 + f1) / 2, atol=1e-15)
 
 
 def test_fisher_empty_errors():
@@ -271,38 +270,38 @@ def _ewc(m, anchor, fisher, weight=1.0):
 
 def test_ewc_zero_at_anchor():
     m = init_model(CFG, 5, seed=9)
-    anchor = {k: v.copy() for k, v in m.params.items()}
-    fisher = {k: np.ones_like(v) for k, v in m.params.items()}
+    anchor = m.flat_params.copy()
+    fisher = np.ones_like(anchor)
     penalty, grads = _ewc(m, anchor, fisher)
     assert penalty == 0.0
-    assert all(np.all(g == 0) for g in grads.values())
+    assert np.all(grads.flat == 0)
 
 
 def test_ewc_scalar_hand_computed():
     m = init_model(CFG, 5, seed=10)
-    anchor = {k: v.copy() for k, v in m.params.items()}
-    fisher = {k: np.zeros_like(v) for k, v in m.params.items()}
-    anchor["item_emb"][0, 0] -= 3.0  # theta - anchor = 3
-    fisher["item_emb"][0, 0] = 2.0
+    anchor = m.flat_params.copy()
+    fisher = np.zeros_like(anchor)
+    anchor[0] -= 3.0  # item_emb[0, 0], whose segment comes first: theta - anchor = 3
+    fisher[0] = 2.0
     penalty, grads = _ewc(m, anchor, fisher, weight=2.5)
     assert penalty == pytest.approx(9.0)
     assert grads["item_emb"][0, 0] == pytest.approx(2.5 * 6.0)
-    assert np.count_nonzero(grads["item_emb"]) == 1
+    assert np.count_nonzero(grads.flat) == 1
 
 
 def test_ewc_penalty_linear_in_fisher():
     m = init_model(CFG, 5, seed=11)
-    anchor = {k: v + 0.1 for k, v in m.params.items()}
-    fisher = {k: np.abs(v) for k, v in m.params.items()}
+    anchor = m.flat_params + 0.1
+    fisher = np.abs(m.flat_params)
     p1, _ = _ewc(m, anchor, fisher)
-    p2, _ = _ewc(m, anchor, {k: 2 * f for k, f in fisher.items()})
+    p2, _ = _ewc(m, anchor, 2 * fisher)
     assert p2 == pytest.approx(2 * p1)
 
 
 def test_ewc_shape_mismatch_errors():
     m = init_model(CFG, 5, seed=12)
-    anchor = {k: v.copy() for k, v in m.params.items()}
-    fisher = {k: np.ones_like(v) for k, v in m.params.items()}
-    anchor["item_emb"] = np.zeros((1, 8))  # would broadcast silently
-    with pytest.raises(ValueError, match="shape mismatch"):
-        _ewc(m, anchor, fisher)
+    anchor = m.flat_params.copy()
+    fisher = np.ones_like(anchor)
+    for bad_anchor, bad_fisher in ((np.zeros(1), fisher), (anchor, fisher[:-8])):  # the first would broadcast
+        with pytest.raises(ValueError, match="laid out like flat_params"):
+            _ewc(m, bad_anchor, bad_fisher)

@@ -20,7 +20,6 @@ from cyclerec.model import (
     grow_vocabulary,
     init_model,
     loss_and_gradients,
-    zero_gradients,
 )
 
 SMALL = ModelConfig(embed_dim=8, block_count=1, attention_heads=1, max_seq_len=10, dtype="float64")
@@ -29,6 +28,11 @@ SMALL = ModelConfig(embed_dim=8, block_count=1, attention_heads=1, max_seq_len=1
 def small_model(item_count=12, seed=3, **overrides):
     cfg = ModelConfig(**{**SMALL.__dict__, **overrides})
     return init_model(cfg, item_count, seed=seed)
+
+
+def zero_gradients(m):
+    """Zero gradients laid out like ``m.flat_params``: those of a step with no loss terms."""
+    return loss_and_gradients(m, BatchSpec())[1]
 
 
 def features(m, prefix, train_mode=False, dropout_seed=0):
@@ -191,7 +195,7 @@ def test_prefix_longer_than_max_seq_len_keeps_most_recent():
 
 def test_logits_argmax_for_orthogonal_embeddings():
     m = small_model(item_count=8)
-    m.params["item_emb"] = np.eye(8)
+    m.params["item_emb"][...] = np.eye(8)
     constant_features(m, np.eye(8)[3])
     probs = teacher_probabilities(m, [TrainingExample((1, 2), 0)], 8)
     assert int(np.argmax(probs[0])) == 3
@@ -265,8 +269,8 @@ def test_gradients_match_finite_differences_with_dropout_and_kd():
 def test_gradients_match_finite_differences_with_ewc():
     rng = np.random.default_rng(2)
     m = small_model(seed=4)
-    anchor = {k: v + 0.01 for k, v in m.params.items()}
-    fisher = {k: np.abs(rng.normal(size=v.shape)) for k, v in m.params.items()}
+    anchor = m.flat_params + 0.01
+    fisher = np.abs(rng.normal(size=m.flat_params.shape))
     spec = BatchSpec(
         ce_examples=[TrainingExample((0, 1), 3)],
         ewc_anchor=anchor,
@@ -413,17 +417,19 @@ def test_adam_deterministic():
     m1, m2 = small_model(seed=6), small_model(seed=6)
     grads = zero_gradients(m1)
     grads["pos_emb"][:] = 0.3
+    same = zero_gradients(m2)
+    same.flat[...] = grads.flat
     adam_step(m1, grads)
-    adam_step(m2, {k: v.copy() for k, v in grads.items()})
+    adam_step(m2, same)
     assert states_equal(m1, m2)
 
 
 def test_adam_shape_mismatch_errors():
     m = small_model()
-    grads = zero_gradients(m)
-    grads["pos_emb"] = np.zeros(3)
-    with pytest.raises(ValueError):
-        adam_step(m, grads)
+    for other in (small_model(item_count=13), small_model(dtype="float32")):
+        with pytest.raises(ValueError, match="do not match parameters"):
+            adam_step(m, zero_gradients(other))
+    assert m.step == 0
 
 
 # ---------------------------------------------------------------------------
@@ -530,24 +536,26 @@ def float32_model(item_count=20, **overrides):
 
 
 def random_gradients(state, rng):
-    return {k: rng.normal(size=p.shape).astype(p.dtype) for k, p in state.params.items()}
+    grads = zero_gradients(state)
+    grads.flat[...] = rng.normal(size=grads.flat.size)
+    return grads
 
 
 def test_fused_adam_matches_per_parameter_loop_bit_for_bit():
-    # plain-dict gradients, workspace gradients, a state after grow_vocabulary
-    # and the copy of a state all step exactly as the per-name loop does
+    # random and workspace gradients, a state after grow_vocabulary and the
+    # copy of a state all step exactly as the per-name loop does
     rng = np.random.default_rng(0)
     fused, ref = float32_model(), float32_model()
     for step in range(4):
         grads = random_gradients(fused, rng)
-        adam_step(fused, {k: g.copy() for k, g in grads.items()}, lr=1e-2)
+        adam_step(fused, grads, lr=1e-2, workspace=Workspace())
         reference_adam_step(ref, grads, lr=1e-2)
         assert states_equal(fused, ref), step
     spec = BatchSpec(ce_examples=[TrainingExample((1, 2, 3), 4), TrainingExample((5,), 6)], train_mode=True,
                      dropout_seed=3, workspace=Workspace())
     _, grads = loss_and_gradients(fused, spec)
-    reference_adam_step(ref, {k: g.copy() for k, g in grads.items()}, lr=1e-2)
-    adam_step(fused, grads, lr=1e-2)
+    reference_adam_step(ref, grads, lr=1e-2)
+    adam_step(fused, grads, lr=1e-2, workspace=spec.workspace)
     assert states_equal(fused, ref)
 
     grow_vocabulary(fused, 26, seed=4)
@@ -579,18 +587,28 @@ def test_fused_adam_matches_per_parameter_loop_bit_for_bit():
     assert states_equal(fused, ref)  # stepping the copy left the original as it was
 
 
-def test_adam_adopts_a_replaced_parameter_array():
-    # a named array replaced outright (not written in place) is what adam updates
-    rng = np.random.default_rng(1)
-    fused, ref = float32_model(), float32_model()
-    table = rng.normal(size=fused.params["item_emb"].shape).astype(np.float32)
-    fused.params["item_emb"] = table.copy()
-    ref.params["item_emb"] = table.copy()
-    grads = random_gradients(fused, rng)
-    adam_step(fused, grads)
-    reference_adam_step(ref, grads)
-    assert states_equal(fused, ref)
-    np.testing.assert_array_equal(fused.copy().params["item_emb"], ref.params["item_emb"])
+def test_named_arrays_are_written_in_place_not_replaced():
+    # every name of the parameters, the moments and the gradients is a view
+    # of its flat vector: in-place writes reach the vector, a new array raises
+    m = float32_model()
+    _, grads = loss_and_gradients(m, BatchSpec(ce_examples=[TrainingExample((1, 2), 3)]))
+    for named, flat in ((m.params, m.flat_params), (m.adam_m, m.flat_m), (m.adam_v, m.flat_v),
+                        (grads, grads.flat)):
+        before = flat.copy()
+        for name in ("item_emb", "blocks.1.ff.b2"):
+            view = named[name]
+            with pytest.raises(TypeError, match="in place"):
+                named[name] = view.copy()
+            assert named[name] is view
+        with pytest.raises(TypeError):
+            named["no.such.parameter"] = np.zeros(3)
+        named["item_emb"] += 1.0
+        named["blocks.1.ff.b2"][...] = 2.0
+        assert np.shares_memory(named["item_emb"], flat) and np.shares_memory(named["blocks.1.ff.b2"], flat)
+        changed = flat != before
+        assert changed.sum() == named["item_emb"].size + named["blocks.1.ff.b2"].size
+        np.testing.assert_array_equal(named["item_emb"], (before[: named["item_emb"].size] + 1.0).reshape(-1, 8))
+        np.testing.assert_array_equal(named["blocks.1.ff.b2"], 2.0)
 
 
 def test_copy_into_a_snapshot_reuses_its_vectors():
@@ -633,8 +651,8 @@ def _workspace_steps(rng, item_count):
 def test_workspace_steps_match_fresh_ones_and_stop_allocating():
     rng = np.random.default_rng(3)
     shared, fresh = float32_model(), float32_model()
-    anchor = {k: (v + rng.normal(scale=0.1, size=v.shape)).astype(np.float32) for k, v in shared.params.items()}
-    fisher = {k: np.abs(rng.normal(size=v.shape)).astype(np.float32) for k, v in shared.params.items()}
+    anchor = (shared.flat_params + rng.normal(scale=0.1, size=shared.flat_params.shape)).astype(np.float32)
+    fisher = np.abs(rng.normal(size=shared.flat_params.shape)).astype(np.float32)
     ws = Workspace()
     specs = _workspace_steps(rng, 20)
     for i, spec in enumerate(specs * 2):
@@ -646,7 +664,7 @@ def test_workspace_steps_match_fresh_ones_and_stop_allocating():
         assert set(got_grads) == set(want_grads)
         for name in want_grads:
             np.testing.assert_array_equal(got_grads[name], want_grads[name], err_msg=f"step {i}: {name}")
-        adam_step(shared, got_grads, lr=1e-2)
+        adam_step(shared, got_grads, lr=1e-2, workspace=ws)
         adam_step(fresh, want_grads, lr=1e-2)
         assert states_equal(shared, fresh), i
         if i == 0:
