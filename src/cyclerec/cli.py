@@ -44,14 +44,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(low: int, what: str):
+    """An argparse type: integers >= ``low``, anything else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _fraction(text: str) -> float:
@@ -347,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a method comparison from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None, help="override the config's seed list")
+    p.add_argument("--seed", type=_non_negative_int, default=None, help="override the config's seed list")
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--dry-run", action="store_true", help="print the resolved config and exit")
     p.set_defaults(func=cmd_run)

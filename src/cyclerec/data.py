@@ -77,25 +77,6 @@ class ItemRegistry:
             for idx, key in enumerate(self.index_to_key):
                 fh.write(f"{idx}\t{key}\t{self.cycle_first_seen[idx]}\n")
 
-    @classmethod
-    def load(cls, path: str | Path) -> "ItemRegistry":
-        reg = cls()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                fields = line.rstrip("\n").split("\t")
-                if len(fields) != 3:
-                    raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-                idx_s, key, first_seen = fields
-                idx, first = _ints([idx_s, first_seen], f"{path}:{lineno}")
-                if idx != len(reg.index_to_key):
-                    raise ValueError(
-                        f"{path}:{lineno}: registry index {idx_s} out of order, expected {len(reg.index_to_key)}"
-                    )
-                reg.key_to_index[key] = idx
-                reg.index_to_key.append(key)
-                reg.cycle_first_seen.append(first)
-        return reg
-
 
 def _ints(texts: Sequence[str], where: str) -> list[int]:
     """``texts`` as integers, or a ``ValueError`` naming ``where``."""

@@ -4,12 +4,15 @@ Quotas are proportional to item frequency in the current pool (new data
 plus the previous store), rounded by floor-then-largest-remainder so the
 capacity is hit exactly. Within an item, examples are picked greedily so
 the running feature average tracks the item's mean feature (herding), or
-by the random / smallest-loss / equal-allocation ablation rules.
+by the random / smallest-loss / equal-allocation ablation rules. One
+encoder pass over the pool serves herding and the loss rule, and the store
+keeps the chosen rows' features, from which the next cycle's teacher
+distributions are one matmul and softmax.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -17,7 +20,8 @@ import numpy as np
 
 from .data import TrainingExample
 from .losses import _softmax
-from .model import ModelState, extract_features_batch
+from .model import ModelState, Workspace, extract_features_batch
+
 
 class SelectionStrategy(str, Enum):
     HERDING = "herding"
@@ -28,24 +32,16 @@ class SelectionStrategy(str, Enum):
 
 @dataclass
 class ExemplarSet:
-    """Store of past examples grouped by target item.
+    """The exemplar store as flat rows.
 
-    Group order within an item is the selection order (herding picks
-    first). Iteration helpers walk items in ascending index order so
-    nothing depends on dict insertion order.
+    ``examples`` run in ascending target item, each item's in selection
+    order (herding picks first). ``features`` holds their rows of the
+    selection pass, under the model that chose them (``None`` under
+    random selection, which encodes nothing).
     """
 
-    groups: dict[int, list[TrainingExample]] = field(default_factory=dict)
-
-    @property
-    def total_count(self) -> int:
-        return sum(len(g) for g in self.groups.values())
-
-    def all_examples(self) -> list[TrainingExample]:
-        out: list[TrainingExample] = []
-        for item in sorted(self.groups):
-            out.extend(self.groups[item])
-        return out
+    examples: list[TrainingExample]
+    features: np.ndarray | None = None
 
 
 def allocate_quota(pool_counts: Sequence[int] | np.ndarray, capacity: int) -> np.ndarray:
@@ -140,12 +136,16 @@ def select_exemplars(
     strategy: SelectionStrategy = SelectionStrategy.HERDING,
     seed: int = 0,
     batch_size: int = 512,
+    workspace: Workspace | None = None,
 ) -> ExemplarSet:
     """Build the next exemplar store from the current pool.
 
-    Features and losses are computed under the given model with dropout
-    off. Groups are processed in ascending item index; random draws use a
-    per-item seed stream so results are independent of grouping order.
+    Every strategy but random selection encodes the pool once under the
+    given model with dropout off; herding reads those features and the loss
+    rule ranks by per-row cross entropy over them, and the chosen rows'
+    features go into the store. Items are processed in ascending index;
+    random draws use a per-item seed stream so results are independent of
+    grouping order. ``workspace`` is passed to ``extract_features_batch``.
     """
     if not pool:
         raise ValueError("select_exemplars: empty pool")
@@ -162,30 +162,26 @@ def select_exemplars(
         member_idx.setdefault(ex.target, []).append(i)
 
     feats = None
-    if strategy in (SelectionStrategy.HERDING, SelectionStrategy.EQUAL_HERDING):
-        feats = extract_features_batch(model, [ex.prefix for ex in pool], batch_size=batch_size)
-    per_example_loss = None
+    if strategy is not SelectionStrategy.RANDOM:
+        feats = extract_features_batch(model, [ex.prefix for ex in pool], batch_size=batch_size, workspace=workspace)
     if strategy is SelectionStrategy.LOSS:
-        per_example_loss = np.empty(len(pool))
-        for lo in range(0, len(pool), batch_size):
-            chunk = pool[lo : lo + batch_size]
-            cf = extract_features_batch(model, [ex.prefix for ex in chunk])
-            z, log_norm, _ = _softmax(cf @ model.params["item_emb"].T)
-            target_z = z[np.arange(len(chunk)), targets[lo : lo + len(chunk)]]
-            per_example_loss[lo : lo + len(chunk)] = log_norm[:, 0] - target_z
+        logits = feats @ model.params["item_emb"].T
+        target_z = logits[np.arange(len(pool)), targets] - logits.max(axis=1)
+        # the softmax overwrites the logits, so the pool's (rows, items) costs one array
+        per_example_loss = _softmax(logits, out=(logits, logits))[1][:, 0] - target_z
 
-    store = ExemplarSet()
+    chosen: list[int] = []
     for item in sorted(member_idx):
         members = member_idx[item]
         quota = int(min(quotas[item], len(members)))
         if quota == 0:
             continue
-        if strategy in (SelectionStrategy.HERDING, SelectionStrategy.EQUAL_HERDING):
-            order = herding_order(feats[members], quota)
-        elif strategy is SelectionStrategy.RANDOM:
+        if strategy is SelectionStrategy.RANDOM:
             rng = np.random.default_rng(np.random.SeedSequence([seed, item]))
             order = rng.choice(len(members), size=quota, replace=False).tolist()
-        else:  # smallest per-example cross entropy
+        elif strategy is SelectionStrategy.LOSS:  # smallest per-example cross entropy
             order = np.argsort(per_example_loss[members], kind="stable")[:quota].tolist()
-        store.groups[item] = [pool[members[j]] for j in order]
-    return store
+        else:
+            order = herding_order(feats[members], quota)
+        chosen.extend(members[j] for j in order)
+    return ExemplarSet([pool[i] for i in chosen], None if feats is None else feats[chosen])

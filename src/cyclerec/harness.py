@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import CycleDataset, TrainingExample
 from .exemplars import ExemplarSet, SelectionStrategy, select_exemplars
-from .losses import adaptive_lambda, ce_from_logits, fisher_diagonal, teacher_probabilities
+from .losses import _softmax, adaptive_lambda, ce_from_logits, fisher_diagonal
 from .metrics import CycleReport, aggregate, mrr_at_k, recall_at_k, target_ranks
 from .model import (
     BatchSpec,
@@ -155,6 +155,7 @@ class ExperimentState:
     ewc_anchor: np.ndarray | None = None  # laid out like ``model.flat_params``
     ewc_fisher: np.ndarray | None = None
     last_cycle: int = -1
+    workspace: Workspace = field(default_factory=Workspace)  # arrays of every step and pass of the run
 
 
 class EarlyStopper:
@@ -189,11 +190,13 @@ def evaluate_model(
     item_range: int,
     ks: Sequence[int] = (10, 20),
     batch_size: int = 512,
+    workspace: Workspace | None = None,
 ) -> tuple[dict[int, float], dict[int, float], float]:
     """Full-ranking recall/MRR of ``model`` over the first ``item_range`` items.
 
     Targets outside the range cannot be ranked and count as misses; prefix
     items outside the range are dropped (a fully-unseen prefix is a miss).
+    ``workspace`` is passed to ``extract_features_batch``.
     """
     if not examples:
         raise ValueError("evaluate_model: empty test set")
@@ -207,7 +210,7 @@ def evaluate_model(
             prefixes.append(prefix)
     if rows:
         targets = np.array([examples[i].target for i in rows])
-        feats = extract_features_batch(model, prefixes, batch_size=batch_size)
+        feats = extract_features_batch(model, prefixes, batch_size=batch_size, workspace=workspace)
         ranks[rows] = target_ranks(feats @ model.params["item_emb"][:item_range].T, targets)
     recall = {k: recall_at_k(ranks, k) for k in ks}
     mrr = {k: mrr_at_k(ranks, k) for k in ks}
@@ -254,7 +257,8 @@ def update_model(
 
     model = state.model
     old_item_count = model.item_count
-    exemplar_examples = state.exemplars.all_examples() if state.exemplars else []
+    store = state.exemplars
+    exemplar_examples = store.examples if store else []
     lambda_t = 0.0
     if method.kind in KD_KINDS and exemplar_examples:
         if method.kind is MethodKind.ADER_FIX:
@@ -266,10 +270,9 @@ def update_model(
             )
     kd_examples = exemplar_examples if lambda_t != 0.0 else []
     if kd_examples:
-        # the model is still the previous cycle's restored one: the teacher
-        teacher_probs = teacher_probabilities(
-            model, kd_examples, old_item_count, batch_size=loop_cfg.eval_batch_size,
-        )
+        # the model is still the previous cycle's restored one, which chose the
+        # store and encoded its rows: the teacher's distributions need no new pass
+        teacher_probs = _softmax(store.features @ model.params["item_emb"][:old_item_count].T)[2]
     grow_vocabulary(model, cycle_data.item_count_after, seed=_derived_seed(loop_cfg.seed, t, 101))
     if state.ewc_anchor is not None:  # new rows carry zero Fisher weight, so their anchor value is inert
         pad = np.zeros((model.item_count - old_item_count, model.config.embed_dim), dtype=model.config.np_dtype)
@@ -285,10 +288,9 @@ def update_model(
     ewc_active = method.kind is MethodKind.EWC and state.ewc_anchor is not None
 
     chains = _session_chains(ce_pool, model.config.max_seq_len)
-    # every step and validation pass of the cycle takes its arrays from one
-    # workspace; each step's gradients are consumed by adam_step before the
-    # next step or pass reuses them
-    workspace = Workspace()
+    # every step and pass takes its arrays from the run's workspace; each
+    # step's gradients are consumed by adam_step before the next step or pass reuses them
+    workspace = state.workspace
     kd_bs = loop_cfg.kd_batch_size or loop_cfg.batch_size
     kd_cursor = 0
     stopper = EarlyStopper(loop_cfg.patience)
@@ -307,7 +309,6 @@ def update_model(
             batch = [ce_pool[i] for i in order[lo : lo + loop_cfg.batch_size]]
             spec = BatchSpec(
                 ce_examples=batch,
-                ce_item_range=model.item_count,
                 train_mode=method.dropout_rate > 0.0,
                 dropout_seed=_derived_seed(loop_cfg.seed, t, epoch, steps),
                 workspace=workspace,
@@ -356,13 +357,13 @@ def update_model(
         pool = list(cycle_data.train) + exemplar_examples
         state.exemplars = select_exemplars(
             model, pool, method.exemplar_capacity, method.selection_strategy,
-            seed=_derived_seed(loop_cfg.seed, t, 55), batch_size=loop_cfg.eval_batch_size,
+            seed=_derived_seed(loop_cfg.seed, t, 55), batch_size=loop_cfg.eval_batch_size, workspace=workspace,
         )
         if audit is not None:
-            audit.append(("exemplars", t, state.exemplars.total_count))
+            audit.append(("exemplars", t, len(state.exemplars.examples)))
     if method.kind is MethodKind.EWC and state.exemplars is not None:
         state.ewc_anchor = model.flat_params.copy()
-        state.ewc_fisher = fisher_diagonal(model, state.exemplars.all_examples())
+        state.ewc_fisher = fisher_diagonal(model, state.exemplars.examples, workspace=workspace)
     if method.kind is MethodKind.JOINT:
         state.joint_buffer.extend(cycle_data.train)
 
@@ -408,7 +409,8 @@ def run_experiment(
         audit.append(("eval", t + 1, len(nxt.train) + len(nxt.validation)))
         test = nxt.examples
         recall, mrr, unseen = evaluate_model(
-            state.model, test, state.model.item_count, ks=ks, batch_size=loop_cfg.eval_batch_size
+            state.model, test, state.model.item_count, ks=ks, batch_size=loop_cfg.eval_batch_size,
+            workspace=state.workspace,
         )
         report = CycleReport(
             cycle_id=t,

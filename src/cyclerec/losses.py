@@ -7,8 +7,10 @@ diagonal that weights the EWC baseline's parameter anchor.
 
 The ``*_from_logits`` primitives are pure; ``teacher_probabilities`` and
 ``kd_loss`` take model states and run the forward pass with dropout
-disabled. A training step combines the terms, the EWC penalty included,
-in ``model.loss_and_gradients``.
+disabled, as the reference the tests check training against (training
+reads the teacher rows from the exemplar store's features). A training
+step combines the terms, the EWC penalty included, in
+``model.loss_and_gradients``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .data import TrainingExample
-    from .model import ModelState
+    from .model import ModelState, Workspace
 
 
 @dataclass
@@ -146,16 +148,19 @@ def adaptive_lambda(
     return lambda_base * math.sqrt((old_items / new_items_total) * (exemplar_count / data_count))
 
 
-def fisher_diagonal(model: "ModelState", exemplars: Sequence["TrainingExample"]) -> np.ndarray:
+def fisher_diagonal(
+    model: "ModelState", exemplars: Sequence["TrainingExample"], workspace: "Workspace | None" = None
+) -> np.ndarray:
     """Mean of squared per-example cross-entropy gradients, laid out like ``model.flat_params``.
 
-    Every exemplar's step and square take their arrays from one workspace.
+    Every exemplar's step and square take their arrays from ``workspace``
+    (a throwaway one if None).
     """
     from .model import BatchSpec, Workspace, loss_and_gradients
 
     if not exemplars:
         raise ValueError("fisher_diagonal: empty exemplar set")
-    ws = Workspace()
+    ws = workspace or Workspace()
     fisher = np.zeros_like(model.flat_params)
     for ex in exemplars:
         _, grads = loss_and_gradients(model, BatchSpec(ce_examples=[ex], workspace=ws))

@@ -14,10 +14,12 @@ packed first-fit-decreasing into rows as wide as the longest root
 segment whose positions restart at 0, and a token attends only to real
 tokens of its own segment, causally. So segments never see each other
 or the padding, and per-row features are independent of what else the
-call holds. Every block runs at every token, forward and backward,
-through one code path. With dropout on, masks are drawn once per call,
-per real token and block, so rows sharing a root share every mask, as
-one SASRec pass over the session would.
+call holds. That holds in exact arithmetic; in float32 a row's values
+can differ in the last bits with what its call packs, as GEMM blocking
+and summation order change. Every block runs at every token, forward
+and backward, through one code path. With dropout on, masks are drawn
+once per call, per real token and block, so rows sharing a root share
+every mask, as one SASRec pass over the session would.
 
 The encoder runs token-major: the packed hidden states are one
 contiguous (B*L, D) matrix, so every projection, residual, dropout
@@ -85,7 +87,7 @@ class ModelConfig:
 
 
 class Workspace:
-    """Per-step arrays reused across the steps of one training cycle.
+    """Per-call arrays reused across the steps and passes of one run.
 
     ``ws(key, shape, dtype)`` returns a C-contiguous array of that shape
     cut from the buffer kept under ``key``. A buffer is replaced when a
@@ -618,12 +620,10 @@ def _encode_backward(
 def extract_features_batch(
     state: ModelState,
     prefixes: Sequence[Sequence[int]],
-    train_mode: bool = False,
-    dropout_seed: int = 0,
     batch_size: int = 512,
     workspace: Workspace | None = None,
 ) -> np.ndarray:
-    """Feature vectors (final-block output at the last position) per prefix.
+    """Feature vectors (final-block output at the last position) per prefix, dropout off.
 
     The chunks share ``workspace`` (a throwaway one if None); each chunk's
     features are copied out before the next.
@@ -632,7 +632,7 @@ def extract_features_batch(
     ws = workspace or Workspace()
     for lo in range(0, len(prefixes), batch_size):
         chunk = prefixes[lo : lo + batch_size]
-        out[lo : lo + len(chunk)], _ = _encode_rows(state, chunk, train_mode, dropout_seed, ws=ws)
+        out[lo : lo + len(chunk)], _ = _encode_rows(state, chunk, ws=ws)
     return out
 
 
@@ -651,7 +651,6 @@ class BatchSpec:
     """
 
     ce_examples: Sequence[TrainingExample] = ()
-    ce_item_range: int | None = None
     kd_examples: Sequence[TrainingExample] = ()
     kd_teacher_probs: np.ndarray | None = None
     kd_item_range: int = 0
@@ -694,15 +693,14 @@ def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdow
         )
         dfeats = ws("dfeats", feats.shape, dt)  # the CE rows, then the KD rows, each written whole
         if ce_rows:
-            item_range = spec.ce_item_range if spec.ce_item_range is not None else state.item_count
             targets = np.array([ex.target for ex in ce_rows])
-            if targets.max() >= item_range:
+            if targets.max() >= state.item_count:
                 raise ValueError("loss_and_gradients: CE target outside item range")
             ce_feats = feats[:n_ce]
-            logits = np.matmul(ce_feats, E[:item_range].T, out=ws("logits", (n_ce, item_range), dt))
+            logits = np.matmul(ce_feats, E.T, out=ws("logits", (n_ce, state.item_count), dt))
             ce_val, dlogits = ce_from_logits(logits, targets, out=(logits, ws("dlogits", logits.shape, dt)))
-            grads["item_emb"][:item_range] += np.matmul(dlogits.T, ce_feats, out=ws("demb", (item_range, D), dt))
-            np.matmul(dlogits, E[:item_range], out=dfeats[:n_ce])
+            grads["item_emb"] += np.matmul(dlogits.T, ce_feats, out=ws("demb", E.shape, dt))
+            np.matmul(dlogits, E, out=dfeats[:n_ce])
         if kd_rows:
             kd_feats = feats[n_ce:]
             kd_range = spec.kd_item_range

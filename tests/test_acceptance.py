@@ -2,8 +2,9 @@
 
 Criteria 1-6 are exact-oracle checks; 7-9 are directional desk-scale
 experiments on the default synthetic drifting stream (three seeds each,
-several minutes of training); 10-11 check run determinism and protocol
-ordering. Run with ``pytest tests/test_acceptance.py -v -s``.
+several minutes of training, marked ``slow``); 10-11 check run
+determinism and protocol ordering. Run with
+``pytest tests/test_acceptance.py -v -s``; ``-m "not slow"`` skips 7-9.
 """
 
 import math
@@ -266,6 +267,7 @@ def directional_results(drift_stream):
     return results
 
 
+@pytest.mark.slow
 def test_criterion_7_directional_forgetting(directional_results):
     r = directional_results
     assert r["ADER"] >= r["Finetune"], f"ADER {r['ADER']:.4f} < Finetune {r['Finetune']:.4f}"
@@ -278,6 +280,7 @@ def test_criterion_7_directional_forgetting(directional_results):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_zero_drift_control():
     flat, _ = generate_synthetic_stream(
         SyntheticStreamConfig(new_items_per_cycle=0, popularity_drift_rate=0.0, seed=0)
@@ -289,6 +292,7 @@ def test_criterion_8_zero_drift_control():
     _report("8 zero-drift control", f"|ADER - Finetune| = {100 * gap:.2f} points (<= 2)")
 
 
+@pytest.mark.slow
 def test_criterion_9_capacity_insensitivity(drift_stream, directional_results):
     half = _seed_mean_recall(
         drift_stream, MethodSpec(MethodKind.ADER, exemplar_capacity=EXEMPLAR_CAPACITY // 2)

@@ -265,6 +265,16 @@ def test_bad_ks_or_seeds_exits_1(tmp_path, capsys, field, value, dry_run):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_negative_run_seed_is_a_usage_error(tmp_path, capsys, dry_run):
+    # a dry run printed "seeds: [-1]" and a real run failed after reading the data, with exit 2
+    argv = ["run", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "run"), "--seed", "-1"]
+    assert main(argv + (["--dry-run"] if dry_run else [])) == 1
+    err = capsys.readouterr().err
+    assert "--seed" in err and "non-negative" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_preprocess_idempotent_bytes(tmp_path, capsys):
     events = write_events(tmp_path)
     out1, out2 = tmp_path / "p1", tmp_path / "p2"

@@ -200,8 +200,8 @@ def test_herding_select_returns_examples_in_selection_order():
     store = select_exemplars(m, candidates, capacity=3, strategy=SelectionStrategy.HERDING)
     feats = extract_features_batch(m, [ex.prefix for ex in candidates])
     closest = int(np.argmin(np.linalg.norm(feats - feats.mean(axis=0), axis=1)))
-    assert store.groups[5][0] == candidates[closest]
-    assert store.groups[5] == [candidates[i] for i in herding_order(feats, 3)]
+    assert store.examples[0] == candidates[closest]
+    assert store.examples == [candidates[i] for i in herding_order(feats, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +223,8 @@ def test_select_small_pool_stored_entirely():
     m = init_model(CFG, 10, seed=1)
     pool = _pool(rng, 10, 12)
     store = select_exemplars(m, pool, capacity=100, strategy=SelectionStrategy.HERDING)
-    assert store.total_count == 12
-    assert sorted(store.all_examples(), key=repr) == sorted(pool, key=repr)
+    assert len(store.examples) == len(store.features) == 12
+    assert sorted(store.examples, key=repr) == sorted(pool, key=repr)
 
 
 def test_select_random_deterministic_per_seed():
@@ -234,8 +234,9 @@ def test_select_random_deterministic_per_seed():
     a = select_exemplars(m, pool, 20, SelectionStrategy.RANDOM, seed=9)
     b = select_exemplars(m, pool, 20, SelectionStrategy.RANDOM, seed=9)
     c = select_exemplars(m, pool, 20, SelectionStrategy.RANDOM, seed=10)
-    assert a.groups == b.groups
-    assert a.groups != c.groups
+    assert a.examples == b.examples
+    assert a.examples != c.examples
+    assert a.features is None  # random selection encodes nothing
 
 
 def test_select_loss_keeps_smallest_ce():
@@ -244,7 +245,7 @@ def test_select_loss_keeps_smallest_ce():
     candidates = [TrainingExample((0, 1), 3), TrainingExample((2, 4), 3), TrainingExample((5,), 3)]
     losses = [loss_and_gradients(m, BatchSpec(ce_examples=[ex]))[0].ce for ex in candidates]
     store = select_exemplars(m, candidates, capacity=1, strategy=SelectionStrategy.LOSS)
-    assert store.groups[3] == [candidates[int(np.argmin(losses))]]
+    assert store.examples == [candidates[int(np.argmin(losses))]]
 
 
 def test_select_capacity_invariant_all_strategies():
@@ -254,8 +255,8 @@ def test_select_capacity_invariant_all_strategies():
     for strategy in SelectionStrategy:
         for capacity in (5, 30, 200):
             store = select_exemplars(m, pool, capacity, strategy, seed=1)
-            assert store.total_count == min(capacity, len(pool)), strategy
-            assert store.total_count <= capacity or capacity >= len(pool)
+            assert len(store.examples) == min(capacity, len(pool)), strategy
+            assert len(store.examples) <= capacity or capacity >= len(pool)
 
 
 def test_select_groups_sorted_by_item():
@@ -263,9 +264,60 @@ def test_select_groups_sorted_by_item():
     m = init_model(CFG, 9, seed=5)
     pool = _pool(rng, 9, 40)
     store = select_exemplars(m, pool, 15, SelectionStrategy.HERDING)
-    assert list(store.groups) == sorted(store.groups)
-    for item, group in store.groups.items():
-        assert all(ex.target == item for ex in group)
+    targets = [ex.target for ex in store.examples]
+    assert targets == sorted(targets)
+
+
+def _grouped_reference(model, pool, capacity, strategy, seed):
+    """The store as item -> examples in selection order, each rule recomputed per item.
+
+    Features come from one encoder pass over the pool; the loss rule's
+    cross entropy from a separate one-row training step per example.
+    """
+    targets = [ex.target for ex in pool]
+    counts = np.bincount(targets, minlength=model.item_count)
+    quota_rule = equal_quota if strategy is SelectionStrategy.EQUAL_HERDING else allocate_quota
+    quotas = quota_rule(counts, capacity)
+    feats = extract_features_batch(model, [ex.prefix for ex in pool])
+    groups = {}
+    for item in range(model.item_count):
+        members = [i for i, t in enumerate(targets) if t == item]
+        quota = int(min(quotas[item], len(members)))
+        if quota == 0:
+            continue
+        if strategy is SelectionStrategy.RANDOM:
+            rng = np.random.default_rng(np.random.SeedSequence([seed, item]))
+            order = rng.choice(len(members), size=quota, replace=False).tolist()
+        elif strategy is SelectionStrategy.LOSS:
+            ce = [loss_and_gradients(model, BatchSpec(ce_examples=[pool[i]]))[0].ce for i in members]
+            order = sorted(range(len(members)), key=lambda j: ce[j])[:quota]
+        else:
+            order = herding_order(feats[members], quota)
+        groups[item] = [pool[members[j]] for j in order]
+    return groups
+
+
+@pytest.mark.parametrize("strategy", list(SelectionStrategy))
+def test_flat_store_runs_item_by_item_in_selection_order(strategy):
+    rng = np.random.default_rng(12)
+    m = init_model(CFG, 9, seed=6)
+    pool = _pool(rng, 9, 70)
+    store = select_exemplars(m, pool, 25, strategy, seed=4)
+    groups = _grouped_reference(m, pool, 25, strategy, seed=4)
+    assert store.examples == [ex for item in sorted(groups) for ex in groups[item]]
+
+
+@pytest.mark.parametrize("strategy", [s for s in SelectionStrategy if s is not SelectionStrategy.RANDOM])
+def test_store_features_are_the_pool_pass_rows(strategy):
+    # float32, where a row's values could depend on what its call packs: the
+    # store keeps the selection pass's rows, not a re-encoding
+    rng = np.random.default_rng(13)
+    m = init_model(ModelConfig(embed_dim=8, block_count=1, max_seq_len=10), 9, seed=7)
+    pool = list(dict.fromkeys(_pool(rng, 9, 70)))  # distinct, so each stored row has one pool row
+    store = select_exemplars(m, pool, 25, strategy, batch_size=32)
+    feats = extract_features_batch(m, [ex.prefix for ex in pool], batch_size=32)
+    assert store.features.dtype == np.float32
+    np.testing.assert_array_equal(store.features, feats[[pool.index(ex) for ex in store.examples]])
 
 
 def test_select_unknown_strategy_errors():

@@ -152,47 +152,55 @@ def test_first_cycle_ader_identical_to_dropout_baseline():
 
 def test_kd_methods_carry_teacher_distributions_across_cycles(monkeypatch):
     # a cycle distils against the previous cycle's restored model: its
-    # distributions on the stored exemplars, over the items it knew,
-    # computed once when the cycle starts and only when distillation runs
+    # distributions on the stored exemplars, over the items it knew, read
+    # from the features the store kept, so no encoder pass runs before the
+    # first step, and no rows are computed when distillation is off
     import cyclerec.harness as harness_mod
+    import cyclerec.model as model_mod
 
-    passes = []
-    real = harness_mod.teacher_probabilities
+    events = []
+    real_encode, real_step, real_softmax = model_mod._encode_rows, harness_mod.loss_and_gradients, harness_mod._softmax
 
-    def counting(model, exemplars, item_range, batch_size=512):
-        passes.append(item_range)
-        return real(model, exemplars, item_range, batch_size=batch_size)
+    def encoding(state, prefixes, *args, **kwargs):
+        events.append("encode")
+        return real_encode(state, prefixes, *args, **kwargs)
 
-    monkeypatch.setattr(harness_mod, "teacher_probabilities", counting)
+    def recording(model, spec):
+        events.append((spec.kd_examples, spec.kd_teacher_probs))
+        return real_step(model, spec)
+
+    def softmax(*args, **kwargs):
+        events.append("teacher rows")
+        return real_softmax(*args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "_encode_rows", encoding)
+    monkeypatch.setattr(harness_mod, "loss_and_gradients", recording)
+    monkeypatch.setattr(harness_mod, "_softmax", softmax)
     datasets, _ = tiny_stream()
     loop = tiny_loop()
     ader = MethodSpec(MethodKind.ADER, exemplar_capacity=50)
     ader_state, _ = run_one_cycle(ader, datasets, loop)
-    assert passes == []  # cycle 0 has nothing to distil
-    teacher = ader_state.model.copy()
-    exemplars = ader_state.exemplars.all_examples()
-    expected = teacher_probabilities(teacher, exemplars, datasets[0].item_count_after)
-    assert expected.shape == (len(exemplars), datasets[0].item_count_after)
-    seen = []
-    real_step = harness_mod.loss_and_gradients
+    assert "teacher rows" not in events  # cycle 0 has nothing to distil
+    store = ader_state.exemplars
+    old = datasets[0].item_count_after
+    expected = teacher_probabilities(ader_state.model.copy(), store.examples, old)
+    assert expected.shape == (len(store.examples), old)
 
-    def recording(model, spec):
-        seen.append((spec.kd_examples, spec.kd_teacher_probs))
-        return real_step(model, spec)
-
-    monkeypatch.setattr(harness_mod, "loss_and_gradients", recording)
+    events.clear()
     records = update_model(ader_state, datasets[1], ader, loop)
-    assert passes == [datasets[0].item_count_after]
+    assert events[0] == "teacher rows" and isinstance(events[1], tuple)
     assert records[0].lambda_t > 0.0 and records[0].kd > 0.0
-    kd_rows, probs = seen[0]
-    rows = [exemplars.index(ex) for ex in kd_rows]
-    np.testing.assert_array_equal(probs, expected[rows])
-    # without distillation no teacher pass runs
-    passes.clear()
+    kd_rows, probs = events[1]
+    rows = [store.examples.index(ex) for ex in kd_rows]
+    np.testing.assert_allclose(probs, expected[rows], rtol=1e-5, atol=0)
+
     zero = MethodSpec(MethodKind.ADER, exemplar_capacity=50, lambda_base=0.0)
     state, _ = run_one_cycle(zero, datasets, loop)
+    events.clear()
     update_model(state, datasets[1], zero, loop)
-    assert passes == []
+    steps = [e for e in events if isinstance(e, tuple)]
+    assert "teacher rows" not in events
+    assert steps and all(probs is None for _, probs in steps)
 
 
 def test_zero_lambda_base_ader_tracks_dropout_across_cycles():

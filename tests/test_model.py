@@ -37,7 +37,7 @@ def zero_gradients(m):
 
 def features(m, prefix, train_mode=False, dropout_seed=0):
     """Features of one prefix, encoded alone."""
-    return extract_features_batch(m, [tuple(prefix)], train_mode, dropout_seed)[0]
+    return _encode_rows(m, [tuple(prefix)], train_mode, dropout_seed)[0][0]
 
 
 def softmax(z):
