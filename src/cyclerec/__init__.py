@@ -3,8 +3,8 @@
 from .data import (
     ColumnFormat,
     CycleDataset,
+    EventLog,
     ItemRegistry,
-    RawEvent,
     Session,
     SyntheticStreamConfig,
     TrainingExample,

@@ -155,11 +155,11 @@ def build_datasets(resolved: dict):
     if "cycles" in data:
         return data_mod.load_cycles(data["cycles"]), None
     fmt = data_mod.ColumnFormat(**data.get("columns", {}))
-    events, skipped = data_mod.ingest(data["events"], fmt)
-    if skipped:
-        logger.info("skipped %d malformed rows", skipped)
+    log = data_mod.ingest(data["events"], fmt)
+    if log.skipped:
+        logger.info("skipped %d malformed rows", log.skipped)
     sessions, registry = data_mod.preprocess(
-        events,
+        log,
         min_item_support=data.get("min_item_support", 5),
         min_session_length=data.get("min_session_length", 2),
     )
@@ -245,10 +245,10 @@ def cmd_preprocess(args) -> int:
         session_col=args.session_col, time_col=args.time_col, item_col=args.item_col,
         delimiter=args.delimiter,
     )
-    events, skipped = data_mod.ingest(args.input, fmt)
-    print(f"parsed {len(events)} events ({skipped} rows skipped)")
+    log = data_mod.ingest(args.input, fmt)
+    print(f"parsed {len(log)} events ({log.skipped} rows skipped)")
     sessions, registry = data_mod.preprocess(
-        events, min_item_support=args.min_item_support, min_session_length=args.min_session_length
+        log, min_item_support=args.min_item_support, min_session_length=args.min_session_length
     )
     datasets = data_mod.split_cycles(
         sessions, registry,

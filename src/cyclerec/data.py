@@ -4,13 +4,25 @@ The pipeline turns raw click events into per-cycle training datasets:
 ``ingest -> preprocess -> split_cycles``, or ``generate_synthetic_stream``
 for self-contained experiments. Every function is a pure function of its
 inputs and explicit seeds; nothing touches global RNG state.
+
+A click log travels as columns, never as one Python object per click.
+``ingest`` returns an ``EventLog``: three int64 arrays in input order
+(session code, timestamp, item code), where both codes number keys in
+order of first appearance, plus the key lists the codes index.
+``preprocess`` counts, filters, sorts and groups those arrays with numpy
+and registers items in one pass over the surviving walk; ``split_cycles``
+buckets sessions and fills ``cycle_first_seen`` with array operations.
+The first objects made per event are the ``Session`` item lists and the
+``TrainingExample``s the sessions expand into.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain, compress
 from pathlib import Path
 from typing import Sequence
 
@@ -20,15 +32,41 @@ logger = logging.getLogger(__name__)
 
 WEEK_SECONDS = 7 * 24 * 3600
 DEFAULT_MAX_SEQ_LEN = 50
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-@dataclass(frozen=True)
-class RawEvent:
-    """One click/view: session key, unix-seconds timestamp, item key."""
+@dataclass(frozen=True, eq=False)
+class EventLog:
+    """A click log as columns: one entry per event, in input order.
 
-    session_key: str
-    timestamp: int
-    item_key: str
+    ``sessions`` and ``items`` are int64 codes indexing ``session_keys``
+    and ``item_keys``, numbered in order of first appearance;
+    ``timestamps`` are int64 unix seconds. ``skipped`` counts the
+    malformed rows left out of the columns.
+    """
+
+    sessions: np.ndarray
+    timestamps: np.ndarray
+    items: np.ndarray
+    session_keys: list[str]
+    item_keys: list[str]
+    skipped: int = 0
+
+    def __post_init__(self) -> None:
+        if self.timestamps.dtype != np.int64 or self.timestamps.ndim != 1:
+            raise ValueError(
+                f"EventLog: timestamps must be one int64 column, got {self.timestamps.dtype} {self.timestamps.shape}"
+            )
+        n = len(self.timestamps)
+        for name, codes, keys in (("sessions", self.sessions, self.session_keys),
+                                  ("items", self.items, self.item_keys)):
+            if codes.dtype != np.int64 or codes.shape != (n,):
+                raise ValueError(f"EventLog: {name} must be {n} int64 codes, got {codes.dtype} {codes.shape}")
+            if n and (codes.min() < 0 or codes.max() >= len(keys)):
+                raise ValueError(f"EventLog: {name} codes outside [0, {len(keys)})")
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
 
 
 @dataclass
@@ -113,12 +151,16 @@ class ColumnFormat:
     delimiter: str | None = None
 
 
-def ingest(path: str | Path, fmt: ColumnFormat | None = None) -> tuple[list[RawEvent], int]:
-    """Parse a delimited event log into raw events.
+def ingest(path: str | Path, fmt: ColumnFormat | None = None) -> EventLog:
+    """Parse a delimited event log into an ``EventLog``.
 
-    Returns ``(events, skipped_row_count)``. Rows with a missing field or
-    an unparsable timestamp are skipped and counted. Raises ``ValueError``
-    when the header lacks a required column or no row parses.
+    Each kept row becomes one entry of three int64 columns: its session
+    code, its timestamp (``int(float(field))``, unix seconds) and its item
+    code. A row with a missing field, or whose timestamp does not parse,
+    is not finite or lies outside int64, is skipped and counted in
+    ``skipped``. The log holds about 50 bytes per event: 24 in the
+    columns, the rest in the key strings. Raises ``ValueError`` when the
+    header lacks a required column or no row parses.
     """
     fmt = fmt or ColumnFormat()
     path = Path(path)
@@ -128,13 +170,17 @@ def ingest(path: str | Path, fmt: ColumnFormat | None = None) -> tuple[list[RawE
             raise ValueError(f"{path}: zero parsable rows (empty file)")
         delim = fmt.delimiter or ("\t" if "\t" in header_line else ",")
         header = next(csv.reader([header_line], delimiter=delim))
-        positions = {}
-        for role, col in (("session", fmt.session_col), ("time", fmt.time_col), ("item", fmt.item_col)):
+        positions = []
+        for col in (fmt.session_col, fmt.time_col, fmt.item_col):
             if col not in header:
                 raise ValueError(f"{path}: column '{col}' not found in header {header}")
-            positions[role] = header.index(col)
-        needed = max(positions.values()) + 1
-        events: list[RawEvent] = []
+            positions.append(header.index(col))
+        si, ti, ii = positions
+        needed = max(positions) + 1
+        session_codes: dict[str, int] = {}
+        item_codes: dict[str, int] = {}
+        columns = array("q"), array("q"), array("q")
+        add_session, add_time, add_item = (col.append for col in columns)
         skipped = 0
         for row in csv.reader(fh, delimiter=delim):
             if not row:
@@ -142,77 +188,81 @@ def ingest(path: str | Path, fmt: ColumnFormat | None = None) -> tuple[list[RawE
             if len(row) < needed:
                 skipped += 1
                 continue
-            session = row[positions["session"]].strip()
-            item = row[positions["item"]].strip()
-            raw_time = row[positions["time"]].strip()
+            session = row[si].strip()
+            item = row[ii].strip()
+            raw_time = row[ti].strip()
             if not session or not item or not raw_time:
                 skipped += 1
                 continue
             try:
                 timestamp = int(float(raw_time))
-            except ValueError:
+            except (ValueError, OverflowError):  # nan, inf, not a number
                 skipped += 1
                 continue
-            events.append(RawEvent(session, timestamp, item))
-    if not events:
+            if not _INT64_MIN <= timestamp <= _INT64_MAX:
+                skipped += 1
+                continue
+            add_session(session_codes.setdefault(session, len(session_codes)))
+            add_time(timestamp)
+            add_item(item_codes.setdefault(item, len(item_codes)))
+    if not columns[0]:
         raise ValueError(f"{path}: zero parsable rows")
     if skipped:
-        logger.info("ingest %s: parsed %d events, skipped %d malformed rows", path, len(events), skipped)
-    return events, skipped
+        logger.info("ingest %s: parsed %d events, skipped %d malformed rows", path, len(columns[0]), skipped)
+    sessions, timestamps, items = (np.array(col, dtype=np.int64) for col in columns)
+    return EventLog(sessions, timestamps, items, list(session_codes), list(item_codes), skipped)
 
 
 def preprocess(
-    events: list[RawEvent],
+    log: EventLog,
     min_item_support: int = 5,
     min_session_length: int = 2,
 ) -> tuple[list[Session], ItemRegistry]:
     """Filter an event log and map item keys to dense indices.
 
-    Single pass: item counts are taken over all input events, items below
-    ``min_item_support`` are dropped from every session, then sessions
-    shorter than ``min_session_length`` are dropped. Surviving sessions are
-    returned sorted by start time (input order breaks ties), and items are
-    registered in that walk order so the index order respects time order.
+    Single pass over the columns: item support is counted over all input
+    events (``np.bincount``) and events of items below
+    ``min_item_support`` are dropped. The rest are ordered by session,
+    then timestamp, then input position (one stable ``np.lexsort``), and
+    sessions left shorter than ``min_session_length`` are dropped.
+    Surviving sessions are returned sorted by their first kept event's
+    time, ties broken by first appearance in the log, and items are
+    registered in that walk order, so the index order respects time order.
     """
-    if not events:
+    if not len(log):
         raise ValueError("preprocess: no events")
-    order: dict[str, int] = {}
-    grouped: dict[str, list[RawEvent]] = {}
-    for ev in events:
-        if ev.session_key not in grouped:
-            order[ev.session_key] = len(order)
-            grouped[ev.session_key] = []
-        grouped[ev.session_key].append(ev)
-
-    counts: dict[str, int] = {}
-    for ev in events:
-        counts[ev.item_key] = counts.get(ev.item_key, 0) + 1
-
-    dropped_items = {k for k, c in counts.items() if c < min_item_support}
-
-    raw_sessions: list[tuple[int, int, list[str]]] = []  # (start, input order, keys)
-    dropped_short = 0
-    for key, evs in grouped.items():
-        evs_sorted = sorted(evs, key=lambda e: e.timestamp)  # stable: ties keep input order
-        kept = [e for e in evs_sorted if e.item_key not in dropped_items]
-        if len(kept) < min_session_length:
-            dropped_short += 1
-            continue
-        raw_sessions.append((kept[0].timestamp, order[key], [e.item_key for e in kept]))
-    if not raw_sessions:
+    support = np.bincount(log.items, minlength=len(log.item_keys))
+    kept = np.flatnonzero(support[log.items] >= min_item_support)
+    kept = kept[np.lexsort((log.timestamps[kept], log.sessions[kept]))]
+    codes = log.sessions[kept]
+    firsts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])  # each session's first kept event
+    lengths = np.diff(np.r_[firsts, len(kept)])
+    long_enough = lengths >= min_session_length
+    firsts, lengths = firsts[long_enough], lengths[long_enough]
+    if not len(firsts):
         raise ValueError("preprocess: all sessions filtered out")
-    raw_sessions.sort(key=lambda t: (t[0], t[1]))
-
     logger.info(
         "preprocess: dropped %d items below support %d, dropped %d sessions below length %d, kept %d sessions",
-        len(dropped_items), min_item_support, dropped_short, min_session_length, len(raw_sessions),
+        np.count_nonzero(support < min_item_support), min_item_support,
+        len(log.session_keys) - len(firsts), min_session_length, len(firsts),
     )
 
-    registry = ItemRegistry()
-    sessions = [
-        Session([registry.register(k) for k in keys], start)
-        for start, _, keys in raw_sessions
-    ]
+    start_times = log.timestamps[kept[firsts]]
+    walk_order = np.lexsort((codes[firsts], start_times))
+    firsts, lengths, start_times = firsts[walk_order], lengths[walk_order], start_times[walk_order]
+    ends = np.cumsum(lengths)
+    # the kept events session by session: each session's run of ``kept``, in walk order
+    walk = log.items[kept[np.repeat(firsts - (ends - lengths), lengths) + np.arange(ends[-1])]]
+    codes_seen, first_at = np.unique(walk, return_index=True)
+    registered = codes_seen[np.argsort(first_at)]  # item codes by first occurrence along the walk
+    index_of = np.empty(len(log.item_keys), dtype=np.int64)
+    index_of[registered] = np.arange(len(registered))
+    keys = [log.item_keys[c] for c in registered.tolist()]
+    registry = ItemRegistry(dict(zip(keys, range(len(keys)))), keys, [-1] * len(keys))
+
+    items = index_of[walk].tolist()
+    bounds = np.r_[0, ends].tolist()
+    sessions = [Session(items[a:b], t) for a, b, t in zip(bounds, bounds[1:], start_times.tolist())]
     return sessions, registry
 
 
@@ -236,11 +286,9 @@ def expand_session(session: Session, max_seq_len: int = DEFAULT_MAX_SEQ_LEN) -> 
 def _split_validation(
     examples: list[TrainingExample], fraction: float, rng: np.random.Generator
 ) -> tuple[list[TrainingExample], list[TrainingExample]]:
-    n_val = int(len(examples) * fraction)
-    picked = set(rng.permutation(len(examples))[:n_val].tolist())
-    train = [ex for i, ex in enumerate(examples) if i not in picked]
-    val = [ex for i, ex in enumerate(examples) if i in picked]
-    return train, val
+    held = np.zeros(len(examples), dtype=bool)
+    held[rng.permutation(len(examples))[:int(len(examples) * fraction)]] = True
+    return list(compress(examples, (~held).tolist())), list(compress(examples, held.tolist()))
 
 
 def split_cycles(
@@ -255,7 +303,8 @@ def split_cycles(
 
     A session belongs to the bucket of its first event time. Empty buckets
     are dropped and cycle ids renumbered consecutively. Fills in
-    ``registry.cycle_first_seen`` as a side effect.
+    ``registry.cycle_first_seen`` as a side effect: an item still at -1
+    gets the first cycle that holds it.
     """
     if not sessions:
         raise ValueError("split_cycles: no sessions")
@@ -263,30 +312,41 @@ def split_cycles(
         raise ValueError(f"split_cycles: period_seconds must be positive, got {period_seconds}")
     if not 0.0 <= validation_fraction < 1.0:
         raise ValueError(f"split_cycles: validation_fraction must be in [0, 1), got {validation_fraction}")
-    ordered = sorted(enumerate(sessions), key=lambda t: (t[1].start_time, t[0]))
-    min_time = ordered[0][1].start_time
-    buckets: dict[int, list[Session]] = {}
-    for _, s in ordered:
-        buckets.setdefault((s.start_time - min_time) // period_seconds, []).append(s)
-    bucket_ids = sorted(buckets)
+    starts = np.fromiter((s.start_time for s in sessions), dtype=np.int64, count=len(sessions))
+    order = np.argsort(starts, kind="stable")
+    starts = starts[order]
+    if period_seconds > int(starts[-1]) - int(starts[0]):
+        buckets = np.zeros(len(starts), dtype=np.uint64)
+    else:  # unsigned, where the gap between any two int64 times fits
+        buckets = (starts.view(np.uint64) - starts.view(np.uint64)[0]) // np.uint64(period_seconds)
+    bucket_ids, cycle_of = np.unique(buckets, return_inverse=True)
     if len(bucket_ids) < 2:
         raise ValueError("split_cycles: fewer than 2 non-empty cycles")
-    if bucket_ids != list(range(len(bucket_ids))):
-        logger.info("split_cycles: %d empty buckets dropped, cycles renumbered", bucket_ids[-1] + 1 - len(bucket_ids))
+    empty = int(bucket_ids[-1]) + 1 - len(bucket_ids)
+    if empty:
+        logger.info("split_cycles: %d empty buckets dropped, cycles renumbered", empty)
+    cuts = np.searchsorted(cycle_of, np.arange(len(bucket_ids) + 1)).tolist()
+    ordered = [sessions[i] for i in order.tolist()]
+    cycle_examples = [
+        [ex for s in ordered[lo:hi] for ex in expand_session(s, max_seq_len)] for lo, hi in zip(cuts, cuts[1:])
+    ]
+
+    lengths = np.fromiter((len(s.items) for s in ordered), dtype=np.int64, count=len(ordered))
+    ends = np.cumsum(lengths)
+    items = np.fromiter(chain.from_iterable(s.items for s in ordered), dtype=np.int64, count=int(ends[-1]))
+    seen, first_at = np.unique(items, return_index=True)
+    first_seen = np.array(registry.cycle_first_seen, dtype=np.int64)
+    unset = first_seen[seen] == -1
+    first_seen[seen[unset]] = np.repeat(cycle_of, lengths)[first_at[unset]]
+    registry.cycle_first_seen[:] = first_seen.tolist()
+    cycle_max = np.maximum.reduceat(items, np.r_[0, ends][cuts[:-1]])
+    item_counts = (np.maximum.accumulate(cycle_max) + 1).tolist()
 
     datasets = []
-    max_index_seen = -1
-    for cycle, bucket in enumerate(bucket_ids):
-        examples: list[TrainingExample] = []
-        for s in buckets[bucket]:
-            for idx in s.items:
-                if registry.cycle_first_seen[idx] == -1:
-                    registry.cycle_first_seen[idx] = cycle
-                max_index_seen = max(max_index_seen, idx)
-            examples.extend(expand_session(s, max_seq_len))
+    for cycle, examples in enumerate(cycle_examples):
         rng = np.random.default_rng(np.random.SeedSequence([seed, cycle]))
         train, val = _split_validation(examples, validation_fraction, rng)
-        datasets.append(CycleDataset(cycle, train, val, max_index_seen + 1))
+        datasets.append(CycleDataset(cycle, train, val, item_counts[cycle]))
     return datasets
 
 
@@ -403,9 +463,9 @@ def save_cycles(datasets: list[CycleDataset], path: str | Path) -> None:
         for ds in datasets:
             fh.write(f"# cycle {ds.cycle_id} items {ds.item_count_after}\n")
             for tag, examples in (("train", ds.train), ("val", ds.validation)):
-                for ex in examples:
-                    prefix = " ".join(str(i) for i in ex.prefix)
-                    fh.write(f"{ds.cycle_id}\t{prefix}\t{ex.target}\t{tag}\n")
+                fh.writelines(
+                    f"{ds.cycle_id}\t{' '.join(map(str, ex.prefix))}\t{ex.target}\t{tag}\n" for ex in examples
+                )
 
 
 def load_cycles(path: str | Path) -> list[CycleDataset]:

@@ -521,18 +521,30 @@ def _encode_rows(
 def _scatter_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray, ws: Workspace | None = None) -> None:
     """``out[index[i]] += rows[i]`` with repeated indices summed, like ``np.add.at``.
 
-    Rows are sorted by index and each run of equal indices is summed with
-    one ``reduceat``, so only the rows that occur are touched.
+    Distinct indices (each row's last token, unless two rows share a
+    trimmed prefix) are added as they come: one add per row, so the result
+    is ``np.add.at``'s bit for bit. Repeated ones are sorted by index and
+    each run of equal indices is summed with one ``reduceat`` first. Only
+    the rows that occur are touched.
     """
     ws = ws or Workspace()
-    order = np.argsort(index, kind="stable")
-    keys = index[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    dest = keys[starts]
-    shape = (len(starts),) + rows.shape[1:]
-    sums = np.add.reduceat(np.take(rows, order, axis=0, out=ws("scatter.rows", rows.shape, rows.dtype), mode="wrap"),
-                           starts, axis=0, out=ws("scatter.sums", shape, rows.dtype))
-    acc = np.take(out, dest, axis=0, out=ws("scatter.acc", shape, out.dtype), mode="wrap")
+    distinct = False
+    if len(index) <= len(out):
+        hit = ws("scatter.hit", (len(out),), bool)
+        hit.fill(False)
+        hit[index] = True
+        distinct = np.count_nonzero(hit) == len(index)
+    if distinct:
+        dest, sums = index, rows
+    else:
+        order = np.argsort(index, kind="stable")
+        keys = index[order]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        dest = keys[starts]
+        shape = (len(starts),) + rows.shape[1:]
+        grouped = np.take(rows, order, axis=0, out=ws("scatter.rows", rows.shape, rows.dtype), mode="wrap")
+        sums = np.add.reduceat(grouped, starts, axis=0, out=ws("scatter.sums", shape, rows.dtype))
+    acc = np.take(out, dest, axis=0, out=ws("scatter.acc", sums.shape, out.dtype), mode="wrap")
     acc += sums
     out[dest] = acc
 

@@ -206,6 +206,20 @@ def test_preprocess_writes_cycles_and_statistics(tmp_path, capsys):
     assert len(stats_lines) == 1 + len(cycles)  # header + one row per cycle
 
 
+def test_preprocess_skips_timestamps_outside_int64(tmp_path, capsys):
+    # an inf timestamp crashed ingest (exit 2); 1e30 was kept as a 31-digit time
+    events = write_events(tmp_path)
+    clean = events.read_text()
+    events.write_text(clean + "s0,inf,i0\ns1,-inf,i1\ns2,1e30,i2\ns3,-1e30,i3\n")
+    args = ["--min-item-support", "2", "--period-days", "7"]
+    assert main(["preprocess", "--input", str(events), "--out", str(tmp_path / "bad")] + args) == 0
+    assert "parsed 90 events (4 rows skipped)" in capsys.readouterr().out
+    (tmp_path / "clean.csv").write_text(clean)
+    assert main(["preprocess", "--input", str(tmp_path / "clean.csv"), "--out", str(tmp_path / "clean")] + args) == 0
+    for name in ("cycles.txt", "registry.tsv", "statistics.txt"):
+        assert (tmp_path / "bad" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+
 @pytest.mark.parametrize("option,value", [
     ("--period-days", "0"),  # divided by in split_cycles
     ("--period-days", "-7"),

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cyclerec.data import (
     ColumnFormat,
+    CycleDataset,
+    EventLog,
     ItemRegistry,
-    RawEvent,
     Session,
     SyntheticStreamConfig,
     TrainingExample,
@@ -22,8 +25,21 @@ DAY = 86400
 WEEK = 7 * DAY
 
 
-def make_events(rows):
-    return [RawEvent(s, t, i) for s, t, i in rows]
+def make_log(rows):
+    """An ``EventLog`` of (session key, timestamp, item key) rows, codes numbered by first appearance."""
+    session_codes, item_codes = {}, {}
+    sessions = [session_codes.setdefault(k, len(session_codes)) for k, _, _ in rows]
+    items = [item_codes.setdefault(k, len(item_codes)) for _, _, k in rows]
+    columns = (np.array(c, dtype=np.int64) for c in (sessions, [t for _, t, _ in rows], items))
+    return EventLog(*columns, list(session_codes), list(item_codes))
+
+
+def rows_of(log):
+    """The log's events as (session key, timestamp, item key), in input order."""
+    return [
+        (log.session_keys[s], t, log.item_keys[i])
+        for s, t, i in zip(log.sessions.tolist(), log.timestamps.tolist(), log.items.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -34,17 +50,51 @@ def make_events(rows):
 def test_ingest_well_formed(tmp_path):
     path = tmp_path / "log.csv"
     path.write_text("session_id,timestamp,item_id\na,1,x\na,2,y\nb,3,x\n")
-    events, skipped = ingest(path)
-    assert skipped == 0
-    assert events == [RawEvent("a", 1, "x"), RawEvent("a", 2, "y"), RawEvent("b", 3, "x")]
+    log = ingest(path)
+    assert log.skipped == 0
+    assert rows_of(log) == [("a", 1, "x"), ("a", 2, "y"), ("b", 3, "x")]
+    assert log.sessions.tolist() == [0, 0, 1] and log.items.tolist() == [0, 1, 0]
+    assert log.session_keys == ["a", "b"] and log.item_keys == ["x", "y"]
+    assert all(col.dtype == np.int64 for col in (log.sessions, log.timestamps, log.items))
 
 
 def test_ingest_skips_malformed_rows(tmp_path):
     path = tmp_path / "log.csv"
     path.write_text("session_id,timestamp,item_id\na,1,x\na,notatime,y\nb,2,z\nb,3,w\n")
-    events, skipped = ingest(path)
-    assert len(events) == 3
-    assert skipped == 1
+    log = ingest(path)
+    assert len(log) == 3
+    assert log.skipped == 1
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "1e30", "-1e30", "nan", "9223372036854775808"])
+def test_ingest_skips_timestamps_outside_int64(tmp_path, bad):
+    # inf and -inf raised OverflowError out of ingest; 1e30 was kept as a 31-digit timestamp
+    path = tmp_path / "log.csv"
+    path.write_text(f"session_id,timestamp,item_id\na,1,x\na,{bad},y\nb,-5,z\nb,9e18,w\n")
+    log = ingest(path)
+    assert log.skipped == 1
+    assert rows_of(log) == [("a", 1, "x"), ("b", -5, "z"), ("b", 9 * 10**18, "w")]
+    assert log.item_keys == ["x", "z", "w"]  # a skipped row's keys get no code
+
+
+def test_ingest_holds_under_150_bytes_per_event(tmp_path):
+    rng = np.random.default_rng(0)
+    n = 20_000
+    sessions = rng.integers(0, n // 5, size=n)
+    items = rng.integers(0, n // 10, size=n)
+    times = 1_600_000_000 + np.sort(rng.integers(0, 4 * WEEK, size=n))
+    path = tmp_path / "log.csv"
+    lines = [f"s{s},{t},p{i}\n" for s, t, i in zip(sessions.tolist(), times.tolist(), items.tolist())]
+    path.write_text("session_id,timestamp,item_id\n" + "".join(lines))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = ingest(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / n < 150, f"{held / n:.0f} bytes per event"
+    assert len(log) == n
 
 
 def test_ingest_empty_file_errors(tmp_path):
@@ -65,8 +115,8 @@ def test_ingest_tab_autodetect_and_custom_columns(tmp_path):
     path = tmp_path / "log.tsv"
     path.write_text("sess\tts\titem\textra\ns1\t10\tfoo\tjunk\n")
     fmt = ColumnFormat(session_col="sess", time_col="ts", item_col="item")
-    events, skipped = ingest(path, fmt)
-    assert events == [RawEvent("s1", 10, "foo")]
+    log = ingest(path, fmt)
+    assert rows_of(log) == [("s1", 10, "foo")]
 
 
 def test_ingest_missing_column_errors(tmp_path):
@@ -74,6 +124,18 @@ def test_ingest_missing_column_errors(tmp_path):
     path.write_text("sid,timestamp,item_id\na,1,x\n")
     with pytest.raises(ValueError, match="session_id"):
         ingest(path)
+
+
+@pytest.mark.parametrize("columns,message", [
+    pytest.param(([0, 1], [5], [0]), r"sessions must be 1 int64 codes", id="length"),
+    pytest.param(([0], [5], [1]), r"items codes outside \[0, 1\)", id="item-code"),
+    pytest.param(([-1], [5], [0]), r"sessions codes outside", id="negative-session-code"),
+    pytest.param(([0], [5.0], [0]), r"timestamps must be one int64 column", id="float-times"),
+])
+def test_event_log_rejects_inconsistent_columns(columns, message):
+    arrays = [np.array(c, dtype=np.int64 if type(c[0]) is int else None) for c in columns]
+    with pytest.raises(ValueError, match=message):
+        EventLog(*arrays, ["a"], ["x"])
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +148,7 @@ def test_preprocess_keeps_supported_session():
     rows = []
     for s in range(5):
         rows += [(f"s{s}", s * 10, "A"), (f"s{s}", s * 10 + 1, "B")]
-    sessions, registry = preprocess(make_events(rows))
+    sessions, registry = preprocess(make_log(rows))
     assert len(sessions) == 5
     assert all(s.items == [registry.key_to_index["A"], registry.key_to_index["B"]] for s in sessions)
 
@@ -96,7 +158,7 @@ def test_preprocess_drops_short_sessions():
     for s in range(5):
         rows += [(f"s{s}", s * 10, "A"), (f"s{s}", s * 10 + 1, "B")]
     rows.append(("lonely", 100, "A"))  # length-1 session
-    sessions, _ = preprocess(make_events(rows))
+    sessions, _ = preprocess(make_log(rows))
     assert len(sessions) == 5
 
 
@@ -111,7 +173,7 @@ def test_preprocess_two_stage_filter_hand_trace():
         ("s4", 40, "B"), ("s4", 41, "A"),
         ("s5", 50, "C"), ("s5", 51, "C"), ("s5", 52, "C"),
     ]
-    sessions, registry = preprocess(make_events(rows))
+    sessions, registry = preprocess(make_log(rows))
     assert len(sessions) == 5
     a, b = registry.key_to_index["A"], registry.key_to_index["B"]
     assert "C" not in registry.key_to_index
@@ -122,14 +184,22 @@ def test_preprocess_two_stage_filter_hand_trace():
 def test_preprocess_all_filtered_errors():
     rows = [("s0", 0, "A"), ("s1", 5, "B")]  # all items below support, sessions length 1
     with pytest.raises(ValueError, match="all sessions filtered"):
-        preprocess(make_events(rows))
+        preprocess(make_log(rows))
 
 
 def test_preprocess_timestamp_sort_with_input_order_ties():
     rows = [("s0", 5, "A"), ("s0", 1, "B"), ("s0", 1, "C")]
-    sessions, registry = preprocess(make_events(rows), min_item_support=1)
+    sessions, registry = preprocess(make_log(rows), min_item_support=1)
     keys = [registry.index_to_key[i] for i in sessions[0].items]
     assert keys == ["B", "C", "A"]
+
+
+def test_preprocess_start_time_is_first_kept_event():
+    # s0's earliest click is on a rare item: the session starts at its first kept click, after s1
+    rows = [("s0", 0, "R"), ("s0", 20, "A"), ("s0", 21, "B"), ("s1", 10, "B"), ("s1", 11, "A")]
+    sessions, registry = preprocess(make_log(rows), min_item_support=2)
+    assert [s.start_time for s in sessions] == [10, 20]
+    assert registry.index_to_key == ["B", "A"]
 
 
 def test_preprocess_idempotent_on_representative_log():
@@ -139,15 +209,142 @@ def test_preprocess_idempotent_on_representative_log():
         start = int(rng.integers(0, 1000))
         for j in range(int(rng.integers(2, 6))):
             rows.append((f"s{s}", start + j, f"i{rng.integers(0, 12)}"))
-    sessions1, reg1 = preprocess(make_events(rows))
+    sessions1, reg1 = preprocess(make_log(rows))
     replayed = []
     for n, s in enumerate(sessions1):
         for j, idx in enumerate(s.items):
             replayed.append((f"r{n}", s.start_time + j, reg1.index_to_key[idx]))
-    sessions2, reg2 = preprocess(make_events(replayed))
+    sessions2, reg2 = preprocess(make_log(replayed))
     seq1 = [[reg1.index_to_key[i] for i in s.items] for s in sessions1]
     seq2 = [[reg2.index_to_key[i] for i in s.items] for s in sessions2]
     assert seq1 == seq2
+
+
+# ---------------------------------------------------------------------------
+# the column pipeline against the per-event reference
+# ---------------------------------------------------------------------------
+
+
+def reference_ingest(text):
+    """Per-row parse of a comma-separated log: (rows, skipped), with ``ingest``'s skip rule."""
+    rows, skipped = [], 0
+    for line in text.splitlines()[1:]:
+        fields = line.split(",")
+        if not line:
+            continue
+        if len(fields) < 3 or not all(f.strip() for f in fields[:3]):
+            skipped += 1
+            continue
+        try:
+            t = int(float(fields[1]))
+        except (ValueError, OverflowError):
+            skipped += 1
+            continue
+        if not -(2**63) <= t < 2**63:
+            skipped += 1
+            continue
+        rows.append((fields[0].strip(), t, fields[2].strip()))
+    return rows, skipped
+
+
+def reference_preprocess(rows, min_item_support=5, min_session_length=2):
+    """Per-event preprocessing: sessions grouped in dicts, each sorted by time, items registered one by one."""
+    order, grouped, counts = {}, {}, {}
+    for session, t, item in rows:
+        if session not in grouped:
+            order[session] = len(order)
+            grouped[session] = []
+        grouped[session].append((t, item))
+        counts[item] = counts.get(item, 0) + 1
+    dropped = {k for k, c in counts.items() if c < min_item_support}
+    raw_sessions = []
+    for key, events in grouped.items():
+        kept = [e for e in sorted(events, key=lambda e: e[0]) if e[1] not in dropped]
+        if len(kept) >= min_session_length:
+            raw_sessions.append((kept[0][0], order[key], [item for _, item in kept]))
+    if not raw_sessions:
+        raise ValueError("preprocess: all sessions filtered out")
+    raw_sessions.sort(key=lambda t: (t[0], t[1]))
+    registry = ItemRegistry()
+    sessions = [Session([registry.register(k) for k in keys], start) for start, _, keys in raw_sessions]
+    return sessions, registry
+
+
+def reference_split_cycles(sessions, registry, period_seconds, validation_fraction, seed, max_seq_len):
+    """Per-session bucketing, with ``cycle_first_seen`` and the vocabulary size kept item by item."""
+    ordered = sorted(enumerate(sessions), key=lambda t: (t[1].start_time, t[0]))
+    min_time = ordered[0][1].start_time
+    buckets = {}
+    for _, s in ordered:
+        buckets.setdefault((s.start_time - min_time) // period_seconds, []).append(s)
+    if len(buckets) < 2:
+        raise ValueError("split_cycles: fewer than 2 non-empty cycles")
+    datasets, max_index_seen = [], -1
+    for cycle, bucket in enumerate(sorted(buckets)):
+        examples = []
+        for s in buckets[bucket]:
+            for idx in s.items:
+                if registry.cycle_first_seen[idx] == -1:
+                    registry.cycle_first_seen[idx] = cycle
+                max_index_seen = max(max_index_seen, idx)
+            examples.extend(expand_session(s, max_seq_len))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, cycle]))
+        picked = set(rng.permutation(len(examples))[:int(len(examples) * validation_fraction)].tolist())
+        train = [ex for i, ex in enumerate(examples) if i not in picked]
+        val = [ex for i, ex in enumerate(examples) if i in picked]
+        datasets.append(CycleDataset(cycle, train, val, max_index_seen + 1))
+    return datasets
+
+
+def random_log_text(rng):
+    """A comma-separated click log with timestamp ties, interleaved sessions, rare items and malformed rows."""
+    rows = []
+    for s in range(int(rng.integers(3, 40))):
+        start = int(rng.integers(-300, 1500))
+        times = start + np.cumsum(rng.integers(0, 4, size=int(rng.integers(1, 9))))  # gaps of 0 tie
+        for t in times.tolist():
+            item = f"i{int(rng.zipf(1.6)) % 30}"  # a heavy head and a tail of rare items
+            rows.append(f"s{s},{t},{item}")
+        if rng.random() < 0.2:  # a first click on an item nothing else clicks: filtered out
+            rows.append(f"s{s},{start - 1},once{s}")
+    rng.shuffle(rows)  # sessions interleave and arrive out of time order
+    bad = ["a,nan,i1", "a,inf,i1", "b,-inf,i2", "c,1e30,i3", "d,,i1", ",5,i1", "e,5", "f,notatime,i2"]
+    for line in rng.choice(bad, size=int(rng.integers(0, 4))).tolist():
+        rows.insert(int(rng.integers(0, len(rows) + 1)), line)
+    return "session_id,timestamp,item_id\n" + "\n".join(rows) + "\n"
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_column_pipeline_matches_per_event_reference(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    text = random_log_text(rng)
+    path = tmp_path / "log.csv"
+    path.write_text(text)
+    support, min_length = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    split = {"period_seconds": int(rng.integers(200, 900)), "validation_fraction": float(rng.choice([0.0, 0.3])),
+             "seed": seed, "max_seq_len": int(rng.integers(1, 6))}
+
+    log = ingest(path)
+    rows, skipped = reference_ingest(text)
+    assert (rows_of(log), log.skipped) == (rows, skipped)
+
+    got = _outcome(preprocess, log, min_item_support=support, min_session_length=min_length)
+    want = _outcome(reference_preprocess, rows, min_item_support=support, min_session_length=min_length)
+    assert got == want
+    if isinstance(want, str):
+        return
+    (sessions, registry), (ref_sessions, ref_registry) = got, want
+    datasets = _outcome(split_cycles, sessions, registry, **split)
+    assert datasets == _outcome(reference_split_cycles, ref_sessions, ref_registry, **split)
+    if not isinstance(datasets, str):
+        assert registry == ref_registry  # keys, order and cycle_first_seen
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +401,18 @@ def test_split_buckets_by_week():
     assert [d.cycle_id for d in datasets] == [0, 1]
     assert len(datasets[0].train) == 2  # two sessions of length 2
     assert len(datasets[1].train) == 1
+
+
+def test_split_buckets_times_at_int64_extremes():
+    # the gap between these start times overflows int64
+    item_lists = [["a", "b"], ["b", "c"], ["c", "a"], ["a", "c"]]
+    starts = [-(2**63), -(2**63) + WEEK, 2**63 - 1, 0]
+    for period in (WEEK, 2**62, 2**64 - 1, 2**70):
+        got = _outcome(split_cycles, *_registered_sessions(item_lists, starts), period_seconds=period)
+        want = _outcome(reference_split_cycles, *_registered_sessions(item_lists, starts), period_seconds=period,
+                        validation_fraction=0.1, seed=0, max_seq_len=50)
+        assert got == want
+    assert [d.item_count_after for d in split_cycles(*_registered_sessions(item_lists, starts), WEEK)] == [2, 3, 3, 3]
 
 
 @pytest.mark.parametrize("setting", [

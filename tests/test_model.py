@@ -375,6 +375,27 @@ def test_scatter_rows_matches_add_at():
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("distinct", [True, False])
+def test_scatter_rows_fast_path_is_add_at_bit_for_bit(distinct):
+    rng = np.random.default_rng(4)
+    if distinct:  # a row's last token
+        index = rng.permutation(50)[:30]
+        out = rng.normal(size=(50, 8)).astype(np.float32)
+    else:  # item and position rows
+        index = rng.integers(0, 6, size=40)
+        out = rng.normal(size=(6, 8)).astype(np.float32)
+    rows = rng.normal(size=(len(index), 8)).astype(np.float32)
+    expected = out.copy()
+    np.add.at(expected, index, rows)
+    ws = Workspace()
+    _scatter_rows(out, index, rows, ws)
+    assert ("scatter.rows" in ws._buffers) != distinct  # only repeated indices take the sort
+    if distinct:  # one add per row, as add.at makes it
+        assert out.tobytes() == expected.tobytes()
+    else:  # reduceat sums a run in its own order, so only to rounding
+        np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-6)
+
+
 def test_nonfinite_loss_raises_divergence():
     m = small_model()
     m.params["item_emb"][0, 0] = np.nan
