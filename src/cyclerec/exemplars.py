@@ -7,7 +7,7 @@ the running feature average tracks the item's mean feature (herding), or
 by the random / smallest-loss / equal-allocation ablation rules. One
 encoder pass over the pool serves herding and the loss rule, and the store
 keeps the chosen rows' features, from which the next cycle's teacher
-distributions are one matmul and softmax.
+distributions are computed with no new encoder pass.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .data import TrainingExample
-from .losses import _softmax
-from .model import ModelState, Workspace, extract_features_batch
+from .losses import ce_rows_from_logits
+from .model import ModelState, Workspace, extract_features_batch, logit_blocks
 
 
 class SelectionStrategy(str, Enum):
@@ -142,10 +142,11 @@ def select_exemplars(
 
     Every strategy but random selection encodes the pool once under the
     given model with dropout off; herding reads those features and the loss
-    rule ranks by per-row cross entropy over them, and the chosen rows'
-    features go into the store. Items are processed in ascending index;
-    random draws use a per-item seed stream so results are independent of
-    grouping order. ``workspace`` is passed to ``extract_features_batch``.
+    rule ranks by per-row cross entropy over them, scored ``batch_size``
+    rows at a time (``logit_blocks``), and the chosen rows' features go into
+    the store. Items are processed in ascending index; random draws use a
+    per-item seed stream so results are independent of grouping order.
+    ``workspace`` serves the encoder pass and the logit blocks.
     """
     if not pool:
         raise ValueError("select_exemplars: empty pool")
@@ -165,10 +166,9 @@ def select_exemplars(
     if strategy is not SelectionStrategy.RANDOM:
         feats = extract_features_batch(model, [ex.prefix for ex in pool], batch_size=batch_size, workspace=workspace)
     if strategy is SelectionStrategy.LOSS:
-        logits = feats @ model.params["item_emb"].T
-        target_z = logits[np.arange(len(pool)), targets] - logits.max(axis=1)
-        # the softmax overwrites the logits, so the pool's (rows, items) costs one array
-        per_example_loss = _softmax(logits, out=(logits, logits))[1][:, 0] - target_z
+        per_example_loss = np.empty(len(pool), dtype=feats.dtype)
+        for block, logits in logit_blocks(model, feats, model.item_count, batch_size, workspace):
+            per_example_loss[block] = ce_rows_from_logits(logits, targets[block])
 
     chosen: list[int] = []
     for item in sorted(member_idx):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import CycleDataset, TrainingExample
 from .exemplars import ExemplarSet, SelectionStrategy, select_exemplars
-from .losses import _softmax, adaptive_lambda, ce_from_logits, fisher_diagonal
+from .losses import _softmax, adaptive_lambda, ce_rows_from_logits, fisher_diagonal
 from .metrics import CycleReport, aggregate, mrr_at_k, recall_at_k, target_ranks
 from .model import (
     BatchSpec,
@@ -40,6 +40,7 @@ from .model import (
     extract_features_batch,
     grow_vocabulary,
     init_model,
+    logit_blocks,
     loss_and_gradients,
     adam_step,
     splice_item_rows,
@@ -125,8 +126,13 @@ class TrainLoopConfig:
     def __post_init__(self) -> None:
         if self.patience >= self.max_epochs:
             raise ValueError("train loop: patience must be < max_epochs")
-        if min(self.max_epochs, self.patience, self.batch_size) < 1:
-            raise ValueError("train loop: counts must be positive")
+        # a non-positive eval_batch_size scored nothing (or crashed), a negative kd_batch_size skipped distillation
+        for name in ("max_epochs", "patience", "batch_size", "eval_batch_size", "kd_batch_size"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"train loop: {name} must be >= 1, got {value}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"train loop: learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 VAL_RECALL_K = 20  # cutoff of the logged validation recall
@@ -196,35 +202,47 @@ def evaluate_model(
 
     Targets outside the range cannot be ranked and count as misses; prefix
     items outside the range are dropped (a fully-unseen prefix is a miss).
-    ``workspace`` is passed to ``extract_features_batch``.
+    ``batch_size`` rows are encoded and ranked at a time, so the pass holds
+    one (batch_size, item_range) logit block of ``workspace``.
     """
     if not examples:
         raise ValueError("evaluate_model: empty test set")
     ranks = np.full(len(examples), np.inf)
-    rows: list[int] = []
-    prefixes: list[tuple[int, ...]] = []
-    for i, ex in enumerate(examples):
-        prefix = tuple(j for j in ex.prefix if j < item_range)
-        if ex.target < item_range and prefix:
-            rows.append(i)
-            prefixes.append(prefix)
-    if rows:
-        targets = np.array([examples[i].target for i in rows])
-        feats = extract_features_batch(model, prefixes, batch_size=batch_size, workspace=workspace)
-        ranks[rows] = target_ranks(feats @ model.params["item_emb"][:item_range].T, targets)
+    prefixes = [tuple(j for j in ex.prefix if j < item_range) for ex in examples]
+    rows = np.array([i for i, ex in enumerate(examples) if ex.target < item_range and prefixes[i]], dtype=np.int64)
+    targets = np.array([examples[i].target for i in rows], dtype=np.int64)
+    feats = extract_features_batch(model, [prefixes[i] for i in rows], batch_size=batch_size, workspace=workspace)
+    for block, logits in logit_blocks(model, feats, item_range, batch_size, workspace):
+        ranks[rows[block]] = target_ranks(logits, targets[block])
     recall = {k: recall_at_k(ranks, k) for k in ks}
     mrr = {k: mrr_at_k(ranks, k) for k in ks}
     return recall, mrr, 1.0 - len(rows) / len(examples)
 
 
 def _validation_scores(model: ModelState, examples, batch_size: int, workspace: Workspace) -> tuple[float, float]:
-    """Cross entropy and Recall@20 over the model's full item range, dropout off."""
+    """Cross entropy and Recall@20 over the model's full item range, dropout off.
+
+    Each block of rows is ranked, then overwritten by its per-row cross
+    entropy; the loss is the mean of those (rows,) values.
+    """
     feats = extract_features_batch(model, [ex.prefix for ex in examples], batch_size=batch_size,
                                    workspace=workspace)
-    logits = feats @ model.params["item_emb"].T
     targets = np.array([ex.target for ex in examples])
-    loss, _ = ce_from_logits(logits, targets)
-    return loss, recall_at_k(target_ranks(logits, targets), VAL_RECALL_K)
+    ranks = np.empty(len(examples), dtype=np.int64)
+    ce = np.empty(len(examples), dtype=feats.dtype)
+    for block, logits in logit_blocks(model, feats, model.item_count, batch_size, workspace):
+        ranks[block] = target_ranks(logits, targets[block])
+        ce[block] = ce_rows_from_logits(logits, targets[block])
+    return float(ce.mean()), recall_at_k(ranks, VAL_RECALL_K)
+
+
+def _teacher_rows(model: ModelState, feats: np.ndarray, item_range: int, batch_size: int,
+                  workspace: Workspace) -> np.ndarray:
+    """Softmax over the first ``item_range`` items per feature row, written block by block into one array."""
+    probs = np.empty((len(feats), item_range), dtype=feats.dtype)
+    for block, logits in logit_blocks(model, feats, item_range, batch_size, workspace):
+        _softmax(logits, out=(logits, probs[block]))
+    return probs
 
 
 def _session_chains(pool: Sequence[TrainingExample], max_seq_len: int) -> list[np.ndarray]:
@@ -272,7 +290,8 @@ def update_model(
     if kd_examples:
         # the model is still the previous cycle's restored one, which chose the
         # store and encoded its rows: the teacher's distributions need no new pass
-        teacher_probs = _softmax(store.features @ model.params["item_emb"][:old_item_count].T)[2]
+        teacher_probs = _teacher_rows(model, store.features, old_item_count, loop_cfg.eval_batch_size,
+                                      state.workspace)
     grow_vocabulary(model, cycle_data.item_count_after, seed=_derived_seed(loop_cfg.seed, t, 101))
     if state.ewc_anchor is not None:  # new rows carry zero Fisher weight, so their anchor value is inert
         pad = np.zeros((model.item_count - old_item_count, model.config.embed_dim), dtype=model.config.np_dtype)

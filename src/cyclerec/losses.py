@@ -5,7 +5,8 @@ frozen previous model's distributions on stored exemplars, the
 cycle-adaptive interpolation weight between the two, and the Fisher
 diagonal that weights the EWC baseline's parameter anchor.
 
-The ``*_from_logits`` primitives are pure; ``teacher_probabilities`` and
+The ``*_from_logits`` primitives are pure (``ce_rows_from_logits``
+overwrites its logits); ``teacher_probabilities`` and
 ``kd_loss`` take model states and run the forward pass with dropout
 disabled, as the reference the tests check training against (training
 reads the teacher rows from the exemplar store's features). A training
@@ -70,6 +71,12 @@ def ce_from_logits(
     loss = float((log_norm[:, 0] - z[rows, targets]).mean())
     dlogits[rows, targets] -= 1.0 / n
     return loss, dlogits
+
+
+def ce_rows_from_logits(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per-row cross entropy, the values ``ce_from_logits`` averages; ``_softmax`` overwrites ``logits``."""
+    target_z = logits[np.arange(len(targets)), targets] - logits.max(axis=1)
+    return _softmax(logits, out=(logits, logits))[1][:, 0] - target_z
 
 
 def kd_from_logits(

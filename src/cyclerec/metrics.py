@@ -34,8 +34,10 @@ def rank_of_target(logits: Sequence[float] | np.ndarray, target: int) -> int:
 
 
 def target_ranks(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Row-wise ``rank_of_target`` over a (rows, items) logit matrix."""
+    """Row-wise ``rank_of_target`` over a (rows, items) logit matrix; a non-finite target score raises."""
     t = logits[np.arange(len(targets)), targets][:, None]
+    if not np.isfinite(t).all():
+        raise ValueError("target_ranks: a target's score is not finite")
     lower = np.arange(logits.shape[1]) < targets[:, None]
     return 1 + (logits > t).sum(axis=1) + ((logits == t) & lower).sum(axis=1)
 

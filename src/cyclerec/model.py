@@ -37,7 +37,8 @@ are views of their segments, written only in place. Every per-step
 array of a training step (packed layout, dropout masks, forward cache,
 backward temporaries, logits, gradients) is written with ``out=`` into a
 ``Workspace`` whose buffers grow to the largest step and are then
-reused. Adam runs over the flat vectors in chunks that stay in cache.
+reused. Adam runs over the flat vectors in chunks that stay in cache, and
+every full-vocabulary scoring pass holds one block of rows' logits.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -640,12 +641,36 @@ def extract_features_batch(
     The chunks share ``workspace`` (a throwaway one if None); each chunk's
     features are copied out before the next.
     """
+    if batch_size < 1:
+        raise ValueError(f"extract_features_batch: batch_size must be >= 1, got {batch_size}")
     out = np.empty((len(prefixes), state.config.embed_dim), dtype=state.config.np_dtype)
     ws = workspace or Workspace()
     for lo in range(0, len(prefixes), batch_size):
         chunk = prefixes[lo : lo + batch_size]
         out[lo : lo + len(chunk)], _ = _encode_rows(state, chunk, ws=ws)
     return out
+
+
+def logit_blocks(
+    state: ModelState, feats: np.ndarray, item_range: int, batch_size: int = 512, workspace: Workspace | None = None
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield ``(rows, logits)``: a slice of ``feats`` and its logits over ``item_emb[:item_range]``.
+
+    Rows go in the fewest near-equal blocks of at most ``batch_size``:
+    BLAS sums a one- or few-row remainder in another float32 order than
+    one big GEMM. Blocks share one buffer of ``workspace`` (a throwaway one
+    if None); a block is the caller's to overwrite, and valid until the next.
+    """
+    if batch_size < 1:
+        raise ValueError(f"logit_blocks: batch_size must be >= 1, got {batch_size}")
+    ws = workspace or Workspace()
+    emb_t = state.params["item_emb"][:item_range].T
+    count = max(1, -(-len(feats) // batch_size))
+    # ceiling cuts put the larger blocks first, so the buffer never grows mid-pass
+    bounds = [-(-len(feats) * i // count) for i in range(count + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        logits = ws("logits", (hi - lo, item_range), feats.dtype)
+        yield slice(lo, hi), np.matmul(feats[lo:hi], emb_t, out=logits)
 
 
 # ---------------------------------------------------------------------------

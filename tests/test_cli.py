@@ -279,6 +279,23 @@ def test_bad_ks_or_seeds_exits_1(tmp_path, capsys, field, value, dry_run):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("eval_batch_size", -5),
+    ("eval_batch_size", 0),
+    ("kd_batch_size", -4),
+    ("learning_rate", -1.0),
+])
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_bad_training_setting_exits_1(tmp_path, capsys, field, value, dry_run):
+    # before, eval_batch_size -5 reported a recall from uninitialised features and 0 died with a bare range() error
+    path = write_config(tmp_path, {"training": {**TOY_CONFIG["training"], field: value}})
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "run")] + (["--dry-run"] if dry_run else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("dry_run", [True, False])
 def test_negative_run_seed_is_a_usage_error(tmp_path, capsys, dry_run):
     # a dry run printed "seeds: [-1]" and a real run failed after reading the data, with exit 2

@@ -101,6 +101,27 @@ def test_method_kind_parsing():
         MethodKind.parse("gradient_descent_3000")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("eval_batch_size", 0),
+    ("eval_batch_size", -5),
+    ("kd_batch_size", 0),
+    ("kd_batch_size", -4),
+    ("learning_rate", 0.0),
+    ("learning_rate", -1.0),
+    ("learning_rate", math.inf),
+    ("learning_rate", math.nan),
+])
+def test_train_loop_rejects_settings_that_corrupt_a_run(field, value):
+    # before, a negative eval_batch_size scored uninitialised features, a
+    # negative kd_batch_size skipped distillation, and a negative rate trained uphill
+    with pytest.raises(ValueError, match=field):
+        TrainLoopConfig(**{field: value})
+
+
+def test_train_loop_accepts_unset_kd_batch_size():
+    assert TrainLoopConfig(kd_batch_size=None, eval_batch_size=1, learning_rate=1e-3).kd_batch_size is None
+
+
 # ---------------------------------------------------------------------------
 # evaluate_model
 # ---------------------------------------------------------------------------
@@ -154,12 +175,16 @@ def test_kd_methods_carry_teacher_distributions_across_cycles(monkeypatch):
     # a cycle distils against the previous cycle's restored model: its
     # distributions on the stored exemplars, over the items it knew, read
     # from the features the store kept, so no encoder pass runs before the
-    # first step, and no rows are computed when distillation is off
+    # first step, and no rows are computed when distillation is off.
+    # The teacher pass is the scoring pass over a store's features; every
+    # other scoring pass of update_model is an epoch's validation pass.
     import cyclerec.harness as harness_mod
     import cyclerec.model as model_mod
 
     events = []
-    real_encode, real_step, real_softmax = model_mod._encode_rows, harness_mod.loss_and_gradients, harness_mod._softmax
+    stores = []  # exemplar stores whose feature rows a teacher pass would score
+    real_encode, real_step = model_mod._encode_rows, harness_mod.loss_and_gradients
+    real_blocks = harness_mod.logit_blocks
 
     def encoding(state, prefixes, *args, **kwargs):
         events.append("encode")
@@ -169,19 +194,21 @@ def test_kd_methods_carry_teacher_distributions_across_cycles(monkeypatch):
         events.append((spec.kd_examples, spec.kd_teacher_probs))
         return real_step(model, spec)
 
-    def softmax(*args, **kwargs):
-        events.append("teacher rows")
-        return real_softmax(*args, **kwargs)
+    def scoring(state, feats, *args, **kwargs):
+        events.append("teacher rows" if any(feats is store.features for store in stores) else "validation rows")
+        return real_blocks(state, feats, *args, **kwargs)
 
     monkeypatch.setattr(model_mod, "_encode_rows", encoding)
     monkeypatch.setattr(harness_mod, "loss_and_gradients", recording)
-    monkeypatch.setattr(harness_mod, "_softmax", softmax)
+    monkeypatch.setattr(harness_mod, "logit_blocks", scoring)
     datasets, _ = tiny_stream()
     loop = tiny_loop()
     ader = MethodSpec(MethodKind.ADER, exemplar_capacity=50)
-    ader_state, _ = run_one_cycle(ader, datasets, loop)
+    ader_state, records = run_one_cycle(ader, datasets, loop)
     assert "teacher rows" not in events  # cycle 0 has nothing to distil
+    assert events.count("validation rows") == len(records)
     store = ader_state.exemplars
+    stores.append(store)
     old = datasets[0].item_count_after
     expected = teacher_probabilities(ader_state.model.copy(), store.examples, old)
     assert expected.shape == (len(store.examples), old)
@@ -189,6 +216,7 @@ def test_kd_methods_carry_teacher_distributions_across_cycles(monkeypatch):
     events.clear()
     records = update_model(ader_state, datasets[1], ader, loop)
     assert events[0] == "teacher rows" and isinstance(events[1], tuple)
+    assert events.count("teacher rows") == 1 and events.count("validation rows") == len(records)
     assert records[0].lambda_t > 0.0 and records[0].kd > 0.0
     kd_rows, probs = events[1]
     rows = [store.examples.index(ex) for ex in kd_rows]
@@ -196,10 +224,12 @@ def test_kd_methods_carry_teacher_distributions_across_cycles(monkeypatch):
 
     zero = MethodSpec(MethodKind.ADER, exemplar_capacity=50, lambda_base=0.0)
     state, _ = run_one_cycle(zero, datasets, loop)
+    stores.append(state.exemplars)
     events.clear()
-    update_model(state, datasets[1], zero, loop)
+    records = update_model(state, datasets[1], zero, loop)
     steps = [e for e in events if isinstance(e, tuple)]
     assert "teacher rows" not in events
+    assert events.count("validation rows") == len(records)
     assert steps and all(probs is None for _, probs in steps)
 
 

@@ -20,6 +20,17 @@ def report(cycle, recall, mrr, count=10, unseen=0.0):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf])
+def test_non_finite_target_score_cannot_rank(score):
+    # a NaN target compared false with every score and ranked first: a hit at every k
+    with pytest.raises(ValueError, match="not finite"):
+        target_ranks(np.array([[score, 0.0, 1.0]]), np.array([0]))
+
+
+def test_non_finite_scores_of_other_items_still_rank():
+    assert target_ranks(np.array([[0.5, np.nan, np.inf, -np.inf]]), np.array([0])).tolist() == [2]
+
+
 def test_rank_simple():
     assert rank_of_target([0.9, 0.1, 0.5], 0) == 1
     assert rank_of_target([0.9, 0.1, 0.5], 2) == 2
