@@ -86,9 +86,13 @@ _TOP_DEFAULTS = {
 }
 
 
-# keys ``build_datasets`` reads under ``data``, besides the one source
-_DATA_KEYS = {"synthetic", "events", "cycles", "columns", "min_item_support", "min_session_length",
-              "period_days", "validation_fraction", "split_seed"}
+# keys ``build_datasets`` reads under ``data`` for each source, besides the source itself
+_SOURCE_KEYS = {
+    "synthetic": {"validation_fraction"},
+    "cycles": set(),  # the file holds the split
+    "events": {"columns", "min_item_support", "min_session_length", "period_days", "validation_fraction",
+               "split_seed"},
+}
 _TOP_KEYS = {"data", "methods", "seeds", "model", "training", "capacity_sweep", *_TOP_DEFAULTS}
 
 
@@ -101,8 +105,9 @@ def _reject_unknown(keys, known: set, where: str) -> None:
 def resolve_config(raw: dict) -> dict:
     """Validate a run config and fill in defaults; returns the full snapshot.
 
-    An unknown key at the top level or under ``data`` is a ``ConfigError``,
-    so a typo cannot silently fall back to a default.
+    An unknown key at the top level, a key under ``data`` that the chosen
+    source does not read, or an unknown ``data.columns`` key is a
+    ``ConfigError``, so no setting is silently ignored or left at a default.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
@@ -114,9 +119,15 @@ def resolve_config(raw: dict) -> dict:
     if not cfg["methods"]:
         raise ConfigError("field 'methods' must list at least one method")
     data = cfg["data"]
-    if not isinstance(data, dict) or len(set(data) & {"synthetic", "events", "cycles"}) != 1:
+    sources = set(data) & set(_SOURCE_KEYS) if isinstance(data, dict) else set()
+    if len(sources) != 1:
         raise ConfigError("field 'data' must hold exactly one of: synthetic, events, cycles")
-    _reject_unknown(data, _DATA_KEYS, "in 'data'")
+    (source,) = sources
+    _reject_unknown(data, {source, *_SOURCE_KEYS[source]}, f"in 'data' with a '{source}' source")
+    columns = data.get("columns", {})
+    if not isinstance(columns, dict):
+        raise ConfigError(f"field 'data.columns' must be a mapping, got {columns!r}")
+    _reject_unknown(columns, {f.name for f in dataclasses.fields(data_mod.ColumnFormat)}, "in 'data.columns'")
     period = data.get("period_days", 7)
     if isinstance(period, bool) or not isinstance(period, int) or period < 1:
         raise ConfigError(f"field 'data.period_days' must be a positive integer, got {period!r}")
@@ -151,7 +162,8 @@ def build_datasets(resolved: dict):
     data = resolved["data"]
     if "synthetic" in data:
         cfg = data_mod.SyntheticStreamConfig(**data["synthetic"])
-        return data_mod.generate_synthetic_stream(cfg, max_seq_len=resolved["model"]["max_seq_len"])
+        return data_mod.generate_synthetic_stream(cfg, max_seq_len=resolved["model"]["max_seq_len"],
+                                                  validation_fraction=data.get("validation_fraction", 0.1))
     if "cycles" in data:
         return data_mod.load_cycles(data["cycles"]), None
     fmt = data_mod.ColumnFormat(**data.get("columns", {}))
@@ -261,7 +273,7 @@ def cmd_preprocess(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     data_mod.save_cycles(datasets, out / "cycles.txt")
     registry.save(out / "registry.tsv")
-    stats = data_mod.stream_statistics(datasets, registry)
+    stats = data_mod.stream_statistics(datasets, registry, sessions, args.period_days * 86400)
     table = render_statistics_table(stats)
     (out / "statistics.txt").write_text(table, encoding="utf-8")
     print(table, end="")

@@ -291,6 +291,17 @@ def _split_validation(
     return list(compress(examples, (~held).tolist())), list(compress(examples, held.tolist()))
 
 
+def _buckets(starts: np.ndarray, period_seconds: int) -> tuple[np.ndarray, np.ndarray]:
+    """The non-empty period buckets of session start times, and each session's cycle: its bucket's rank."""
+    first = int(np.argmin(starts))
+    if period_seconds > int(starts.max()) - int(starts[first]):
+        buckets = np.zeros(len(starts), dtype=np.uint64)
+    else:  # unsigned, where the gap between any two int64 times fits
+        unsigned = starts.view(np.uint64)
+        buckets = (unsigned - unsigned[first]) // np.uint64(period_seconds)
+    return np.unique(buckets, return_inverse=True)
+
+
 def split_cycles(
     sessions: list[Session],
     registry: ItemRegistry,
@@ -314,12 +325,7 @@ def split_cycles(
         raise ValueError(f"split_cycles: validation_fraction must be in [0, 1), got {validation_fraction}")
     starts = np.fromiter((s.start_time for s in sessions), dtype=np.int64, count=len(sessions))
     order = np.argsort(starts, kind="stable")
-    starts = starts[order]
-    if period_seconds > int(starts[-1]) - int(starts[0]):
-        buckets = np.zeros(len(starts), dtype=np.uint64)
-    else:  # unsigned, where the gap between any two int64 times fits
-        buckets = (starts.view(np.uint64) - starts.view(np.uint64)[0]) // np.uint64(period_seconds)
-    bucket_ids, cycle_of = np.unique(buckets, return_inverse=True)
+    bucket_ids, cycle_of = _buckets(starts[order], period_seconds)
     if len(bucket_ids) < 2:
         raise ValueError("split_cycles: fewer than 2 non-empty cycles")
     empty = int(bucket_ids[-1]) + 1 - len(bucket_ids)
@@ -503,22 +509,25 @@ def load_cycles(path: str | Path) -> list[CycleDataset]:
     return datasets
 
 
-def stream_statistics(datasets: list[CycleDataset], registry: ItemRegistry) -> list[dict]:
+def stream_statistics(
+    datasets: list[CycleDataset], registry: ItemRegistry, sessions: list[Session], period_seconds: int
+) -> list[dict]:
     """Per-cycle action totals and new-action fractions.
 
-    Under all-prefix expansion every item occurrence appears exactly once
-    as a target except each session's opening item, which appears as the
-    length-1 prefix; both are counted here.
+    ``sessions`` and ``period_seconds`` are what ``split_cycles`` bucketed
+    into ``datasets``. A cycle's actions are the clicks of its sessions,
+    and a new action is a click on an item first seen in that cycle.
     """
+    starts = np.fromiter((s.start_time for s in sessions), dtype=np.int64, count=len(sessions))
+    lengths = np.fromiter((len(s.items) for s in sessions), dtype=np.int64, count=len(sessions))
+    items = np.fromiter(chain.from_iterable(s.items for s in sessions), dtype=np.int64, count=int(lengths.sum()))
+    click_cycle = np.repeat(_buckets(starts, period_seconds)[1], lengths)
+    is_new = np.array(registry.cycle_first_seen, dtype=np.int64)[items] == click_cycle
+    actions = np.bincount(click_cycle, minlength=len(datasets)).tolist()
+    new_actions = np.bincount(click_cycle[is_new], minlength=len(datasets)).tolist()
     stats = []
     for ds in datasets:
-        occurrences: list[int] = []
-        for ex in ds.examples:
-            if len(ex.prefix) == 1:
-                occurrences.append(ex.prefix[0])
-            occurrences.append(ex.target)
-        total = len(occurrences)
-        new = sum(1 for i in occurrences if registry.cycle_first_seen[i] == ds.cycle_id)
+        total, new = actions[ds.cycle_id], new_actions[ds.cycle_id]
         stats.append(
             {
                 "cycle": ds.cycle_id,

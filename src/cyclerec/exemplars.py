@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import TrainingExample
 from .losses import ce_rows_from_logits
-from .model import ModelState, Workspace, extract_features_batch, logit_blocks
+from .model import ModelState, extract_features_batch, logit_blocks
 
 
 class SelectionStrategy(str, Enum):
@@ -136,7 +136,6 @@ def select_exemplars(
     strategy: SelectionStrategy = SelectionStrategy.HERDING,
     seed: int = 0,
     batch_size: int = 512,
-    workspace: Workspace | None = None,
 ) -> ExemplarSet:
     """Build the next exemplar store from the current pool.
 
@@ -146,7 +145,6 @@ def select_exemplars(
     rows at a time (``logit_blocks``), and the chosen rows' features go into
     the store. Items are processed in ascending index; random draws use a
     per-item seed stream so results are independent of grouping order.
-    ``workspace`` serves the encoder pass and the logit blocks.
     """
     if not pool:
         raise ValueError("select_exemplars: empty pool")
@@ -164,10 +162,10 @@ def select_exemplars(
 
     feats = None
     if strategy is not SelectionStrategy.RANDOM:
-        feats = extract_features_batch(model, [ex.prefix for ex in pool], batch_size=batch_size, workspace=workspace)
+        feats = extract_features_batch(model, [ex.prefix for ex in pool], batch_size=batch_size)
     if strategy is SelectionStrategy.LOSS:
         per_example_loss = np.empty(len(pool), dtype=feats.dtype)
-        for block, logits in logit_blocks(model, feats, model.item_count, batch_size, workspace):
+        for block, logits in logit_blocks(model, feats, model.item_count, batch_size):
             per_example_loss[block] = ce_rows_from_logits(logits, targets[block])
 
     chosen: list[int] = []

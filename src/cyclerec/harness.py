@@ -35,7 +35,6 @@ from .model import (
     DivergenceError,
     ModelConfig,
     ModelState,
-    Workspace,
     _prefix_roots,
     extract_features_batch,
     grow_vocabulary,
@@ -161,7 +160,6 @@ class ExperimentState:
     ewc_anchor: np.ndarray | None = None  # laid out like ``model.flat_params``
     ewc_fisher: np.ndarray | None = None
     last_cycle: int = -1
-    workspace: Workspace = field(default_factory=Workspace)  # arrays of every step and pass of the run
 
 
 class EarlyStopper:
@@ -196,14 +194,13 @@ def evaluate_model(
     item_range: int,
     ks: Sequence[int] = (10, 20),
     batch_size: int = 512,
-    workspace: Workspace | None = None,
 ) -> tuple[dict[int, float], dict[int, float], float]:
     """Full-ranking recall/MRR of ``model`` over the first ``item_range`` items.
 
     Targets outside the range cannot be ranked and count as misses; prefix
     items outside the range are dropped (a fully-unseen prefix is a miss).
     ``batch_size`` rows are encoded and ranked at a time, so the pass holds
-    one (batch_size, item_range) logit block of ``workspace``.
+    one (batch_size, item_range) logit block of the model's workspace.
     """
     if not examples:
         raise ValueError("evaluate_model: empty test set")
@@ -211,36 +208,34 @@ def evaluate_model(
     prefixes = [tuple(j for j in ex.prefix if j < item_range) for ex in examples]
     rows = np.array([i for i, ex in enumerate(examples) if ex.target < item_range and prefixes[i]], dtype=np.int64)
     targets = np.array([examples[i].target for i in rows], dtype=np.int64)
-    feats = extract_features_batch(model, [prefixes[i] for i in rows], batch_size=batch_size, workspace=workspace)
-    for block, logits in logit_blocks(model, feats, item_range, batch_size, workspace):
+    feats = extract_features_batch(model, [prefixes[i] for i in rows], batch_size=batch_size)
+    for block, logits in logit_blocks(model, feats, item_range, batch_size):
         ranks[rows[block]] = target_ranks(logits, targets[block])
     recall = {k: recall_at_k(ranks, k) for k in ks}
     mrr = {k: mrr_at_k(ranks, k) for k in ks}
     return recall, mrr, 1.0 - len(rows) / len(examples)
 
 
-def _validation_scores(model: ModelState, examples, batch_size: int, workspace: Workspace) -> tuple[float, float]:
+def _validation_scores(model: ModelState, examples, batch_size: int) -> tuple[float, float]:
     """Cross entropy and Recall@20 over the model's full item range, dropout off.
 
     Each block of rows is ranked, then overwritten by its per-row cross
     entropy; the loss is the mean of those (rows,) values.
     """
-    feats = extract_features_batch(model, [ex.prefix for ex in examples], batch_size=batch_size,
-                                   workspace=workspace)
+    feats = extract_features_batch(model, [ex.prefix for ex in examples], batch_size=batch_size)
     targets = np.array([ex.target for ex in examples])
     ranks = np.empty(len(examples), dtype=np.int64)
     ce = np.empty(len(examples), dtype=feats.dtype)
-    for block, logits in logit_blocks(model, feats, model.item_count, batch_size, workspace):
+    for block, logits in logit_blocks(model, feats, model.item_count, batch_size):
         ranks[block] = target_ranks(logits, targets[block])
         ce[block] = ce_rows_from_logits(logits, targets[block])
     return float(ce.mean()), recall_at_k(ranks, VAL_RECALL_K)
 
 
-def _teacher_rows(model: ModelState, feats: np.ndarray, item_range: int, batch_size: int,
-                  workspace: Workspace) -> np.ndarray:
+def _teacher_rows(model: ModelState, feats: np.ndarray, item_range: int, batch_size: int) -> np.ndarray:
     """Softmax over the first ``item_range`` items per feature row, written block by block into one array."""
     probs = np.empty((len(feats), item_range), dtype=feats.dtype)
-    for block, logits in logit_blocks(model, feats, item_range, batch_size, workspace):
+    for block, logits in logit_blocks(model, feats, item_range, batch_size):
         _softmax(logits, out=(logits, probs[block]))
     return probs
 
@@ -290,8 +285,7 @@ def update_model(
     if kd_examples:
         # the model is still the previous cycle's restored one, which chose the
         # store and encoded its rows: the teacher's distributions need no new pass
-        teacher_probs = _teacher_rows(model, store.features, old_item_count, loop_cfg.eval_batch_size,
-                                      state.workspace)
+        teacher_probs = _teacher_rows(model, store.features, old_item_count, loop_cfg.eval_batch_size)
     grow_vocabulary(model, cycle_data.item_count_after, seed=_derived_seed(loop_cfg.seed, t, 101))
     if state.ewc_anchor is not None:  # new rows carry zero Fisher weight, so their anchor value is inert
         pad = np.zeros((model.item_count - old_item_count, model.config.embed_dim), dtype=model.config.np_dtype)
@@ -307,9 +301,8 @@ def update_model(
     ewc_active = method.kind is MethodKind.EWC and state.ewc_anchor is not None
 
     chains = _session_chains(ce_pool, model.config.max_seq_len)
-    # every step and pass takes its arrays from the run's workspace; each
+    # every step and pass takes its arrays from the model's workspace; each
     # step's gradients are consumed by adam_step before the next step or pass reuses them
-    workspace = state.workspace
     kd_bs = loop_cfg.kd_batch_size or loop_cfg.batch_size
     kd_cursor = 0
     stopper = EarlyStopper(loop_cfg.patience)
@@ -330,7 +323,6 @@ def update_model(
                 ce_examples=batch,
                 train_mode=method.dropout_rate > 0.0,
                 dropout_seed=_derived_seed(loop_cfg.seed, t, epoch, steps),
-                workspace=workspace,
             )
             if kd_examples:
                 sel = [(kd_cursor + j) % len(kd_examples) for j in range(min(kd_bs, len(kd_examples)))]
@@ -347,13 +339,13 @@ def update_model(
                 breakdown, grads = loss_and_gradients(model, spec)
             except DivergenceError as err:
                 raise DivergenceError(f"cycle {t} epoch {epoch} step {steps}: {err}") from err
-            adam_step(model, grads, lr=loop_cfg.learning_rate, workspace=workspace)
+            adam_step(model, grads, lr=loop_cfg.learning_rate)
             for key, val in (("ce", breakdown.ce), ("kd", breakdown.kd),
                              ("ewc", breakdown.ewc), ("total", breakdown.total)):
                 sums[key] += val
             steps += 1
         val_loss, val_recall = (
-            _validation_scores(model, cycle_data.validation, loop_cfg.eval_batch_size, workspace)
+            _validation_scores(model, cycle_data.validation, loop_cfg.eval_batch_size)
             if has_validation
             else (0.0, 0.0)
         )
@@ -376,13 +368,13 @@ def update_model(
         pool = list(cycle_data.train) + exemplar_examples
         state.exemplars = select_exemplars(
             model, pool, method.exemplar_capacity, method.selection_strategy,
-            seed=_derived_seed(loop_cfg.seed, t, 55), batch_size=loop_cfg.eval_batch_size, workspace=workspace,
+            seed=_derived_seed(loop_cfg.seed, t, 55), batch_size=loop_cfg.eval_batch_size,
         )
         if audit is not None:
             audit.append(("exemplars", t, len(state.exemplars.examples)))
     if method.kind is MethodKind.EWC and state.exemplars is not None:
         state.ewc_anchor = model.flat_params.copy()
-        state.ewc_fisher = fisher_diagonal(model, state.exemplars.examples, workspace=workspace)
+        state.ewc_fisher = fisher_diagonal(model, state.exemplars.examples)
     if method.kind is MethodKind.JOINT:
         state.joint_buffer.extend(cycle_data.train)
 
@@ -428,8 +420,7 @@ def run_experiment(
         audit.append(("eval", t + 1, len(nxt.train) + len(nxt.validation)))
         test = nxt.examples
         recall, mrr, unseen = evaluate_model(
-            state.model, test, state.model.item_count, ks=ks, batch_size=loop_cfg.eval_batch_size,
-            workspace=state.workspace,
+            state.model, test, state.model.item_count, ks=ks, batch_size=loop_cfg.eval_batch_size
         )
         report = CycleReport(
             cycle_id=t,

@@ -24,7 +24,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .data import TrainingExample
-    from .model import ModelState, Workspace
+    from .model import ModelState
 
 
 @dataclass
@@ -155,22 +155,19 @@ def adaptive_lambda(
     return lambda_base * math.sqrt((old_items / new_items_total) * (exemplar_count / data_count))
 
 
-def fisher_diagonal(
-    model: "ModelState", exemplars: Sequence["TrainingExample"], workspace: "Workspace | None" = None
-) -> np.ndarray:
+def fisher_diagonal(model: "ModelState", exemplars: Sequence["TrainingExample"]) -> np.ndarray:
     """Mean of squared per-example cross-entropy gradients, laid out like ``model.flat_params``.
 
-    Every exemplar's step and square take their arrays from ``workspace``
-    (a throwaway one if None).
+    Every exemplar's step and square take their arrays from the model's workspace.
     """
-    from .model import BatchSpec, Workspace, loss_and_gradients
+    from .model import BatchSpec, loss_and_gradients
 
     if not exemplars:
         raise ValueError("fisher_diagonal: empty exemplar set")
-    ws = workspace or Workspace()
+    ws = model.workspace
     fisher = np.zeros_like(model.flat_params)
     for ex in exemplars:
-        _, grads = loss_and_gradients(model, BatchSpec(ce_examples=[ex], workspace=ws))
+        _, grads = loss_and_gradients(model, BatchSpec(ce_examples=[ex]))
         fisher += np.multiply(grads.flat, grads.flat, out=ws("fisher.square", fisher.shape, fisher.dtype))
     fisher /= len(exemplars)
     return fisher

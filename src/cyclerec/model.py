@@ -35,10 +35,12 @@ Memory: the parameters, the Adam moments, the gradients and the EWC
 anchor and Fisher diagonal are flat vectors in one layout; named arrays
 are views of their segments, written only in place. Every per-step
 array of a training step (packed layout, dropout masks, forward cache,
-backward temporaries, logits, gradients) is written with ``out=`` into a
-``Workspace`` whose buffers grow to the largest step and are then
-reused. Adam runs over the flat vectors in chunks that stay in cache, and
-every full-vocabulary scoring pass holds one block of rows' logits.
+backward temporaries, logits, gradients) is written with ``out=`` into
+the model's ``Workspace``, whose buffers grow to the largest step and are
+then reused. A ``ModelState`` and its copies share one workspace, so
+every pass of a run, in every cycle, reuses the same buffers. Adam runs
+over the flat vectors in chunks that stay in cache, and every
+full-vocabulary scoring pass holds one block of rows' logits.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ LN_EPS = 1e-8
 MASK_FILL = -1e9
 NEW_ROW_SCALE = 0.01
 ADAM_CHUNK = 1 << 16  # elements per Adam pass: the pass's five arrays stay in a core's L2 cache
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class DivergenceError(RuntimeError):
@@ -162,6 +167,10 @@ class ModelState:
     two moments, one vector each; ``params``, ``adam_m`` and ``adam_v`` map
     each name to a view of its segment, ``item_emb`` first. Named arrays are
     written in place; assigning a new array to a name raises.
+
+    ``workspace`` holds the scratch arrays of every pass over the model.
+    ``init_model`` makes it and ``copy`` shares it, so the early-stopping
+    snapshot, once restored, keeps the run's buffers from cycle to cycle.
     """
 
     config: ModelConfig
@@ -170,6 +179,7 @@ class ModelState:
     flat_m: np.ndarray
     flat_v: np.ndarray
     step: int = 0
+    workspace: Workspace = field(default_factory=Workspace, repr=False)
     params: _Views = field(init=False, repr=False)
     adam_m: _Views = field(init=False, repr=False)
     adam_v: _Views = field(init=False, repr=False)
@@ -188,13 +198,14 @@ class ModelState:
         self.adam_v = self._views(self.flat_v)
 
     def copy(self, out: "ModelState | None" = None) -> "ModelState":
-        """An equal state sharing no memory with this one, written into ``out``'s vectors if given.
+        """An equal state sharing no vectors with this one, written into ``out``'s vectors if given.
 
-        ``out`` must be another state of the same config and item count.
+        ``out`` must be another state of the same config and item count. The
+        copy shares this state's workspace.
         """
         if out is None:
             return ModelState(self.config, self.item_count, self.flat_params.copy(), self.flat_m.copy(),
-                              self.flat_v.copy(), self.step)
+                              self.flat_v.copy(), self.step, self.workspace)
         if out is self or (out.config, out.item_count) != (self.config, self.item_count):
             raise ValueError("ModelState.copy: out must be another state of the same shape")
         for attr in ("flat_params", "flat_m", "flat_v"):
@@ -325,7 +336,6 @@ def _encode_batch(
     pos: np.ndarray,
     masks: np.ndarray | None = None,
     need_cache: bool = False,
-    ws: Workspace | None = None,
 ):
     """Run the encoder over one packed batch, token-major, at every token.
 
@@ -339,10 +349,10 @@ def _encode_batch(
     from one (D, 3D) GEMM. ``masks`` holds the scaled dropout masks,
     (blocks, 2, B*L, D) for the attention and feed-forward outputs, or is
     None for no dropout. Returns the (B*L, D) final hidden states and an
-    optional cache, all arrays of ``ws``; values at padding are finite and
-    never read.
+    optional cache, all arrays of the model's workspace; values at padding
+    are finite and never read.
     """
-    ws = ws or Workspace()
+    ws = state.workspace
     cfg = state.config
     P = state.params
     if ids.max() >= state.item_count:
@@ -460,7 +470,6 @@ def _encode_rows(
     train_mode: bool = False,
     dropout_seed: int = 0,
     need_cache: bool = False,
-    ws: Workspace | None = None,
 ):
     """Last-position features of each prefix, from one packed pass over their roots.
 
@@ -472,9 +481,9 @@ def _encode_rows(
     call, seeded by ``dropout_seed``, per real token and block, so rows
     sharing a root share every mask. Returns the (rows, D) features and,
     with ``need_cache``, the cache ``_encode_backward`` reads; both are
-    arrays of ``ws``.
+    arrays of the model's workspace.
     """
-    ws = ws or Workspace()
+    ws = state.workspace
     cfg = state.config
     dt = cfg.np_dtype
     d = cfg.embed_dim
@@ -512,14 +521,14 @@ def _encode_rows(
         masks *= dt.type(1.0 / (1.0 - cfg.dropout_rate))
     shape = (rows, width)
     hidden, cache = _encode_batch(state, ids.reshape(shape), seg.reshape(shape), pos.reshape(shape), masks,
-                                  need_cache, ws)
+                                  need_cache)
     last = start[group] + lengths - 1  # each row's last item, in its root's segment
     if need_cache:
         cache["last"] = last
     return np.take(hidden, last, axis=0, out=ws("feats", (len(trimmed), d), dt), mode="wrap"), cache
 
 
-def _scatter_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray, ws: Workspace | None = None) -> None:
+def _scatter_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray, ws: Workspace) -> None:
     """``out[index[i]] += rows[i]`` with repeated indices summed, like ``np.add.at``.
 
     Distinct indices (each row's last token, unless two rows share a
@@ -528,7 +537,6 @@ def _scatter_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray, ws: Work
     each run of equal indices is summed with one ``reduceat`` first. Only
     the rows that occur are touched.
     """
-    ws = ws or Workspace()
     distinct = False
     if len(index) <= len(out):
         hit = ws("scatter.hit", (len(out),), bool)
@@ -550,9 +558,7 @@ def _scatter_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray, ws: Work
     out[dest] = acc
 
 
-def _encode_backward(
-    state: ModelState, cache: dict, dfeats: np.ndarray, grads: dict[str, np.ndarray], ws: Workspace | None = None
-) -> None:
+def _encode_backward(state: ModelState, cache: dict, dfeats: np.ndarray, grads: dict[str, np.ndarray]) -> None:
     """Accumulate encoder gradients into ``grads`` given d(loss)/d(row features).
 
     ``cache`` comes from ``_encode_rows``. Each row's gradient lands on its
@@ -560,9 +566,9 @@ def _encode_backward(
     every token, in the forward pass's token-major layout: the fused
     projection's weight gradients come from one GEMM and its input
     gradient from another. Padding receives exactly zero gradient. Every
-    temporary is an array of ``ws``.
+    temporary is an array of the model's workspace.
     """
-    ws = ws or Workspace()
+    ws = state.workspace
     cfg = state.config
     P = state.params
     B, L = cache["ids"].shape
@@ -630,40 +636,34 @@ def _encode_backward(
     _scatter_rows(grads["pos_emb"], cache["pos"].ravel()[real], flat_dx, ws)
 
 
-def extract_features_batch(
-    state: ModelState,
-    prefixes: Sequence[Sequence[int]],
-    batch_size: int = 512,
-    workspace: Workspace | None = None,
-) -> np.ndarray:
+def extract_features_batch(state: ModelState, prefixes: Sequence[Sequence[int]], batch_size: int = 512) -> np.ndarray:
     """Feature vectors (final-block output at the last position) per prefix, dropout off.
 
-    The chunks share ``workspace`` (a throwaway one if None); each chunk's
-    features are copied out before the next.
+    Each chunk of ``batch_size`` prefixes is encoded in the model's
+    workspace, and its features are copied out before the next.
     """
     if batch_size < 1:
         raise ValueError(f"extract_features_batch: batch_size must be >= 1, got {batch_size}")
     out = np.empty((len(prefixes), state.config.embed_dim), dtype=state.config.np_dtype)
-    ws = workspace or Workspace()
     for lo in range(0, len(prefixes), batch_size):
         chunk = prefixes[lo : lo + batch_size]
-        out[lo : lo + len(chunk)], _ = _encode_rows(state, chunk, ws=ws)
+        out[lo : lo + len(chunk)], _ = _encode_rows(state, chunk)
     return out
 
 
 def logit_blocks(
-    state: ModelState, feats: np.ndarray, item_range: int, batch_size: int = 512, workspace: Workspace | None = None
+    state: ModelState, feats: np.ndarray, item_range: int, batch_size: int = 512
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield ``(rows, logits)``: a slice of ``feats`` and its logits over ``item_emb[:item_range]``.
 
     Rows go in the fewest near-equal blocks of at most ``batch_size``:
     BLAS sums a one- or few-row remainder in another float32 order than
-    one big GEMM. Blocks share one buffer of ``workspace`` (a throwaway one
-    if None); a block is the caller's to overwrite, and valid until the next.
+    one big GEMM. Blocks share one buffer of the model's workspace; a block
+    is the caller's to overwrite, and valid until the next.
     """
     if batch_size < 1:
         raise ValueError(f"logit_blocks: batch_size must be >= 1, got {batch_size}")
-    ws = workspace or Workspace()
+    ws = state.workspace
     emb_t = state.params["item_emb"][:item_range].T
     count = max(1, -(-len(feats) // batch_size))
     # ceiling cuts put the larger blocks first, so the buffer never grows mid-pass
@@ -683,8 +683,8 @@ class BatchSpec:
     """One optimization step's inputs: examples plus the loss recipe.
 
     ``ewc_anchor`` and ``ewc_fisher`` are vectors laid out like
-    ``ModelState.flat_params``. ``workspace`` supplies the step's arrays;
-    without one the step gets a throwaway workspace.
+    ``ModelState.flat_params``. The step's arrays come from the model's
+    workspace.
     """
 
     ce_examples: Sequence[TrainingExample] = ()
@@ -697,7 +697,6 @@ class BatchSpec:
     ewc_weight: float = 0.0
     train_mode: bool = False
     dropout_seed: int = 0
-    workspace: Workspace | None = None
 
 
 def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdown, _Views]:
@@ -706,10 +705,10 @@ def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdow
     total = ce + kd_weight * kd + ewc_weight * ewc, each term present only
     when its inputs are supplied. Raises ``DivergenceError`` on a
     non-finite total. The gradients are named like ``state.params``: views
-    of one vector (``grads.flat``) of the step's workspace, laid out like
-    ``state.flat_params`` and valid until the next step on it.
+    of one vector (``grads.flat``) of the model's workspace, laid out like
+    ``state.flat_params`` and valid until the next pass over the model.
     """
-    ws = spec.workspace or Workspace()
+    ws = state.workspace
     dt = state.config.np_dtype
     D = state.config.embed_dim
     grads = state._views(ws("grads", state.flat_params.shape, dt))
@@ -725,8 +724,7 @@ def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdow
     n_ce = len(ce_rows)
     if ce_rows or kd_rows:
         feats, cache = _encode_rows(
-            state, [ex.prefix for ex in ce_rows + kd_rows], spec.train_mode, spec.dropout_seed, need_cache=True,
-            ws=ws,
+            state, [ex.prefix for ex in ce_rows + kd_rows], spec.train_mode, spec.dropout_seed, need_cache=True
         )
         dfeats = ws("dfeats", feats.shape, dt)  # the CE rows, then the KD rows, each written whole
         if ce_rows:
@@ -747,7 +745,7 @@ def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdow
             dlogits *= spec.kd_weight
             grads["item_emb"][:kd_range] += np.matmul(dlogits.T, kd_feats, out=ws("demb", (kd_range, D), dt))
             np.matmul(dlogits, E[:kd_range], out=dfeats[n_ce:])
-        _encode_backward(state, cache, dfeats, grads, ws)
+        _encode_backward(state, cache, dfeats, grads)
 
     if spec.ewc_anchor is not None and spec.ewc_weight != 0.0:
         theta, anchor, fw = state.flat_params, spec.ewc_anchor, spec.ewc_fisher
@@ -768,27 +766,19 @@ def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdow
     return LossBreakdown(ce=ce_val, kd=kd_val, ewc=ewc_val, total=total), grads
 
 
-def adam_step(
-    state: ModelState,
-    grads: _Views,
-    lr: float = 5e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    workspace: Workspace | None = None,
-) -> ModelState:
+def adam_step(state: ModelState, grads: _Views, lr: float = 5e-4) -> ModelState:
     """Bias-corrected Adam update, in place, over the flat vectors in cache-sized chunks. Returns the state.
 
     ``grads`` comes from ``loss_and_gradients``; Adam reads its flat vector.
-    Scratch arrays come from ``workspace`` (a throwaway one if None).
+    Scratch arrays come from the model's workspace.
     """
     g, theta, m, v = grads.flat, state.flat_params, state.flat_m, state.flat_v
     if g.shape != theta.shape or g.dtype != theta.dtype:
         raise ValueError(f"adam_step: gradients {g.dtype}{g.shape} do not match parameters {theta.dtype}{theta.shape}")
-    ws = workspace or Workspace()
+    ws = state.workspace
     state.step += 1
-    bc1 = 1.0 - beta1 ** state.step
-    bc2 = 1.0 - beta2 ** state.step
+    bc1 = 1.0 - ADAM_BETA1 ** state.step
+    bc2 = 1.0 - ADAM_BETA2 ** state.step
     n = min(ADAM_CHUNK, g.size)
     tmp = ws("adam.tmp", (n,), g.dtype)
     denom = ws("adam.denom", (n,), v.dtype)
@@ -796,18 +786,18 @@ def adam_step(
         c = slice(lo, lo + ADAM_CHUNK)
         gc, mc, vc = g[c], m[c], v[c]
         k = len(gc)
-        mc *= beta1
-        mc += np.multiply(gc, 1.0 - beta1, out=tmp[:k])
-        vc *= beta2
+        mc *= ADAM_BETA1
+        mc += np.multiply(gc, 1.0 - ADAM_BETA1, out=tmp[:k])
+        vc *= ADAM_BETA2
         sq = np.multiply(gc, gc, out=tmp[:k])
-        sq *= 1.0 - beta2
+        sq *= 1.0 - ADAM_BETA2
         vc += sq
         # theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
         update = np.divide(mc, bc1, out=tmp[:k])
         update *= lr
         den = np.divide(vc, bc2, out=denom[:k])
         np.sqrt(den, out=den)
-        den += eps
+        den += ADAM_EPS
         update /= den
         theta[c] -= update
     return state

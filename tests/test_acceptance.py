@@ -142,6 +142,7 @@ def test_criterion_3_gradients_match_finite_differences():
         kd_weight=0.5,
     )
     _, grads = loss_and_gradients(model, spec)
+    grads = {name: g.copy() for name, g in grads.items()}  # the model's next pass reuses their buffer
     h = 1e-5
     names = sorted(model.params)
     worst = 0.0

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from cyclerec.cli import ConfigError, _load_config, main, resolve_config
+from cyclerec.cli import ConfigError, _load_config, build_datasets, main, resolve_config
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -93,6 +93,44 @@ def test_resolve_rejects_ambiguous_data():
     cfg["data"]["events"] = "somewhere.csv"
     with pytest.raises(ConfigError, match="data"):
         resolve_config(cfg)
+
+
+SYNTHETIC = TOY_CONFIG["data"]["synthetic"]
+
+
+@pytest.mark.parametrize("data,key", [
+    ({"synthetic": SYNTHETIC, "min_item_support": 2}, "min_item_support"),
+    ({"synthetic": SYNTHETIC, "min_session_length": 3}, "min_session_length"),
+    ({"synthetic": SYNTHETIC, "period_days": 3}, "period_days"),
+    ({"synthetic": SYNTHETIC, "split_seed": 4}, "split_seed"),
+    ({"synthetic": SYNTHETIC, "columns": {"session_col": "sid"}}, "columns"),
+    ({"cycles": "prepped/cycles.txt", "validation_fraction": 0.5}, "validation_fraction"),
+    ({"cycles": "prepped/cycles.txt", "min_item_support": 2}, "min_item_support"),
+    ({"events": "events.csv", "columns": {"sesion_col": "sid"}}, "sesion_col"),
+    ({"events": "events.csv", "columns": "sid"}, "data.columns"),
+])
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_data_key_the_source_does_not_read_exits_1(tmp_path, capsys, data, key, dry_run):
+    # such a key was accepted and ignored, and a misspelt column key passed
+    # a dry run and then crashed the run with a TypeError
+    path = write_config(tmp_path, {"data": data})
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "run")] + (["--dry-run"] if dry_run else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_synthetic_source_reads_validation_fraction():
+    sizes = {}
+    for fraction in (None, 0.5):
+        cfg = yaml.safe_load(yaml.safe_dump(TOY_CONFIG))
+        if fraction is not None:
+            cfg["data"]["validation_fraction"] = fraction
+        datasets, _ = build_datasets(resolve_config(cfg))
+        sizes[fraction] = [(len(ds.train), len(ds.validation)) for ds in datasets]
+    for (train, val), (half_train, half_val) in zip(sizes[None], sizes[0.5]):
+        assert val == int(0.1 * (train + val)) and half_val == int(0.5 * (half_train + half_val))
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +242,19 @@ def test_preprocess_writes_cycles_and_statistics(tmp_path, capsys):
 
     cycles = load_cycles(out / "cycles.txt")
     assert len(stats_lines) == 1 + len(cycles)  # header + one row per cycle
+
+
+def test_preprocess_statistics_do_not_depend_on_max_seq_len(tmp_path, capsys):
+    # at --max-seq-len 1 every prefix has length 1; counting those as
+    # opening clicks put 3 actions on every 2-row session
+    events = write_events(tmp_path)
+    args = ["--min-item-support", "2", "--period-days", "7"]
+    tables = []
+    for max_len in ("1", "50"):
+        out = tmp_path / f"prep{max_len}"
+        assert main(["preprocess", "--input", str(events), "--out", str(out), "--max-seq-len", max_len] + args) == 0
+        tables.append((out / "statistics.txt").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_preprocess_skips_timestamps_outside_int64(tmp_path, capsys):

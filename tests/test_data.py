@@ -446,6 +446,23 @@ def test_split_deterministic():
     assert d1 == d2
 
 
+def test_statistics_count_the_sessions_clicks_at_any_max_seq_len():
+    # at max_seq_len 1 every prefix has length 1, so no row marks a session's
+    # opening click: the counts come from the sessions, not the rows
+    item_lists = [["1", "2", "3", "4"], ["2", "3"], ["4", "1", "5"], ["5", "4"]]
+    starts = [0, DAY, WEEK, WEEK + DAY]
+    tables = []
+    for max_len in (1, 50):
+        sessions, registry = _registered_sessions(item_lists, starts)
+        datasets = split_cycles(sessions, registry, period_seconds=WEEK, validation_fraction=0.0,
+                                max_seq_len=max_len)
+        tables.append(stream_statistics(datasets, registry, sessions, WEEK))
+    assert tables[0] == tables[1]
+    assert [row["actions"] for row in tables[0]] == [6, 5]
+    assert [row["new_action_fraction"] for row in tables[0]] == [1.0, 0.4]  # "5" is new in week 1
+    assert [row["examples"] for row in tables[0]] == [4, 3]
+
+
 def test_split_single_cycle_errors():
     sessions, registry = _registered_sessions([["a", "b"], ["b", "a"]], [0, 100])
     with pytest.raises(ValueError, match="fewer than 2"):
@@ -512,9 +529,10 @@ def test_synthetic_config_validation():
 
 
 def test_synthetic_new_action_fraction_declines():
+    # the share of targets that are items new in their cycle
     datasets, registry = generate_synthetic_stream(SyntheticStreamConfig(seed=5))
-    stats = stream_statistics(datasets, registry)
-    fractions = [s["new_action_fraction"] for s in stats]
+    fractions = [np.mean([registry.cycle_first_seen[ex.target] == ds.cycle_id for ex in ds.examples])
+                 for ds in datasets]
     assert fractions[0] == 1.0
     assert fractions[1] > fractions[4] > fractions[7]
 

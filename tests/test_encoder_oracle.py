@@ -202,9 +202,9 @@ def _packed_masks(monkeypatch, state, spec, prefixes):
     seen = []
     encode_batch = model_mod._encode_batch
 
-    def spy(state, ids, seg, pos, masks=None, need_cache=False, ws=None):
-        seen.append((masks, ids.shape))
-        return encode_batch(state, ids, seg, pos, masks, need_cache, ws)
+    def spy(state, ids, seg, pos, masks=None, need_cache=False):
+        seen.append((None if masks is None else masks.copy(), ids.shape))  # the model's next pass reuses them
+        return encode_batch(state, ids, seg, pos, masks, need_cache)
 
     monkeypatch.setattr(model_mod, "_encode_batch", spy)
     _, cache = _encode_rows(state, prefixes, spec.train_mode, spec.dropout_seed, need_cache=True)
@@ -248,7 +248,7 @@ def reference_loss_and_gradients(state, spec, row_masks):
     ce, dce = ce_from_logits(feats[:n_ce] @ E.T, np.array([ex.target for ex in spec.ce_examples]))
     kd, dkd = kd_from_logits(feats[n_ce:] @ E[: spec.kd_item_range].T, spec.kd_teacher_probs)
     dkd *= spec.kd_weight
-    _, grads = loss_and_gradients(state, BatchSpec())  # zero, laid out like state.flat_params
+    grads = state._views(np.zeros_like(state.flat_params))
     grads["item_emb"] += dce.T @ feats[:n_ce]
     grads["item_emb"][: spec.kd_item_range] += dkd.T @ feats[n_ce:]
     dfeats = np.concatenate([dce @ E, dkd @ E[: spec.kd_item_range]])
@@ -271,8 +271,9 @@ def test_token_major_encoder_matches_reference(monkeypatch, heads, blocks, dropo
     assert max(len(set(row[row >= 0].tolist())) for row in seg) > 1  # a row packs several segments
     trimmed = {tuple(p)[-state.config.max_seq_len :] for p in prefixes}
     assert seg.max() + 1 < len(trimmed)  # some root serves several distinct rows
-    feats, _ = _encode_rows(state, prefixes, spec.train_mode, spec.dropout_seed)
+    feats = _encode_rows(state, prefixes, spec.train_mode, spec.dropout_seed)[0].copy()
     loss, grads = loss_and_gradients(state, spec)
+    grads = {name: g.copy() for name, g in grads.items()}  # the reference's passes reuse their buffer
     ref_feats, ref_loss, ref_grads = reference_loss_and_gradients(state, spec, row_masks)
     np.testing.assert_allclose(feats, ref_feats, rtol=0, atol=TOL)
     assert loss.total == pytest.approx(ref_loss, abs=TOL)
@@ -307,6 +308,7 @@ def test_shared_prefix_gradients_match_finite_differences():
     state = _random_model(2, 2, 0.3, item_count=30)
     spec = _shared_prefix_spec(rng, 0.3)
     _, grads = loss_and_gradients(state, spec)
+    grads = {name: g.copy() for name, g in grads.items()}  # the model's next pass reuses their buffer
     h = 1e-5  # central differences: O(h^2) truncation, O(1e-16 * loss / h) rounding
     worst = 0.0
     for name in sorted(state.params):

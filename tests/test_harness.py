@@ -353,6 +353,25 @@ def test_early_stop_restores_best_validation_parameters():
     assert loss == pytest.approx(best_logged, rel=1e-6)
 
 
+def test_restored_model_keeps_the_workspace_init_model_made():
+    # the early-stopping snapshot is a copy of the model; once restored it must
+    # carry the run's workspace on, or every cycle would map its buffers anew
+    datasets, _ = tiny_stream(cycles=3, sessions=80)
+    loop = TrainLoopConfig(max_epochs=12, patience=2, batch_size=64, seed=5, learning_rate=5e-3)
+    method = MethodSpec(MethodKind.ADER, exemplar_capacity=50)
+    state = ExperimentState(model=init_model(
+        ModelConfig(**{**MODEL_CFG.__dict__, "dropout_rate": 0.3}), datasets[0].item_count_after, seed=2,
+    ))
+    workspace = state.model.workspace
+    for cycle in (0, 1):
+        trained = state.model
+        records = update_model(state, datasets[cycle], method, loop)
+        assert records[-1].val_loss > min(r.val_loss for r in records)  # an earlier epoch was restored
+        assert state.model is not trained
+        assert state.model.workspace is workspace
+    assert "grads" in workspace._buffers  # the steps ran in it
+
+
 # ---------------------------------------------------------------------------
 # full protocol
 # ---------------------------------------------------------------------------

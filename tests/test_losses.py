@@ -217,10 +217,10 @@ def test_ader_loss_weighted_sum():
 def test_ader_loss_zero_lambda_is_plain_ce():
     m = init_model(CFG, 8, seed=15)
     plain, g_plain = loss_and_gradients(m, BatchSpec(ce_examples=CE_ROWS))
+    g_plain = g_plain.flat.copy()  # the model's next pass reuses the gradients' buffer
     breakdown, grads = loss_and_gradients(m, _kd_spec(0.0))
     assert breakdown.total == plain.total and breakdown.kd == 0.0
-    for name in grads:
-        np.testing.assert_array_equal(grads[name], g_plain[name])
+    np.testing.assert_array_equal(grads.flat, g_plain)
 
 
 def test_ader_loss_rejects_nonfinite():
@@ -237,10 +237,10 @@ def test_ader_loss_rejects_nonfinite():
 def test_fisher_single_exemplar_is_squared_gradient():
     m = init_model(CFG, 6, seed=7)
     ex = TrainingExample((0, 2), 4)
-    _, grads = loss_and_gradients(m, BatchSpec(ce_examples=[ex]))
+    squared = loss_and_gradients(m, BatchSpec(ce_examples=[ex]))[1].flat ** 2
     fisher = fisher_diagonal(m, [ex])
     assert fisher.shape == m.flat_params.shape
-    np.testing.assert_allclose(fisher, grads.flat ** 2, atol=1e-15)
+    np.testing.assert_allclose(fisher, squared, atol=1e-15)
 
 
 def test_fisher_nonnegative_and_mean_over_exemplars():

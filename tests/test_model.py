@@ -30,14 +30,19 @@ def small_model(item_count=12, seed=3, **overrides):
     return init_model(cfg, item_count, seed=seed)
 
 
+def gradients(m, spec):
+    """A step's gradients, copied out of the model's workspace, which the next pass overwrites."""
+    return m._views(loss_and_gradients(m, spec)[1].flat.copy())
+
+
 def zero_gradients(m):
     """Zero gradients laid out like ``m.flat_params``: those of a step with no loss terms."""
-    return loss_and_gradients(m, BatchSpec())[1]
+    return gradients(m, BatchSpec())
 
 
 def features(m, prefix, train_mode=False, dropout_seed=0):
-    """Features of one prefix, encoded alone."""
-    return _encode_rows(m, [tuple(prefix)], train_mode, dropout_seed)[0][0]
+    """Features of one prefix, encoded alone, copied out of the model's workspace."""
+    return _encode_rows(m, [tuple(prefix)], train_mode, dropout_seed)[0][0].copy()
 
 
 def softmax(z):
@@ -223,7 +228,7 @@ def test_zero_feature_gives_uniform_softmax():
 
 
 def _fd_check(model, spec, rng, samples=25, h=1e-5, tol=1e-4):
-    _, grads = loss_and_gradients(model, spec)
+    grads = gradients(model, spec)
     worst = 0.0
     names = sorted(model.params)
     for _ in range(samples):
@@ -291,10 +296,10 @@ def test_duplicated_example_doubles_contribution():
     m = small_model()
     a = TrainingExample((0, 1), 3)
     b = TrainingExample((2,), 5)
-    _, g_ab = loss_and_gradients(m, BatchSpec(ce_examples=[a, b]))
-    _, g_abb = loss_and_gradients(m, BatchSpec(ce_examples=[a, b, b]))
-    _, g_a = loss_and_gradients(m, BatchSpec(ce_examples=[a]))
-    _, g_b = loss_and_gradients(m, BatchSpec(ce_examples=[b]))
+    g_ab = gradients(m, BatchSpec(ce_examples=[a, b]))
+    g_abb = gradients(m, BatchSpec(ce_examples=[a, b, b]))
+    g_a = gradients(m, BatchSpec(ce_examples=[a]))
+    g_b = gradients(m, BatchSpec(ce_examples=[b]))
     for name in g_ab:
         np.testing.assert_allclose(g_abb[name], (2 * g_a[name] + 4 * g_b[name]) / 6, atol=1e-12)
 
@@ -310,8 +315,8 @@ def test_packed_batch_matches_per_example_gradients():
                  for _ in range(4)]
     _, cache = _encode_rows(m, [ex.prefix for ex in examples], need_cache=True)
     assert max(len(set(row[row >= 0].tolist())) for row in cache["seg"]) > 1
-    _, g_batch = loss_and_gradients(m, BatchSpec(ce_examples=examples))
-    singles = [loss_and_gradients(m, BatchSpec(ce_examples=[ex]))[1] for ex in examples]
+    g_batch = gradients(m, BatchSpec(ce_examples=examples))
+    singles = [gradients(m, BatchSpec(ce_examples=[ex])) for ex in examples]
     for name in g_batch:
         expected = sum(g[name] for g in singles) / len(examples)
         np.testing.assert_allclose(g_batch[name], expected, atol=1e-12)
@@ -339,6 +344,7 @@ def test_long_session_packs_one_segment_per_nesting_run():
     prefixes = [session[:k] for k in range(1, 8)]
     m = small_model(max_seq_len=3, block_count=2)
     feats, cache = _encode_rows(m, prefixes, need_cache=True)
+    feats = feats.copy()
     assert cache["ids"].shape == (5, 3)
     assert sorted(cache["seg"].ravel().tolist()) == [s for s in range(5) for _ in range(3)]
     assert cache["pos"].tolist() == [[0, 1, 2]] * 5
@@ -359,7 +365,7 @@ def test_prefix_roots_group_only_true_prefixes_after_trimming():
     assert trimmed == [(1,), (1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (2, 3), (1, 2)]
     assert _prefix_roots(trimmed).tolist() == [2, 2, 2, 3, 4, 5, 3, 2]
     m = small_model(max_seq_len=3, block_count=2)
-    shared, _ = _encode_rows(m, prefixes)
+    shared = _encode_rows(m, prefixes)[0].copy()
     alone = np.stack([features(m, p) for p in prefixes])
     np.testing.assert_allclose(shared, alone, rtol=0, atol=1e-12)
 
@@ -371,7 +377,7 @@ def test_scatter_rows_matches_add_at():
     expected = np.zeros((6, 4))
     np.add.at(expected, index, rows)
     got = np.zeros((6, 4))
-    _scatter_rows(got, index, rows)
+    _scatter_rows(got, index, rows, Workspace())
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
@@ -569,14 +575,14 @@ def test_fused_adam_matches_per_parameter_loop_bit_for_bit():
     fused, ref = float32_model(), float32_model()
     for step in range(4):
         grads = random_gradients(fused, rng)
-        adam_step(fused, grads, lr=1e-2, workspace=Workspace())
+        adam_step(fused, grads, lr=1e-2)
         reference_adam_step(ref, grads, lr=1e-2)
         assert states_equal(fused, ref), step
     spec = BatchSpec(ce_examples=[TrainingExample((1, 2, 3), 4), TrainingExample((5,), 6)], train_mode=True,
-                     dropout_seed=3, workspace=Workspace())
-    _, grads = loss_and_gradients(fused, spec)
+                     dropout_seed=3)
+    _, grads = loss_and_gradients(fused, spec)  # views of the workspace that adam_step also draws on
     reference_adam_step(ref, grads, lr=1e-2)
-    adam_step(fused, grads, lr=1e-2, workspace=spec.workspace)
+    adam_step(fused, grads, lr=1e-2)
     assert states_equal(fused, ref)
 
     grow_vocabulary(fused, 26, seed=4)
@@ -670,22 +676,25 @@ def _workspace_steps(rng, item_count):
 
 
 def test_workspace_steps_match_fresh_ones_and_stop_allocating():
+    # one model steps in the workspace init_model gave it, the other in a new
+    # workspace every step, as a model whose buffers were never reused
     rng = np.random.default_rng(3)
     shared, fresh = float32_model(), float32_model()
     anchor = (shared.flat_params + rng.normal(scale=0.1, size=shared.flat_params.shape)).astype(np.float32)
     fisher = np.abs(rng.normal(size=shared.flat_params.shape)).astype(np.float32)
-    ws = Workspace()
+    ws = shared.workspace
     specs = _workspace_steps(rng, 20)
     for i, spec in enumerate(specs * 2):
         spec = dataclasses.replace(spec, ewc_anchor=anchor, ewc_fisher=fisher, ewc_weight=3.0)
-        got, got_grads = loss_and_gradients(shared, dataclasses.replace(spec, workspace=ws))
+        fresh.workspace = Workspace()
+        got, got_grads = loss_and_gradients(shared, spec)
         want, want_grads = loss_and_gradients(fresh, spec)
         assert got == want, i
         assert got.ewc > 0.0 and (got.kd > 0.0 or not spec.kd_examples), i
         assert set(got_grads) == set(want_grads)
         for name in want_grads:
             np.testing.assert_array_equal(got_grads[name], want_grads[name], err_msg=f"step {i}: {name}")
-        adam_step(shared, got_grads, lr=1e-2, workspace=ws)
+        adam_step(shared, got_grads, lr=1e-2)
         adam_step(fresh, want_grads, lr=1e-2)
         assert states_equal(shared, fresh), i
         if i == 0:

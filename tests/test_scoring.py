@@ -4,7 +4,9 @@ Evaluation, validation, the loss rule of exemplar selection and the
 teacher rows score their rows through ``model.logit_blocks``. Each caller
 is compared here with the one-array formula it replaced, on float32 inputs
 and the same features, at block sizes around the row count; and each is run
-at a large vocabulary under ``tracemalloc``.
+at a large vocabulary under ``tracemalloc``. Every call scores in the
+model's own workspace, so the module's calls reuse one set of buffers,
+grown and cut to each block size in turn, as a run's passes do.
 """
 
 import tracemalloc
@@ -17,7 +19,7 @@ from cyclerec.exemplars import SelectionStrategy, allocate_quota, select_exempla
 from cyclerec.harness import VAL_RECALL_K, _teacher_rows, _validation_scores, evaluate_model
 from cyclerec.losses import _softmax, ce_from_logits
 from cyclerec.metrics import recall_at_k, target_ranks
-from cyclerec.model import ModelConfig, Workspace, extract_features_batch, init_model, logit_blocks
+from cyclerec.model import ModelConfig, extract_features_batch, init_model, logit_blocks
 
 CFG = ModelConfig(embed_dim=16, block_count=1, max_seq_len=8)  # float32
 ROWS, ITEMS = 40, 50
@@ -62,7 +64,7 @@ def test_logit_blocks_tile_the_one_array_logits(model, examples, batch_size):
     feats = extract_features_batch(model, [ex.prefix for ex in examples])
     whole = feats @ model.params["item_emb"][:30].T
     covered = []
-    for block, logits in logit_blocks(model, feats, 30, batch_size, Workspace()):
+    for block, logits in logit_blocks(model, feats, 30, batch_size):
         assert logits.shape == (block.stop - block.start, 30) and logits.shape[0] <= batch_size
         assert_same_floats(logits, whole[block], batch_size)
         covered.extend(range(block.start, block.stop))
@@ -81,7 +83,7 @@ def test_logit_blocks_leave_no_small_remainder(model):
 def test_evaluation_ranks_match_one_array(model, examples, batch_size):
     # recall and MRR at every cutoff together fix the multiset of ranks
     ks = tuple(range(1, ITEMS + 1))
-    recall, mrr, unseen = evaluate_model(model, examples, ITEMS, ks=ks, batch_size=batch_size, workspace=Workspace())
+    recall, mrr, unseen = evaluate_model(model, examples, ITEMS, ks=ks, batch_size=batch_size)
     ranks = target_ranks(one_array_logits(model, examples, ITEMS, batch_size), np.array([ex.target for ex in examples]))
     assert unseen == 0.0
     assert recall == {k: recall_at_k(ranks, k) for k in ks}
@@ -94,7 +96,7 @@ def test_validation_scores_match_one_array(model, examples, batch_size):
     targets = np.array([ex.target for ex in examples])
     expected_recall = recall_at_k(target_ranks(logits, targets), VAL_RECALL_K)
     expected_loss, _ = ce_from_logits(logits, targets)
-    assert _validation_scores(model, examples, batch_size, Workspace()) == (expected_loss, expected_recall)
+    assert _validation_scores(model, examples, batch_size) == (expected_loss, expected_recall)
 
 
 @pytest.mark.parametrize("batch_size", BLOCKS)
@@ -110,8 +112,7 @@ def test_loss_rule_picks_the_one_array_rows_in_order(model, batch_size):
     for item in sorted(set(targets.tolist())):
         members = np.flatnonzero(targets == item)
         expected.extend(members[np.argsort(loss[members], kind="stable")[: quotas[item]]].tolist())
-    store = select_exemplars(model, pool, capacity, SelectionStrategy.LOSS, batch_size=batch_size,
-                             workspace=Workspace())
+    store = select_exemplars(model, pool, capacity, SelectionStrategy.LOSS, batch_size=batch_size)
     assert store.examples == [pool[i] for i in expected]
 
 
@@ -119,7 +120,7 @@ def test_loss_rule_picks_the_one_array_rows_in_order(model, batch_size):
 def test_teacher_rows_match_one_array_softmax(model, examples, batch_size):
     feats = extract_features_batch(model, [ex.prefix for ex in examples])
     expected = _softmax(feats @ model.params["item_emb"][:30].T)[2]
-    assert_same_floats(_teacher_rows(model, feats, 30, batch_size, Workspace()), expected, batch_size)
+    assert_same_floats(_teacher_rows(model, feats, 30, batch_size), expected, batch_size)
 
 
 def test_block_size_must_be_positive(model, examples):
@@ -139,8 +140,9 @@ BIG_ITEMS, BIG_ROWS, TEACHER_ROWS, BLOCK = 10_000, 4_000, 1_000, 512
 PEAK_BOUND = 64 << 20  # one array of 4,000 x 10,000 float32 logits alone is 153 MiB
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def big():
+    """A new model per site: its workspace holds no buffer that an earlier site grew."""
     cfg = ModelConfig(embed_dim=32, block_count=1, max_seq_len=8)
     return init_model(cfg, BIG_ITEMS, seed=2), random_examples(BIG_ROWS, BIG_ITEMS, seed=3, max_len=3)
 
@@ -161,11 +163,10 @@ def test_full_vocabulary_pass_holds_a_block_not_the_rows(big, site):
     model, examples = big
     feats = extract_features_batch(model, [ex.prefix for ex in examples[:TEACHER_ROWS]], batch_size=BLOCK)
     run = {
-        "evaluation": lambda: evaluate_model(model, examples, BIG_ITEMS, batch_size=BLOCK, workspace=Workspace()),
-        "validation": lambda: _validation_scores(model, examples, BLOCK, Workspace()),
-        "loss rule": lambda: select_exemplars(model, examples, 1000, SelectionStrategy.LOSS, batch_size=BLOCK,
-                                              workspace=Workspace()),
-        "teacher rows": lambda: _teacher_rows(model, feats, BIG_ITEMS, BLOCK, Workspace()),
+        "evaluation": lambda: evaluate_model(model, examples, BIG_ITEMS, batch_size=BLOCK),
+        "validation": lambda: _validation_scores(model, examples, BLOCK),
+        "loss rule": lambda: select_exemplars(model, examples, 1000, SelectionStrategy.LOSS, batch_size=BLOCK),
+        "teacher rows": lambda: _teacher_rows(model, feats, BIG_ITEMS, BLOCK),
     }[site]
     peak = traced_peak(run)
     assert peak < PEAK_BOUND, f"{site}: peak {peak / 2**20:.1f} MiB"
