@@ -16,7 +16,8 @@ import numpy as np
 import yaml
 
 from . import data as data_mod
-from .harness import ComparisonResult, MethodKind, MethodSpec, RunResult, TrainLoopConfig, compare_methods
+from .harness import (NO_DROPOUT_KINDS, ComparisonResult, MethodKind, MethodSpec, RunResult, TrainLoopConfig,
+                      compare_methods)
 from .model import ModelConfig
 from .reporting import (
     cycle_rows,
@@ -53,14 +54,14 @@ def _int_at_least(low: int, what: str):
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {value}")
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1, "positive")
-_non_negative_int = _int_at_least(0, "non-negative")
+_positive_int = _int_at_least(1, "a positive integer")
+_non_negative_int = _int_at_least(0, "a non-negative integer")
 
 
 def _fraction(text: str) -> float:
@@ -128,9 +129,12 @@ def resolve_config(raw: dict) -> dict:
     if not isinstance(columns, dict):
         raise ConfigError(f"field 'data.columns' must be a mapping, got {columns!r}")
     _reject_unknown(columns, {f.name for f in dataclasses.fields(data_mod.ColumnFormat)}, "in 'data.columns'")
-    period = data.get("period_days", 7)
-    if isinstance(period, bool) or not isinstance(period, int) or period < 1:
-        raise ConfigError(f"field 'data.period_days' must be a positive integer, got {period!r}")
+    # the preprocess settings, checked here so that a dry run catches them
+    for name, default, low in (("period_days", 7, 1), ("min_item_support", 5, 1), ("min_session_length", 2, 2),
+                               ("split_seed", 0, 0)):
+        value = data.get(name, default)
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ConfigError(f"field 'data.{name}' must be an integer >= {low}, got {value!r}")
     fraction = data.get("validation_fraction", 0.1)
     if isinstance(fraction, bool) or not isinstance(fraction, (int, float)) or not 0.0 <= fraction < 1.0:
         raise ConfigError(f"field 'data.validation_fraction' must be in [0, 1), got {fraction!r}")
@@ -188,7 +192,7 @@ def build_datasets(resolved: dict):
 
 def build_method(name: str, resolved: dict) -> MethodSpec:
     kind = MethodKind.parse(name)
-    dropout = None if kind in (MethodKind.FINETUNE, MethodKind.EWC) else resolved["dropout_rate"]
+    dropout = None if kind in NO_DROPOUT_KINDS else resolved["dropout_rate"]
     return MethodSpec(
         kind=kind,
         lambda_base=resolved["lambda_base"],
@@ -358,11 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--item-col", default="item_id")
     p.add_argument("--delimiter", default=None)
     p.add_argument("--period-days", type=_positive_int, default=7)
-    p.add_argument("--min-item-support", type=int, default=5)
-    p.add_argument("--min-session-length", type=int, default=2)
+    p.add_argument("--min-item-support", type=_positive_int, default=5)
+    p.add_argument("--min-session-length", type=_int_at_least(2, "an integer >= 2"), default=2)
     p.add_argument("--validation-fraction", type=_fraction, default=0.1)
     p.add_argument("--max-seq-len", type=_positive_int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("run", help="run a method comparison from a config file")

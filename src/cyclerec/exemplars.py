@@ -97,13 +97,12 @@ def equal_quota(pool_counts: Sequence[int] | np.ndarray, capacity: int) -> np.nd
     return quotas
 
 
-def herding_order(features: np.ndarray, quota: int, mu: np.ndarray | None = None) -> list[int]:
-    """Greedy index sequence approximating the mean feature vector.
+def herding_order(features: np.ndarray, quota: int) -> list[int]:
+    """Greedy index sequence approximating the candidates' mean feature vector mu.
 
     Step k picks the unselected candidate minimizing
     ||mu - (phi(x) + sum of already selected) / k||; ties go to the
-    earliest candidate. Selection is without replacement. ``mu`` defaults
-    to the candidates' mean feature.
+    earliest candidate. Selection is without replacement.
 
     The comparison is evaluated in the scaled form
     ||k*n*mu - n*(phi(x) + sum)|| (argmin-equivalent, positive scale k*n):
@@ -114,7 +113,7 @@ def herding_order(features: np.ndarray, quota: int, mu: np.ndarray | None = None
     n = len(feats)
     if quota > n:
         raise ValueError("herding_order: quota exceeds candidate count")
-    total = feats.sum(axis=0) if mu is None else n * np.asarray(mu, dtype=np.float64)
+    total = feats.sum(axis=0)  # n * mu
     chosen: list[int] = []
     running = np.zeros_like(total)
     alive = np.ones(n, dtype=bool)
@@ -135,15 +134,14 @@ def select_exemplars(
     capacity: int,
     strategy: SelectionStrategy = SelectionStrategy.HERDING,
     seed: int = 0,
-    batch_size: int = 512,
 ) -> ExemplarSet:
     """Build the next exemplar store from the current pool.
 
     Every strategy but random selection encodes the pool once under the
     given model with dropout off; herding reads those features and the loss
-    rule ranks by per-row cross entropy over them, scored ``batch_size``
-    rows at a time (``logit_blocks``), and the chosen rows' features go into
-    the store. Items are processed in ascending index; random draws use a
+    rule ranks by per-row cross entropy over them, scored in blocks of
+    ``model.BLOCK_ROWS`` rows (``logit_blocks``), and the chosen rows'
+    features go into the store. Items are processed in ascending index; random draws use a
     per-item seed stream so results are independent of grouping order.
     """
     if not pool:
@@ -162,10 +160,10 @@ def select_exemplars(
 
     feats = None
     if strategy is not SelectionStrategy.RANDOM:
-        feats = extract_features_batch(model, [ex.prefix for ex in pool], batch_size=batch_size)
+        feats = extract_features_batch(model, [ex.prefix for ex in pool])
     if strategy is SelectionStrategy.LOSS:
         per_example_loss = np.empty(len(pool), dtype=feats.dtype)
-        for block, logits in logit_blocks(model, feats, model.item_count, batch_size):
+        for block, logits in logit_blocks(model, feats, model.item_count):
             per_example_loss[block] = ce_rows_from_logits(logits, targets[block])
 
     chosen: list[int] = []

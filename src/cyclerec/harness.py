@@ -71,6 +71,7 @@ class MethodKind(str, Enum):
 KD_KINDS = {MethodKind.ADER, MethodKind.ADER_EQUAL, MethodKind.ADER_FIX}
 ER_KINDS = {MethodKind.ER_HERDING, MethodKind.ER_RANDOM, MethodKind.ER_LOSS}
 EXEMPLAR_KINDS = KD_KINDS | ER_KINDS | {MethodKind.EWC}
+NO_DROPOUT_KINDS = {MethodKind.FINETUNE, MethodKind.EWC}  # the dropout variant is its own baseline
 
 _SELECTION = {
     MethodKind.EWC: SelectionStrategy.HERDING,
@@ -85,7 +86,10 @@ _SELECTION = {
 
 @dataclass
 class MethodSpec:
-    """A continual-learning method and its hyperparameters."""
+    """A continual-learning method and its hyperparameters.
+
+    The method owns the dropout rate: ``update_model`` trains every step at ``dropout_rate``.
+    """
 
     kind: MethodKind
     lambda_base: float = 0.8
@@ -97,8 +101,10 @@ class MethodSpec:
     def __post_init__(self) -> None:
         self.kind = MethodKind(self.kind)
         if self.dropout_rate is None:
-            self.dropout_rate = 0.0 if self.kind in (MethodKind.FINETUNE, MethodKind.EWC) else 0.3
-        if self.kind in (MethodKind.FINETUNE, MethodKind.EWC) and self.dropout_rate != 0.0:
+            self.dropout_rate = 0.0 if self.kind in NO_DROPOUT_KINDS else 0.3
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError(f"{self.kind.value}: dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if self.kind in NO_DROPOUT_KINDS and self.dropout_rate != 0.0:
             raise ValueError(f"{self.kind.value}: dropout must be 0 (the dropout variant is its own baseline)")
         if self.kind in EXEMPLAR_KINDS and self.exemplar_capacity < 1:
             raise ValueError(f"{self.kind.value}: exemplar_capacity must be positive")
@@ -120,13 +126,12 @@ class TrainLoopConfig:
     learning_rate: float = 5e-4
     seed: int = 0
     kd_batch_size: int | None = None
-    eval_batch_size: int = 512
 
     def __post_init__(self) -> None:
         if self.patience >= self.max_epochs:
             raise ValueError("train loop: patience must be < max_epochs")
-        # a non-positive eval_batch_size scored nothing (or crashed), a negative kd_batch_size skipped distillation
-        for name in ("max_epochs", "patience", "batch_size", "eval_batch_size", "kd_batch_size"):
+        # a negative kd_batch_size skipped distillation
+        for name in ("max_epochs", "patience", "batch_size", "kd_batch_size"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"train loop: {name} must be >= 1, got {value}")
@@ -193,14 +198,13 @@ def evaluate_model(
     examples: Sequence[TrainingExample],
     item_range: int,
     ks: Sequence[int] = (10, 20),
-    batch_size: int = 512,
 ) -> tuple[dict[int, float], dict[int, float], float]:
     """Full-ranking recall/MRR of ``model`` over the first ``item_range`` items.
 
     Targets outside the range cannot be ranked and count as misses; prefix
     items outside the range are dropped (a fully-unseen prefix is a miss).
-    ``batch_size`` rows are encoded and ranked at a time, so the pass holds
-    one (batch_size, item_range) logit block of the model's workspace.
+    ``model.BLOCK_ROWS`` rows are encoded and ranked at a time, so the pass
+    holds one (BLOCK_ROWS, item_range) logit block of the model's workspace.
     """
     if not examples:
         raise ValueError("evaluate_model: empty test set")
@@ -208,34 +212,34 @@ def evaluate_model(
     prefixes = [tuple(j for j in ex.prefix if j < item_range) for ex in examples]
     rows = np.array([i for i, ex in enumerate(examples) if ex.target < item_range and prefixes[i]], dtype=np.int64)
     targets = np.array([examples[i].target for i in rows], dtype=np.int64)
-    feats = extract_features_batch(model, [prefixes[i] for i in rows], batch_size=batch_size)
-    for block, logits in logit_blocks(model, feats, item_range, batch_size):
+    feats = extract_features_batch(model, [prefixes[i] for i in rows])
+    for block, logits in logit_blocks(model, feats, item_range):
         ranks[rows[block]] = target_ranks(logits, targets[block])
     recall = {k: recall_at_k(ranks, k) for k in ks}
     mrr = {k: mrr_at_k(ranks, k) for k in ks}
     return recall, mrr, 1.0 - len(rows) / len(examples)
 
 
-def _validation_scores(model: ModelState, examples, batch_size: int) -> tuple[float, float]:
+def _validation_scores(model: ModelState, examples) -> tuple[float, float]:
     """Cross entropy and Recall@20 over the model's full item range, dropout off.
 
     Each block of rows is ranked, then overwritten by its per-row cross
     entropy; the loss is the mean of those (rows,) values.
     """
-    feats = extract_features_batch(model, [ex.prefix for ex in examples], batch_size=batch_size)
+    feats = extract_features_batch(model, [ex.prefix for ex in examples])
     targets = np.array([ex.target for ex in examples])
     ranks = np.empty(len(examples), dtype=np.int64)
     ce = np.empty(len(examples), dtype=feats.dtype)
-    for block, logits in logit_blocks(model, feats, model.item_count, batch_size):
+    for block, logits in logit_blocks(model, feats, model.item_count):
         ranks[block] = target_ranks(logits, targets[block])
         ce[block] = ce_rows_from_logits(logits, targets[block])
     return float(ce.mean()), recall_at_k(ranks, VAL_RECALL_K)
 
 
-def _teacher_rows(model: ModelState, feats: np.ndarray, item_range: int, batch_size: int) -> np.ndarray:
+def _teacher_rows(model: ModelState, feats: np.ndarray, item_range: int) -> np.ndarray:
     """Softmax over the first ``item_range`` items per feature row, written block by block into one array."""
     probs = np.empty((len(feats), item_range), dtype=feats.dtype)
-    for block, logits in logit_blocks(model, feats, item_range, batch_size):
+    for block, logits in logit_blocks(model, feats, item_range):
         _softmax(logits, out=(logits, probs[block]))
     return probs
 
@@ -285,7 +289,7 @@ def update_model(
     if kd_examples:
         # the model is still the previous cycle's restored one, which chose the
         # store and encoded its rows: the teacher's distributions need no new pass
-        teacher_probs = _teacher_rows(model, store.features, old_item_count, loop_cfg.eval_batch_size)
+        teacher_probs = _teacher_rows(model, store.features, old_item_count)
     grow_vocabulary(model, cycle_data.item_count_after, seed=_derived_seed(loop_cfg.seed, t, 101))
     if state.ewc_anchor is not None:  # new rows carry zero Fisher weight, so their anchor value is inert
         pad = np.zeros((model.item_count - old_item_count, model.config.embed_dim), dtype=model.config.np_dtype)
@@ -321,7 +325,7 @@ def update_model(
             batch = [ce_pool[i] for i in order[lo : lo + loop_cfg.batch_size]]
             spec = BatchSpec(
                 ce_examples=batch,
-                train_mode=method.dropout_rate > 0.0,
+                dropout_rate=method.dropout_rate,
                 dropout_seed=_derived_seed(loop_cfg.seed, t, epoch, steps),
             )
             if kd_examples:
@@ -344,11 +348,7 @@ def update_model(
                              ("ewc", breakdown.ewc), ("total", breakdown.total)):
                 sums[key] += val
             steps += 1
-        val_loss, val_recall = (
-            _validation_scores(model, cycle_data.validation, loop_cfg.eval_batch_size)
-            if has_validation
-            else (0.0, 0.0)
-        )
+        val_loss, val_recall = _validation_scores(model, cycle_data.validation) if has_validation else (0.0, 0.0)
         records.append(EpochRecord(t, epoch, sums["ce"] / steps, sums["kd"] / steps, sums["ewc"] / steps,
                                    sums["total"] / steps, lambda_t, val_loss, val_recall))
         logger.debug("cycle %d epoch %d: total=%.4f val_loss=%.4f val_recall@%d=%.4f",
@@ -368,7 +368,7 @@ def update_model(
         pool = list(cycle_data.train) + exemplar_examples
         state.exemplars = select_exemplars(
             model, pool, method.exemplar_capacity, method.selection_strategy,
-            seed=_derived_seed(loop_cfg.seed, t, 55), batch_size=loop_cfg.eval_batch_size,
+            seed=_derived_seed(loop_cfg.seed, t, 55),
         )
         if audit is not None:
             audit.append(("exemplars", t, len(state.exemplars.examples)))
@@ -408,8 +408,8 @@ def run_experiment(
     """
     if len(datasets) < 2:
         raise ValueError("run_experiment: need at least 2 cycles (last one is test-only)")
-    cfg = dataclasses.replace(model_cfg, dropout_rate=method.dropout_rate)
-    state = ExperimentState(model=init_model(cfg, datasets[0].item_count_after, seed=_derived_seed(loop_cfg.seed, 11)))
+    model = init_model(model_cfg, datasets[0].item_count_after, seed=_derived_seed(loop_cfg.seed, 11))
+    state = ExperimentState(model=model)
     audit: list[tuple] = []
     epoch_log: list[EpochRecord] = []
     reports: list[CycleReport] = []
@@ -419,9 +419,7 @@ def run_experiment(
         nxt = datasets[t + 1]
         audit.append(("eval", t + 1, len(nxt.train) + len(nxt.validation)))
         test = nxt.examples
-        recall, mrr, unseen = evaluate_model(
-            state.model, test, state.model.item_count, ks=ks, batch_size=loop_cfg.eval_batch_size
-        )
+        recall, mrr, unseen = evaluate_model(state.model, test, state.model.item_count, ks=ks)
         report = CycleReport(
             cycle_id=t,
             recall_at=recall,

@@ -102,14 +102,13 @@ def teacher_probabilities(
     teacher: "ModelState",
     exemplars: Sequence["TrainingExample"],
     old_item_range: int,
-    batch_size: int = 512,
 ) -> np.ndarray:
     """Frozen-model distributions over the old-item range, dropout off."""
     from .model import extract_features_batch
 
     if old_item_range > teacher.item_count:
         raise ValueError("teacher_probabilities: range exceeds the teacher registry")
-    feats = extract_features_batch(teacher, [ex.prefix for ex in exemplars], batch_size=batch_size)
+    feats = extract_features_batch(teacher, [ex.prefix for ex in exemplars])
     logits = feats @ teacher.params["item_emb"][:old_item_range].T
     return _softmax(logits)[2]
 

@@ -17,9 +17,10 @@ or the padding, and per-row features are independent of what else the
 call holds. That holds in exact arithmetic; in float32 a row's values
 can differ in the last bits with what its call packs, as GEMM blocking
 and summation order change. Every block runs at every token, forward
-and backward, through one code path. With dropout on, masks are drawn
-once per call, per real token and block, so rows sharing a root share
-every mask, as one SASRec pass over the session would.
+and backward, through one code path. Dropout belongs to the training
+step, not the model: a step's ``BatchSpec.dropout_rate`` (0 for none)
+draws masks once per call, per real token and block, so rows sharing a
+root share every mask, as one SASRec pass over the session would.
 
 The encoder runs token-major: the packed hidden states are one
 contiguous (B*L, D) matrix, so every projection, residual, dropout
@@ -39,8 +40,9 @@ backward temporaries, logits, gradients) is written with ``out=`` into
 the model's ``Workspace``, whose buffers grow to the largest step and are
 then reused. A ``ModelState`` and its copies share one workspace, so
 every pass of a run, in every cycle, reuses the same buffers. Adam runs
-over the flat vectors in chunks that stay in cache, and every
-full-vocabulary scoring pass holds one block of rows' logits.
+over the flat vectors in chunks that stay in cache. Every inference
+pass runs in blocks of ``BLOCK_ROWS`` rows, so a full-vocabulary scoring
+pass holds one block's logits.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .losses import LossBreakdown, ce_from_logits, kd_from_logits
 LN_EPS = 1e-8
 MASK_FILL = -1e9
 NEW_ROW_SCALE = 0.01
+BLOCK_ROWS = 512  # rows per block of every inference pass: encoder chunks and full-vocabulary logit blocks
 ADAM_CHUNK = 1 << 16  # elements per Adam pass: the pass's five arrays stay in a core's L2 cache
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -74,7 +77,6 @@ class ModelConfig:
     block_count: int = 2
     attention_heads: int = 1
     max_seq_len: int = 50
-    dropout_rate: float = 0.0
     dtype: str = "float32"  # training precision; oracle checks use float64
 
     def __post_init__(self) -> None:
@@ -82,8 +84,6 @@ class ModelConfig:
             raise ValueError("model config: all sizes must be positive")
         if self.embed_dim % self.attention_heads:
             raise ValueError("model config: embed_dim must be divisible by attention_heads")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("model config: dropout_rate must be in [0, 1)")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("model config: dtype must be float32 or float64")
 
@@ -467,7 +467,7 @@ def _pack(lengths: np.ndarray) -> tuple[np.ndarray, int]:
 def _encode_rows(
     state: ModelState,
     prefixes: Sequence[Sequence[int]],
-    train_mode: bool = False,
+    dropout_rate: float = 0.0,
     dropout_seed: int = 0,
     need_cache: bool = False,
 ):
@@ -477,11 +477,11 @@ def _encode_rows(
     packed first-fit-decreasing into rows as wide as the longest root, with
     positions restarting at 0 in each segment, and encoded in one call.
     Under the causal mask a row's features are its root's hidden state at
-    the row's last item. With dropout on, masks come from one draw per
-    call, seeded by ``dropout_seed``, per real token and block, so rows
-    sharing a root share every mask. Returns the (rows, D) features and,
-    with ``need_cache``, the cache ``_encode_backward`` reads; both are
-    arrays of the model's workspace.
+    the row's last item. With a ``dropout_rate`` above 0, masks come from
+    one draw per call, seeded by ``dropout_seed``, per real token and
+    block, so rows sharing a root share every mask. Returns the (rows, D)
+    features and, with ``need_cache``, the cache ``_encode_backward``
+    reads; both are arrays of the model's workspace.
     """
     ws = state.workspace
     cfg = state.config
@@ -509,16 +509,16 @@ def _encode_rows(
     pos.fill(0)
     pos[tok] = tok - np.repeat(start, root_len)
     masks = None
-    if train_mode and cfg.dropout_rate > 0.0:
+    if dropout_rate > 0.0:
         rng = np.random.default_rng(np.random.SeedSequence([dropout_seed]))
         shape = (cfg.block_count, 2, len(tok), d)
         masks = ws("dropout.masks", (cfg.block_count, 2, slots, d), dt)
         # the draw is cut from the masks' buffer: it is read into keep before the masks are written
         draw = rng.random(shape, dtype=dt, out=ws("dropout.masks", shape, dt))
-        keep = np.greater_equal(draw, cfg.dropout_rate, out=ws("dropout.keep", shape, bool))
+        keep = np.greater_equal(draw, dropout_rate, out=ws("dropout.keep", shape, bool))
         masks.fill(0)
         masks[:, :, tok] = keep
-        masks *= dt.type(1.0 / (1.0 - cfg.dropout_rate))
+        masks *= dt.type(1.0 / (1.0 - dropout_rate))
     shape = (rows, width)
     hidden, cache = _encode_batch(state, ids.reshape(shape), seg.reshape(shape), pos.reshape(shape), masks,
                                   need_cache)
@@ -636,36 +636,30 @@ def _encode_backward(state: ModelState, cache: dict, dfeats: np.ndarray, grads: 
     _scatter_rows(grads["pos_emb"], cache["pos"].ravel()[real], flat_dx, ws)
 
 
-def extract_features_batch(state: ModelState, prefixes: Sequence[Sequence[int]], batch_size: int = 512) -> np.ndarray:
+def extract_features_batch(state: ModelState, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
     """Feature vectors (final-block output at the last position) per prefix, dropout off.
 
-    Each chunk of ``batch_size`` prefixes is encoded in the model's
+    Each chunk of ``BLOCK_ROWS`` prefixes is encoded in the model's
     workspace, and its features are copied out before the next.
     """
-    if batch_size < 1:
-        raise ValueError(f"extract_features_batch: batch_size must be >= 1, got {batch_size}")
     out = np.empty((len(prefixes), state.config.embed_dim), dtype=state.config.np_dtype)
-    for lo in range(0, len(prefixes), batch_size):
-        chunk = prefixes[lo : lo + batch_size]
+    for lo in range(0, len(prefixes), BLOCK_ROWS):
+        chunk = prefixes[lo : lo + BLOCK_ROWS]
         out[lo : lo + len(chunk)], _ = _encode_rows(state, chunk)
     return out
 
 
-def logit_blocks(
-    state: ModelState, feats: np.ndarray, item_range: int, batch_size: int = 512
-) -> Iterator[tuple[slice, np.ndarray]]:
+def logit_blocks(state: ModelState, feats: np.ndarray, item_range: int) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield ``(rows, logits)``: a slice of ``feats`` and its logits over ``item_emb[:item_range]``.
 
-    Rows go in the fewest near-equal blocks of at most ``batch_size``:
+    Rows go in the fewest near-equal blocks of at most ``BLOCK_ROWS``:
     BLAS sums a one- or few-row remainder in another float32 order than
     one big GEMM. Blocks share one buffer of the model's workspace; a block
     is the caller's to overwrite, and valid until the next.
     """
-    if batch_size < 1:
-        raise ValueError(f"logit_blocks: batch_size must be >= 1, got {batch_size}")
     ws = state.workspace
     emb_t = state.params["item_emb"][:item_range].T
-    count = max(1, -(-len(feats) // batch_size))
+    count = max(1, -(-len(feats) // BLOCK_ROWS))
     # ceiling cuts put the larger blocks first, so the buffer never grows mid-pass
     bounds = [-(-len(feats) * i // count) for i in range(count + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
@@ -683,8 +677,9 @@ class BatchSpec:
     """One optimization step's inputs: examples plus the loss recipe.
 
     ``ewc_anchor`` and ``ewc_fisher`` are vectors laid out like
-    ``ModelState.flat_params``. The step's arrays come from the model's
-    workspace.
+    ``ModelState.flat_params``. ``dropout_rate`` is the step's dropout
+    probability, 0 for none; the training loop fills it from the method.
+    The step's arrays come from the model's workspace.
     """
 
     ce_examples: Sequence[TrainingExample] = ()
@@ -695,7 +690,7 @@ class BatchSpec:
     ewc_anchor: np.ndarray | None = None
     ewc_fisher: np.ndarray | None = None
     ewc_weight: float = 0.0
-    train_mode: bool = False
+    dropout_rate: float = 0.0
     dropout_seed: int = 0
 
 
@@ -724,7 +719,7 @@ def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdow
     n_ce = len(ce_rows)
     if ce_rows or kd_rows:
         feats, cache = _encode_rows(
-            state, [ex.prefix for ex in ce_rows + kd_rows], spec.train_mode, spec.dropout_seed, need_cache=True
+            state, [ex.prefix for ex in ce_rows + kd_rows], spec.dropout_rate, spec.dropout_seed, need_cache=True
         )
         dfeats = ws("dfeats", feats.shape, dt)  # the CE rows, then the KD rows, each written whole
         if ce_rows:

@@ -385,7 +385,7 @@ def test_criterion_11_protocol_order_and_capacity():
     method = MethodSpec(MethodKind.ADER, exemplar_capacity=capacity)
     loop = TrainLoopConfig(max_epochs=3, patience=2, batch_size=64, seed=5)
     state = harness.ExperimentState(
-        model=init_model(dc.replace(EXPERIMENT_MODEL, embed_dim=16, dropout_rate=method.dropout_rate),
+        model=init_model(dc.replace(EXPERIMENT_MODEL, embed_dim=16),
                          datasets[0].item_count_after, seed=7)
     )
     for t in range(len(datasets) - 1):

@@ -277,6 +277,10 @@ def test_preprocess_skips_timestamps_outside_int64(tmp_path, capsys):
     ("--validation-fraction", "-0.2"),
     ("--validation-fraction", "1.5"),
     ("--max-seq-len", "0"),  # empty prefixes
+    ("--min-session-length", "1"),  # a one-click session has no training example
+    ("--min-session-length", "0"),
+    ("--min-item-support", "0"),
+    ("--seed", "-1"),
 ])
 def test_preprocess_bad_split_setting_is_a_usage_error(tmp_path, capsys, option, value):
     events = write_events(tmp_path)
@@ -301,6 +305,11 @@ def test_zero_workers_is_a_usage_error(tmp_path, capsys, command):
     ("period_days", -7),
     ("validation_fraction", -0.2),
     ("validation_fraction", 1.5),
+    ("min_session_length", 1),
+    ("min_session_length", 2.5),
+    ("min_item_support", 0),
+    ("split_seed", -1),
+    ("split_seed", "7"),
 ])
 def test_bad_split_config_field_exits_1(tmp_path, capsys, field, value):
     path = write_config(tmp_path, {"data": {"events": "events.csv", field: value}})
@@ -331,14 +340,12 @@ def test_bad_ks_or_seeds_exits_1(tmp_path, capsys, field, value, dry_run):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("eval_batch_size", -5),
-    ("eval_batch_size", 0),
     ("kd_batch_size", -4),
     ("learning_rate", -1.0),
 ])
 @pytest.mark.parametrize("dry_run", [True, False])
 def test_bad_training_setting_exits_1(tmp_path, capsys, field, value, dry_run):
-    # before, eval_batch_size -5 reported a recall from uninitialised features and 0 died with a bare range() error
+    # before, a negative kd_batch_size skipped distillation and a negative rate trained uphill
     path = write_config(tmp_path, {"training": {**TOY_CONFIG["training"], field: value}})
     argv = ["run", "--config", str(path), "--out", str(tmp_path / "run")] + (["--dry-run"] if dry_run else [])
     assert main(argv) == 1
@@ -385,6 +392,32 @@ def test_model_seed_is_not_a_config_field(tmp_path, capsys, dry_run):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "seed" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("model", "dropout_rate", 0.9),  # the method owns the rate: the top-level dropout_rate
+    ("training", "eval_batch_size", 512),  # every inference pass scores in blocks of model.BLOCK_ROWS
+])
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_settings_with_another_owner_are_config_errors(tmp_path, capsys, section, key, value, dry_run):
+    # before, model.dropout_rate was written to config.yaml and then ignored
+    path = write_config(tmp_path, {section: {**TOY_CONFIG[section], key: value}})
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "run")] + (["--dry-run"] if dry_run else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_out_of_range_dropout_rate_exits_1(tmp_path, capsys, dry_run):
+    # before, a dry run passed and the run failed in the model config, with exit 2
+    path = write_config(tmp_path, {"methods": ["Dropout"], "dropout_rate": 1.5})
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "run")] + (["--dry-run"] if dry_run else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "dropout_rate" in err
     assert not (tmp_path / "run").exists()
 
 

@@ -163,9 +163,8 @@ def reference_encode_backward(state, cache, dlast, grads):
     np.add.at(grads["pos_emb"], cache["pos"][valid], dx[valid])
 
 
-def _random_model(heads, blocks, dropout, item_count=15, seed=4):
-    cfg = ModelConfig(embed_dim=12, block_count=blocks, attention_heads=heads, max_seq_len=10,
-                      dropout_rate=dropout, dtype="float64")
+def _random_model(heads, blocks, item_count=15, seed=4):
+    cfg = ModelConfig(embed_dim=12, block_count=blocks, attention_heads=heads, max_seq_len=10, dtype="float64")
     state = init_model(cfg, item_count, seed=seed)
     # non-trivial biases and layer-norm gains, so every term reaches the output
     rng = np.random.default_rng(seed + 100)
@@ -192,7 +191,7 @@ def _shared_prefix_spec(rng, dropout):
         kd_teacher_probs=rng.dirichlet(np.ones(11), size=len(kd)),
         kd_item_range=11,
         kd_weight=0.7,
-        train_mode=dropout > 0.0,
+        dropout_rate=dropout,
         dropout_seed=9,
     )
 
@@ -207,7 +206,7 @@ def _packed_masks(monkeypatch, state, spec, prefixes):
         return encode_batch(state, ids, seg, pos, masks, need_cache)
 
     monkeypatch.setattr(model_mod, "_encode_batch", spy)
-    _, cache = _encode_rows(state, prefixes, spec.train_mode, spec.dropout_seed, need_cache=True)
+    _, cache = _encode_rows(state, prefixes, spec.dropout_rate, spec.dropout_seed, need_cache=True)
     monkeypatch.undo()
     (masks, shape), = seen  # one encoder call per step
     if masks is not None:
@@ -263,7 +262,7 @@ def test_token_major_encoder_matches_reference(monkeypatch, heads, blocks, dropo
     # batch-major reference; with dropout, the reference gets the masks each
     # row was given
     rng = np.random.default_rng(heads * 10 + blocks)
-    state = _random_model(heads, blocks, dropout, item_count=30)
+    state = _random_model(heads, blocks, item_count=30)
     spec = _shared_prefix_spec(rng, dropout)
     prefixes = [ex.prefix for ex in list(spec.ce_examples) + list(spec.kd_examples)]
     row_masks, cache = _row_masks(monkeypatch, state, spec, prefixes)
@@ -271,7 +270,7 @@ def test_token_major_encoder_matches_reference(monkeypatch, heads, blocks, dropo
     assert max(len(set(row[row >= 0].tolist())) for row in seg) > 1  # a row packs several segments
     trimmed = {tuple(p)[-state.config.max_seq_len :] for p in prefixes}
     assert seg.max() + 1 < len(trimmed)  # some root serves several distinct rows
-    feats = _encode_rows(state, prefixes, spec.train_mode, spec.dropout_seed)[0].copy()
+    feats = _encode_rows(state, prefixes, spec.dropout_rate, spec.dropout_seed)[0].copy()
     loss, grads = loss_and_gradients(state, spec)
     grads = {name: g.copy() for name, g in grads.items()}  # the reference's passes reuse their buffer
     ref_feats, ref_loss, ref_grads = reference_loss_and_gradients(state, spec, row_masks)
@@ -286,9 +285,9 @@ def test_token_major_encoder_matches_reference(monkeypatch, heads, blocks, dropo
 def test_rows_sharing_a_root_share_inner_dropout_masks(monkeypatch):
     # a prefix reads its root's pass, so in every block, the final one
     # included, its masks are the root's masks on their common tokens
-    state = _random_model(1, 2, 0.3)
+    state = _random_model(1, 2)
     spec = BatchSpec(ce_examples=[TrainingExample((3, 1, 4), 1), TrainingExample((3, 1, 4, 1, 5), 9)],
-                     train_mode=True, dropout_seed=2)
+                     dropout_rate=0.3, dropout_seed=2)
     masks, cache = _packed_masks(monkeypatch, state, spec, [ex.prefix for ex in spec.ce_examples])
     assert cache["seg"].tolist() == [[0, 0, 0, 0, 0]]  # one segment: the longer row
     assert cache["last"].tolist() == [2, 4]
@@ -305,7 +304,7 @@ def test_shared_prefix_gradients_match_finite_differences():
     # seed, over a packed step whose rows share roots; the masks depend on
     # the seed and the rows only
     rng = np.random.default_rng(5)
-    state = _random_model(2, 2, 0.3, item_count=30)
+    state = _random_model(2, 2, item_count=30)
     spec = _shared_prefix_spec(rng, 0.3)
     _, grads = loss_and_gradients(state, spec)
     grads = {name: g.copy() for name, g in grads.items()}  # the model's next pass reuses their buffer
@@ -329,7 +328,7 @@ def test_shared_prefix_gradients_match_finite_differences():
 @pytest.mark.parametrize("heads", [1, 2])
 def test_all_position_features_match_reference(heads):
     # every prefix of a sequence shares its pass, so one call queries every position
-    state = _random_model(heads, 2, 0.0)
+    state = _random_model(heads, 2)
     for seq in ([3], [1, 4, 1, 5, 9, 2, 6], list(range(12))):
         window = tuple(seq)[-state.config.max_seq_len :]
         expected, _ = reference_encode_batch(state, *_pad_batch([window]), last_only=False)
@@ -341,7 +340,7 @@ def test_padded_batch_all_positions_match_reference():
     # three sessions packed by hand into two rows, one with trailing padding:
     # every real token agrees with its session encoded alone, positions
     # restarting in each segment, and padding stays finite
-    state = _random_model(2, 2, 0.0)
+    state = _random_model(2, 2)
     sessions = [(1, 2, 3, 4, 5), (6,), (7, 8)]
     ids = np.array([[1, 2, 3, 4, 5], [6, 7, 8, 0, 0]])
     seg = np.array([[0, 0, 0, 0, 0], [1, 2, 2, -1, -1]])

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import cyclerec.model as model_mod
 from cyclerec.data import TrainingExample
 from cyclerec.exemplars import (
     SelectionStrategy,
@@ -151,12 +152,13 @@ def test_herding_total_tie_keeps_input_order():
 
 
 def test_herding_two_dimensional_hand_trace():
-    # target mean (0,0): step 1 distances 1, 1, 2 -> tie -> index 0 picks
+    # mean (0,0): step 1 distances 1, 1, 2, 2 -> tie -> index 0 picks
     # (1,0); step 2: adding (-1,0) returns the running average to the mean
-    # (distance 0) while (0,2) leaves it at (0.5,1) -> picks (-1,0).
-    feats = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0]])
-    order = herding_order(feats, 3, mu=np.zeros(2))
-    assert order == [0, 1, 2]
+    # (distance 0) while (0,+-2) leave it at (0.5,+-1) -> picks (-1,0);
+    # step 3: (0,2) and (0,-2) tie at distance 2/3 -> index 2.
+    feats = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]])
+    order = herding_order(feats, 4)
+    assert order == [0, 1, 2, 3]
 
 
 def test_herding_full_quota_is_permutation():
@@ -308,14 +310,15 @@ def test_flat_store_runs_item_by_item_in_selection_order(strategy):
 
 
 @pytest.mark.parametrize("strategy", [s for s in SelectionStrategy if s is not SelectionStrategy.RANDOM])
-def test_store_features_are_the_pool_pass_rows(strategy):
+def test_store_features_are_the_pool_pass_rows(monkeypatch, strategy):
     # float32, where a row's values could depend on what its call packs: the
     # store keeps the selection pass's rows, not a re-encoding
+    monkeypatch.setattr(model_mod, "BLOCK_ROWS", 32)  # 70 rows: three encoder chunks
     rng = np.random.default_rng(13)
     m = init_model(ModelConfig(embed_dim=8, block_count=1, max_seq_len=10), 9, seed=7)
     pool = list(dict.fromkeys(_pool(rng, 9, 70)))  # distinct, so each stored row has one pool row
-    store = select_exemplars(m, pool, 25, strategy, batch_size=32)
-    feats = extract_features_batch(m, [ex.prefix for ex in pool], batch_size=32)
+    store = select_exemplars(m, pool, 25, strategy)
+    feats = extract_features_batch(m, [ex.prefix for ex in pool])
     assert store.features.dtype == np.float32
     np.testing.assert_array_equal(store.features, feats[[pool.index(ex) for ex in store.examples]])
 

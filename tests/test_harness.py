@@ -88,6 +88,14 @@ def test_method_finetune_rejects_dropout():
         MethodSpec(MethodKind.EWC, dropout_rate=0.1)
 
 
+@pytest.mark.parametrize("kind", [MethodKind.DROPOUT, MethodKind.ADER])
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, math.nan])
+def test_method_dropout_rate_must_be_in_unit_interval(kind, rate):
+    # the method owns the rate, so its spec checks the range the masks' 1 / (1 - rate) scale needs
+    with pytest.raises(ValueError, match="dropout_rate"):
+        MethodSpec(kind, dropout_rate=rate)
+
+
 def test_method_exemplar_capacity_required():
     with pytest.raises(ValueError):
         MethodSpec(MethodKind.ADER, exemplar_capacity=0)
@@ -102,8 +110,6 @@ def test_method_kind_parsing():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("eval_batch_size", 0),
-    ("eval_batch_size", -5),
     ("kd_batch_size", 0),
     ("kd_batch_size", -4),
     ("learning_rate", 0.0),
@@ -112,14 +118,13 @@ def test_method_kind_parsing():
     ("learning_rate", math.nan),
 ])
 def test_train_loop_rejects_settings_that_corrupt_a_run(field, value):
-    # before, a negative eval_batch_size scored uninitialised features, a
-    # negative kd_batch_size skipped distillation, and a negative rate trained uphill
+    # before, a negative kd_batch_size skipped distillation, and a negative rate trained uphill
     with pytest.raises(ValueError, match=field):
         TrainLoopConfig(**{field: value})
 
 
 def test_train_loop_accepts_unset_kd_batch_size():
-    assert TrainLoopConfig(kd_batch_size=None, eval_batch_size=1, learning_rate=1e-3).kd_batch_size is None
+    assert TrainLoopConfig(kd_batch_size=None, learning_rate=1e-3).kd_batch_size is None
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +157,23 @@ def test_evaluate_prefix_filtered_to_known_items():
 
 
 def run_one_cycle(method, datasets, loop, model_seed=17):
-    state = ExperimentState(model=init_model(
-        ModelConfig(**{**MODEL_CFG.__dict__, "dropout_rate": method.dropout_rate}),
-        datasets[0].item_count_after, seed=model_seed,
-    ))
+    state = ExperimentState(model=init_model(MODEL_CFG, datasets[0].item_count_after, seed=model_seed))
     records = update_model(state, datasets[0], method, loop)
     return state, records
+
+
+def test_the_method_sets_the_training_dropout_rate():
+    # the model config holds no rate: a Dropout method trains a plain
+    # ModelConfig() model with dropout, and at rate 0 it is Finetune
+    datasets, _ = tiny_stream()
+
+    def epoch_losses(method):
+        state = ExperimentState(model=init_model(ModelConfig(), datasets[0].item_count_after, seed=17))
+        return [r.total for r in update_model(state, datasets[0], method, tiny_loop())]
+
+    finetune = epoch_losses(MethodSpec(MethodKind.FINETUNE))
+    assert epoch_losses(MethodSpec(MethodKind.DROPOUT)) != finetune
+    assert epoch_losses(MethodSpec(MethodKind.DROPOUT, dropout_rate=0.0)) == finetune
 
 
 def test_first_cycle_ader_identical_to_dropout_baseline():
@@ -236,7 +252,6 @@ def test_kd_methods_carry_teacher_distributions_across_cycles(monkeypatch):
 def test_zero_lambda_base_ader_tracks_dropout_across_cycles():
     datasets, _ = tiny_stream(cycles=3)
     loop = tiny_loop()
-    cfg_drop = ModelConfig(**{**MODEL_CFG.__dict__, "dropout_rate": 0.3})
     ader = MethodSpec(MethodKind.ADER, lambda_base=0.0, exemplar_capacity=50)
     res_a = run_experiment(datasets, ader, loop, MODEL_CFG)
     res_d = run_experiment(datasets, MethodSpec(MethodKind.DROPOUT), loop, MODEL_CFG)
@@ -248,10 +263,7 @@ def test_joint_buffer_accumulates_history():
     datasets, _ = tiny_stream(cycles=3)
     loop = tiny_loop(epochs=2, patience=1)
     method = MethodSpec(MethodKind.JOINT)
-    state = ExperimentState(model=init_model(
-        ModelConfig(**{**MODEL_CFG.__dict__, "dropout_rate": 0.3}),
-        datasets[0].item_count_after, seed=3,
-    ))
+    state = ExperimentState(model=init_model(MODEL_CFG, datasets[0].item_count_after, seed=3))
     update_model(state, datasets[0], method, loop)
     assert state.joint_buffer == datasets[0].train
     update_model(state, datasets[1], method, loop)
@@ -275,9 +287,7 @@ def test_epochs_visit_whole_session_chains_in_steps_of_batch_size(monkeypatch, m
     spec = MethodSpec(method)
     orders = []
     for _ in range(2):  # the same seed twice
-        state = ExperimentState(model=init_model(
-            ModelConfig(**{**MODEL_CFG.__dict__, "dropout_rate": 0.3}), datasets[0].item_count_after, seed=3,
-        ))
+        state = ExperimentState(model=init_model(MODEL_CFG, datasets[0].item_count_after, seed=3))
         steps.clear()
         update_model(state, datasets[0], spec, loop)
         update_model(state, datasets[1], spec, loop)
@@ -305,10 +315,7 @@ def test_epochs_visit_whole_session_chains_in_steps_of_batch_size(monkeypatch, m
 def test_update_model_cycle_order_enforced():
     datasets, _ = tiny_stream()
     method = MethodSpec(MethodKind.FINETUNE)
-    state = ExperimentState(model=init_model(
-        ModelConfig(**{**MODEL_CFG.__dict__, "dropout_rate": 0.0}),
-        datasets[0].item_count_after, seed=3,
-    ))
+    state = ExperimentState(model=init_model(MODEL_CFG, datasets[0].item_count_after, seed=3))
     with pytest.raises(ValueError, match="expected cycle 0"):
         update_model(state, datasets[1], method, tiny_loop())
 
@@ -316,9 +323,7 @@ def test_update_model_cycle_order_enforced():
 def test_update_model_empty_train_errors():
     method = MethodSpec(MethodKind.FINETUNE)
     empty = CycleDataset(0, [], [], 10)
-    state = ExperimentState(model=init_model(
-        ModelConfig(**{**MODEL_CFG.__dict__, "dropout_rate": 0.0}), 10, seed=1,
-    ))
+    state = ExperimentState(model=init_model(MODEL_CFG, 10, seed=1))
     with pytest.raises(ValueError, match="no training data"):
         update_model(state, empty, method, tiny_loop())
 
@@ -326,10 +331,7 @@ def test_update_model_empty_train_errors():
 def test_divergence_aborts_cycle_with_context():
     datasets, _ = tiny_stream()
     method = MethodSpec(MethodKind.FINETUNE)
-    state = ExperimentState(model=init_model(
-        ModelConfig(**{**MODEL_CFG.__dict__, "dropout_rate": 0.0}),
-        datasets[0].item_count_after, seed=1,
-    ))
+    state = ExperimentState(model=init_model(MODEL_CFG, datasets[0].item_count_after, seed=1))
     state.model.params["item_emb"][0, 0] = np.nan
     with pytest.raises(DivergenceError, match="cycle 0 epoch 1"):
         update_model(state, datasets[0], method, tiny_loop())
@@ -340,10 +342,7 @@ def test_early_stop_restores_best_validation_parameters():
     # a high learning rate makes validation loss turn up before the epoch cap
     loop = TrainLoopConfig(max_epochs=12, patience=2, batch_size=64, seed=5, learning_rate=5e-3)
     method = MethodSpec(MethodKind.DROPOUT)
-    state = ExperimentState(model=init_model(
-        ModelConfig(**{**MODEL_CFG.__dict__, "dropout_rate": 0.3}),
-        datasets[0].item_count_after, seed=2,
-    ))
+    state = ExperimentState(model=init_model(MODEL_CFG, datasets[0].item_count_after, seed=2))
     records = update_model(state, datasets[0], method, loop)
     best_logged = min(r.val_loss for r in records)
     assert records[-1].val_loss > best_logged  # the stop fired after the best epoch
@@ -359,9 +358,7 @@ def test_restored_model_keeps_the_workspace_init_model_made():
     datasets, _ = tiny_stream(cycles=3, sessions=80)
     loop = TrainLoopConfig(max_epochs=12, patience=2, batch_size=64, seed=5, learning_rate=5e-3)
     method = MethodSpec(MethodKind.ADER, exemplar_capacity=50)
-    state = ExperimentState(model=init_model(
-        ModelConfig(**{**MODEL_CFG.__dict__, "dropout_rate": 0.3}), datasets[0].item_count_after, seed=2,
-    ))
+    state = ExperimentState(model=init_model(MODEL_CFG, datasets[0].item_count_after, seed=2))
     workspace = state.model.workspace
     for cycle in (0, 1):
         trained = state.model

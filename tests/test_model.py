@@ -40,9 +40,9 @@ def zero_gradients(m):
     return gradients(m, BatchSpec())
 
 
-def features(m, prefix, train_mode=False, dropout_seed=0):
+def features(m, prefix, dropout_rate=0.0, dropout_seed=0):
     """Features of one prefix, encoded alone, copied out of the model's workspace."""
-    return _encode_rows(m, [tuple(prefix)], train_mode, dropout_seed)[0][0].copy()
+    return _encode_rows(m, [tuple(prefix)], dropout_rate, dropout_seed)[0][0].copy()
 
 
 def softmax(z):
@@ -88,8 +88,8 @@ def test_init_shapes():
 def test_init_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(embed_dim=6, attention_heads=4)
-    with pytest.raises(ValueError):
-        ModelConfig(dropout_rate=1.0)
+    with pytest.raises(TypeError):  # the method owns the dropout rate (MethodSpec)
+        ModelConfig(dropout_rate=0.3)
     with pytest.raises(ValueError):
         ModelConfig(dtype="float16")
     with pytest.raises(ValueError):
@@ -98,8 +98,8 @@ def test_init_config_validation():
 
 def test_zero_dropout_train_matches_eval():
     m = small_model()
-    f_train = features(m, [1, 2, 3], train_mode=True, dropout_seed=4)
-    f_eval = features(m, [1, 2, 3], train_mode=False)
+    f_train = features(m, [1, 2, 3], dropout_rate=0.0, dropout_seed=4)
+    f_eval = features(m, [1, 2, 3])
     np.testing.assert_array_equal(f_train, f_eval)
 
 
@@ -169,10 +169,10 @@ def test_feature_independent_of_batch_padding():
 
 
 def test_dropout_deterministic_per_seed():
-    m = small_model(dropout_rate=0.4)
-    a = features(m, [1, 2, 3], train_mode=True, dropout_seed=11)
-    b = features(m, [1, 2, 3], train_mode=True, dropout_seed=11)
-    c = features(m, [1, 2, 3], train_mode=True, dropout_seed=12)
+    m = small_model()
+    a = features(m, [1, 2, 3], dropout_rate=0.4, dropout_seed=11)
+    b = features(m, [1, 2, 3], dropout_rate=0.4, dropout_seed=11)
+    c = features(m, [1, 2, 3], dropout_rate=0.4, dropout_seed=12)
     np.testing.assert_array_equal(a, b)
     assert not np.allclose(a, c)
 
@@ -257,7 +257,7 @@ def test_gradients_match_finite_differences_eval_mode():
 
 def test_gradients_match_finite_differences_with_dropout_and_kd():
     rng = np.random.default_rng(1)
-    m = small_model(seed=2, block_count=2, attention_heads=2, dropout_rate=0.3)
+    m = small_model(seed=2, block_count=2, attention_heads=2)
     teacher = rng.dirichlet(np.ones(9), size=2)
     spec = BatchSpec(
         ce_examples=[TrainingExample((0, 3, 5), 7), TrainingExample((2, 4, 6, 8), 11)],
@@ -265,7 +265,7 @@ def test_gradients_match_finite_differences_with_dropout_and_kd():
         kd_teacher_probs=teacher,
         kd_item_range=9,
         kd_weight=0.5,
-        train_mode=True,
+        dropout_rate=0.3,
         dropout_seed=42,
     )
     _fd_check(m, spec, rng)
@@ -503,7 +503,7 @@ def test_grow_shrink_errors():
 
 
 def test_checkpoint_round_trip_bit_exact():
-    m = small_model(seed=13, dropout_rate=0.2)
+    m = small_model(seed=13)
     grads = zero_gradients(m)
     grads["item_emb"][:] = 0.05
     adam_step(m, grads)
@@ -526,9 +526,9 @@ def test_checkpoint_float32_round_trip():
 
 
 def test_float32_training_step_keeps_dtype():
-    cfg = ModelConfig(embed_dim=8, block_count=2, max_seq_len=6, dtype="float32", dropout_rate=0.2)
+    cfg = ModelConfig(embed_dim=8, block_count=2, max_seq_len=6, dtype="float32")
     m = init_model(cfg, 6, seed=0)
-    spec = BatchSpec(ce_examples=[TrainingExample((0, 1), 2)], train_mode=True, dropout_seed=1)
+    spec = BatchSpec(ce_examples=[TrainingExample((0, 1), 2)], dropout_rate=0.2, dropout_seed=1)
     _, grads = loss_and_gradients(m, spec)
     adam_step(m, grads)
     assert all(g.dtype == np.float32 for g in grads.values())
@@ -557,8 +557,7 @@ def reference_adam_step(state, grads, lr=5e-4, beta1=0.9, beta2=0.999, eps=1e-8)
 
 
 def float32_model(item_count=20, **overrides):
-    cfg = ModelConfig(**{"embed_dim": 8, "block_count": 2, "attention_heads": 2, "max_seq_len": 6,
-                         "dropout_rate": 0.3, **overrides})
+    cfg = ModelConfig(**{"embed_dim": 8, "block_count": 2, "attention_heads": 2, "max_seq_len": 6, **overrides})
     return init_model(cfg, item_count, seed=7)
 
 
@@ -578,7 +577,7 @@ def test_fused_adam_matches_per_parameter_loop_bit_for_bit():
         adam_step(fused, grads, lr=1e-2)
         reference_adam_step(ref, grads, lr=1e-2)
         assert states_equal(fused, ref), step
-    spec = BatchSpec(ce_examples=[TrainingExample((1, 2, 3), 4), TrainingExample((5,), 6)], train_mode=True,
+    spec = BatchSpec(ce_examples=[TrainingExample((1, 2, 3), 4), TrainingExample((5,), 6)], dropout_rate=0.3,
                      dropout_seed=3)
     _, grads = loss_and_gradients(fused, spec)  # views of the workspace that adam_step also draws on
     reference_adam_step(ref, grads, lr=1e-2)
@@ -669,7 +668,7 @@ def _workspace_steps(rng, item_count):
             kd_teacher_probs=teacher[kd],
             kd_item_range=item_count - 4,
             kd_weight=0.6 if len(kd) else 0.0,
-            train_mode=True,
+            dropout_rate=0.3,
             dropout_seed=int(rng.integers(1000)),
         ))
     return specs
