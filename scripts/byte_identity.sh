@@ -14,6 +14,17 @@
 #   scripts/byte_identity.sh HEAD~1 run --config scripts/byte_identity.yaml --workers 2
 #   scripts/byte_identity.sh HEAD~1 preprocess --input clicks.csv --seed 1
 #
+# A click log reaches `run` only as the cycles.txt that `preprocess` writes,
+# so check a change on that path in three steps:
+#
+#   1. write a log: python -c "from perfbench.clicklog import ClickLog, \
+#        write_click_log; write_click_log('/tmp/clicks.csv', ClickLog(), 1)"
+#   2. scripts/byte_identity.sh HEAD~1 preprocess --input /tmp/clicks.csv --seed 1
+#   3. write cycles.txt with `cyclerec preprocess --input /tmp/clicks.csv --seed 1
+#      --out /tmp/prepped`, point a config's `data: {cycles: ...}` at
+#      /tmp/prepped/cycles.txt, and run
+#      scripts/byte_identity.sh HEAD~1 run --config <that config>
+#
 # <ref> is exported with `git archive` into a temporary directory. Both sides
 # run with one BLAS thread and write to the same path in turn, so paths that
 # reach stdout match. Exits 0 and prints "identical" when the outputs are

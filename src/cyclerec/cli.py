@@ -64,6 +64,12 @@ _positive_int = _int_at_least(1, "a positive integer")
 _non_negative_int = _int_at_least(0, "a non-negative integer")
 
 
+def _delimiter(text: str) -> str:
+    if len(text) != 1 or text in "\r\n":
+        raise argparse.ArgumentTypeError(f"must be one character other than a line break, got {text!r}")
+    return text
+
+
 def _fraction(text: str) -> float:
     try:
         value = float(text)
@@ -91,14 +97,12 @@ _TOP_DEFAULTS = {
 _SOURCE_KEYS = {
     "synthetic": {"validation_fraction"},
     "cycles": set(),  # the file holds the split
-    "events": {"columns", "min_item_support", "min_session_length", "period_days", "validation_fraction",
-               "split_seed"},
 }
 _TOP_KEYS = {"data", "methods", "seeds", "model", "training", "capacity_sweep", *_TOP_DEFAULTS}
 
 
-def _reject_unknown(keys, known: set, where: str) -> None:
-    unknown = sorted(str(k) for k in keys if k not in known)
+def _reject_unknown(keys, known: set, where: str, prefix: str = "") -> None:
+    unknown = sorted(prefix + str(k) for k in keys if k not in known)
     if unknown:
         raise ConfigError(f"unknown field{'s' if len(unknown) > 1 else ''} {where}: {', '.join(unknown)}")
 
@@ -106,8 +110,11 @@ def _reject_unknown(keys, known: set, where: str) -> None:
 def resolve_config(raw: dict) -> dict:
     """Validate a run config and fill in defaults; returns the full snapshot.
 
-    An unknown key at the top level, a key under ``data`` that the chosen
-    source does not read, or an unknown ``data.columns`` key is a
+    ``data`` holds exactly one source: ``synthetic``, a generated stream,
+    or ``cycles``, the ``cycles.txt`` that ``cyclerec preprocess`` writes
+    from a click log. An unknown key at the top level or under ``model`` or
+    ``training``, a key under ``data`` that the chosen source does not
+    read, or a ``model`` or ``training`` section that is not a mapping is a
     ``ConfigError``, so no setting is silently ignored or left at a default.
     """
     if not isinstance(raw, dict):
@@ -122,19 +129,10 @@ def resolve_config(raw: dict) -> dict:
     data = cfg["data"]
     sources = set(data) & set(_SOURCE_KEYS) if isinstance(data, dict) else set()
     if len(sources) != 1:
-        raise ConfigError("field 'data' must hold exactly one of: synthetic, events, cycles")
+        raise ConfigError("field 'data' must hold exactly one of: synthetic, cycles (a click log goes through "
+                          "`cyclerec preprocess` first; point 'data.cycles' at the cycles.txt it writes)")
     (source,) = sources
-    _reject_unknown(data, {source, *_SOURCE_KEYS[source]}, f"in 'data' with a '{source}' source")
-    columns = data.get("columns", {})
-    if not isinstance(columns, dict):
-        raise ConfigError(f"field 'data.columns' must be a mapping, got {columns!r}")
-    _reject_unknown(columns, {f.name for f in dataclasses.fields(data_mod.ColumnFormat)}, "in 'data.columns'")
-    # the preprocess settings, checked here so that a dry run catches them
-    for name, default, low in (("period_days", 7, 1), ("min_item_support", 5, 1), ("min_session_length", 2, 2),
-                               ("split_seed", 0, 0)):
-        value = data.get(name, default)
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise ConfigError(f"field 'data.{name}' must be an integer >= {low}, got {value!r}")
+    _reject_unknown(data, {source, *_SOURCE_KEYS[source]}, f"with a '{source}' data source", prefix="data.")
     fraction = data.get("validation_fraction", 0.1)
     if isinstance(fraction, bool) or not isinstance(fraction, (int, float)) or not 0.0 <= fraction < 1.0:
         raise ConfigError(f"field 'data.validation_fraction' must be in [0, 1), got {fraction!r}")
@@ -143,10 +141,11 @@ def resolve_config(raw: dict) -> dict:
             data_mod.SyntheticStreamConfig(**data["synthetic"])
         except (TypeError, ValueError) as err:
             raise ConfigError(f"field 'data.synthetic': {err}") from err
-    resolved = dict(_TOP_DEFAULTS)
-    resolved.update(cfg)
-    resolved["model"] = {**_MODEL_DEFAULTS, **cfg.get("model", {})}
-    resolved["training"] = {**_TRAINING_DEFAULTS, **cfg.get("training", {})}
+    resolved = {**_TOP_DEFAULTS, **cfg}
+    for section, defaults in (("model", _MODEL_DEFAULTS), ("training", _TRAINING_DEFAULTS)):
+        if not isinstance(cfg.get(section, {}), dict):
+            raise ConfigError(f"field '{section}' must be a mapping, got {cfg[section]!r}")
+        resolved[section] = {**defaults, **cfg.get(section, {})}
     for name, low in (("ks", 1), ("seeds", 0)):
         values = resolved[name]
         if not isinstance(values, list) or not values or any(type(v) is not int or v < low for v in values):
@@ -162,32 +161,15 @@ def resolve_config(raw: dict) -> dict:
     return resolved
 
 
-def build_datasets(resolved: dict):
+def build_datasets(resolved: dict) -> list[data_mod.CycleDataset]:
+    """The cycle datasets of a resolved config's source: ``data.cycles`` loaded, or the synthetic stream."""
     data = resolved["data"]
-    if "synthetic" in data:
-        cfg = data_mod.SyntheticStreamConfig(**data["synthetic"])
-        return data_mod.generate_synthetic_stream(cfg, max_seq_len=resolved["model"]["max_seq_len"],
-                                                  validation_fraction=data.get("validation_fraction", 0.1))
     if "cycles" in data:
-        return data_mod.load_cycles(data["cycles"]), None
-    fmt = data_mod.ColumnFormat(**data.get("columns", {}))
-    log = data_mod.ingest(data["events"], fmt)
-    if log.skipped:
-        logger.info("skipped %d malformed rows", log.skipped)
-    sessions, registry = data_mod.preprocess(
-        log,
-        min_item_support=data.get("min_item_support", 5),
-        min_session_length=data.get("min_session_length", 2),
-    )
-    datasets = data_mod.split_cycles(
-        sessions,
-        registry,
-        period_seconds=data.get("period_days", 7) * 86400,
-        validation_fraction=data.get("validation_fraction", 0.1),
-        seed=data.get("split_seed", 0),
-        max_seq_len=resolved["model"]["max_seq_len"],
-    )
-    return datasets, registry
+        return data_mod.load_cycles(data["cycles"])
+    cfg = data_mod.SyntheticStreamConfig(**data["synthetic"])
+    datasets, _ = data_mod.generate_synthetic_stream(cfg, max_seq_len=resolved["model"]["max_seq_len"],
+                                                     validation_fraction=data.get("validation_fraction", 0.1))
+    return datasets
 
 
 def build_method(name: str, resolved: dict) -> MethodSpec:
@@ -243,7 +225,7 @@ def _execute(
 
     Writes the run directory of ``methods`` and returns it with the runs of ``extra``.
     """
-    datasets, _ = build_datasets(resolved)
+    datasets = build_datasets(resolved)
     loop_cfg = TrainLoopConfig(**resolved["training"], seed=0)
     model_cfg = ModelConfig(**resolved["model"])
     cmp = compare_methods(
@@ -360,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--session-col", default="session_id")
     p.add_argument("--time-col", default="timestamp")
     p.add_argument("--item-col", default="item_id")
-    p.add_argument("--delimiter", default=None)
+    p.add_argument("--delimiter", type=_delimiter, default=None)
     p.add_argument("--period-days", type=_positive_int, default=7)
     p.add_argument("--min-item-support", type=_positive_int, default=5)
     p.add_argument("--min-session-length", type=_int_at_least(2, "an integer >= 2"), default=2)

@@ -475,8 +475,13 @@ def save_cycles(datasets: list[CycleDataset], path: str | Path) -> None:
 
 
 def load_cycles(path: str | Path) -> list[CycleDataset]:
-    """Read ``save_cycles``'s file; a malformed line is a ``ValueError`` naming the path and line."""
+    """Read ``save_cycles``'s file; a malformed line is a ``ValueError`` naming the path and line.
+
+    As ``save_cycles`` writes them, headers number the cycles 0, 1, 2, ..., ``items`` never falls, every cycle
+    but the last holds a ``train`` line and the last holds a line; a break names the cycle header's line.
+    """
     datasets: list[CycleDataset] = []
+    header = str(path)  # where the last cycle header stands
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -488,7 +493,15 @@ def load_cycles(path: str | Path) -> list[CycleDataset]:
                 if len(parts) != 5 or parts[:2] != ["#", "cycle"] or parts[3] != "items":
                     raise ValueError(f"{where}: malformed cycle header {line!r}, expected '# cycle <id> items <count>'")
                 cycle_id, items = _ints(parts[2::2], where)
+                if cycle_id != len(datasets):
+                    raise ValueError(f"{where}: cycle {cycle_id} out of sequence, expected cycle {len(datasets)}")
+                floor = datasets[-1].item_count_after if datasets else 0
+                if items < floor:
+                    raise ValueError(f"{where}: the item count falls from {floor} to {items}")
+                if datasets and not datasets[-1].train:
+                    raise ValueError(f"{header}: cycle {cycle_id - 1} has no 'train' line")
                 datasets.append(CycleDataset(cycle_id, [], [], items))
+                header = where
                 continue
             fields = line.split("\t")
             if len(fields) != 4:
@@ -506,6 +519,10 @@ def load_cycles(path: str | Path) -> list[CycleDataset]:
             if min(target, *prefix) < 0 or max(target, *prefix) >= ds.item_count_after:
                 raise ValueError(f"{where}: item index outside cycle {cycle_s}'s [0, {ds.item_count_after})")
             (ds.train if tag == "train" else ds.validation).append(TrainingExample(tuple(prefix), target))
+    if not datasets:
+        raise ValueError(f"{path}: no cycle header")
+    if not datasets[-1].examples:
+        raise ValueError(f"{header}: the last cycle, {len(datasets) - 1}, holds no example")
     return datasets
 
 

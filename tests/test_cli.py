@@ -5,6 +5,8 @@ import pytest
 import yaml
 
 from cyclerec.cli import ConfigError, _load_config, build_datasets, main, resolve_config
+from cyclerec.data import load_cycles
+from cyclerec.reporting import read_cycle_reports
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -90,7 +92,7 @@ def test_resolve_rejects_unknown_method():
 
 def test_resolve_rejects_ambiguous_data():
     cfg = yaml.safe_load(yaml.safe_dump(TOY_CONFIG))
-    cfg["data"]["events"] = "somewhere.csv"
+    cfg["data"]["cycles"] = "prepped/cycles.txt"
     with pytest.raises(ConfigError, match="data"):
         resolve_config(cfg)
 
@@ -106,18 +108,29 @@ SYNTHETIC = TOY_CONFIG["data"]["synthetic"]
     ({"synthetic": SYNTHETIC, "columns": {"session_col": "sid"}}, "columns"),
     ({"cycles": "prepped/cycles.txt", "validation_fraction": 0.5}, "validation_fraction"),
     ({"cycles": "prepped/cycles.txt", "min_item_support": 2}, "min_item_support"),
-    ({"events": "events.csv", "columns": {"sesion_col": "sid"}}, "sesion_col"),
-    ({"events": "events.csv", "columns": "sid"}, "data.columns"),
+    ({"cycles": "prepped/cycles.txt", "sesion_col": "sid"}, "sesion_col"),
+    ({"cycles": "prepped/cycles.txt", "columns": {"session_col": "sid"}}, "data.columns"),
 ])
 @pytest.mark.parametrize("dry_run", [True, False])
 def test_data_key_the_source_does_not_read_exits_1(tmp_path, capsys, data, key, dry_run):
-    # such a key was accepted and ignored, and a misspelt column key passed
-    # a dry run and then crashed the run with a TypeError
+    # such a key was accepted and ignored; the error names it by its path under 'data'
     path = write_config(tmp_path, {"data": data})
     argv = ["run", "--config", str(path), "--out", str(tmp_path / "run")] + (["--dry-run"] if dry_run else [])
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "config error" in err and key in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_click_log_source_is_a_config_error_naming_preprocess(tmp_path, capsys, dry_run):
+    # a click log reaches a run only as the cycles.txt that preprocess writes
+    path = write_config(tmp_path, {"data": {"events": str(write_events(tmp_path)), "period_days": 7}})
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "run")] + (["--dry-run"] if dry_run else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "cyclerec preprocess" in err and "data.cycles" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
 
@@ -127,7 +140,7 @@ def test_synthetic_source_reads_validation_fraction():
         cfg = yaml.safe_load(yaml.safe_dump(TOY_CONFIG))
         if fraction is not None:
             cfg["data"]["validation_fraction"] = fraction
-        datasets, _ = build_datasets(resolve_config(cfg))
+        datasets = build_datasets(resolve_config(cfg))
         sizes[fraction] = [(len(ds.train), len(ds.validation)) for ds in datasets]
     for (train, val), (half_train, half_val) in zip(sizes[None], sizes[0.5]):
         assert val == int(0.1 * (train + val)) and half_val == int(0.5 * (half_train + half_val))
@@ -238,8 +251,6 @@ def test_preprocess_writes_cycles_and_statistics(tmp_path, capsys):
     assert (out / "cycles.txt").exists()
     assert (out / "registry.tsv").exists()
     stats_lines = (out / "statistics.txt").read_text().strip().splitlines()
-    from cyclerec.data import load_cycles
-
     cycles = load_cycles(out / "cycles.txt")
     assert len(stats_lines) == 1 + len(cycles)  # header + one row per cycle
 
@@ -281,6 +292,9 @@ def test_preprocess_skips_timestamps_outside_int64(tmp_path, capsys):
     ("--min-session-length", "0"),
     ("--min-item-support", "0"),
     ("--seed", "-1"),
+    ("--delimiter", ";;"),  # crashed ingest with a traceback, exit 2
+    ("--delimiter", "\n"),
+    ("--delimiter", ""),  # fell back to auto-detection
 ])
 def test_preprocess_bad_split_setting_is_a_usage_error(tmp_path, capsys, option, value):
     events = write_events(tmp_path)
@@ -301,18 +315,11 @@ def test_zero_workers_is_a_usage_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("period_days", 0),
-    ("period_days", -7),
     ("validation_fraction", -0.2),
     ("validation_fraction", 1.5),
-    ("min_session_length", 1),
-    ("min_session_length", 2.5),
-    ("min_item_support", 0),
-    ("split_seed", -1),
-    ("split_seed", "7"),
 ])
 def test_bad_split_config_field_exits_1(tmp_path, capsys, field, value):
-    path = write_config(tmp_path, {"data": {"events": "events.csv", field: value}})
+    path = write_config(tmp_path, {"data": {"synthetic": SYNTHETIC, field: value}})
     assert main(["run", "--config", str(path), "--dry-run"]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and f"data.{field}" in err
@@ -364,6 +371,20 @@ def test_negative_run_seed_is_a_usage_error(tmp_path, capsys, dry_run):
     assert not (tmp_path / "run").exists()
 
 
+def test_click_log_runs_through_preprocess_and_cycles(tmp_path, capsys):
+    prep = tmp_path / "prep"
+    argv = ["preprocess", "--input", str(write_events(tmp_path)), "--out", str(prep), "--min-item-support", "2"]
+    assert main(argv) == 0
+    cycles = load_cycles(prep / "cycles.txt")
+    assert len(cycles) == 3
+    path = write_config(tmp_path, {"data": {"cycles": str(prep / "cycles.txt")}, "out": str(tmp_path / "run")})
+    assert main(["run", "--config", str(path)]) == 0
+    rows = read_cycle_reports(tmp_path / "run")
+    assert sorted({(r["method"], r["cycle"]) for r in rows}) == [(m, t) for m in ("ADER", "Finetune") for t in (0, 1)]
+    for row in rows:  # a report row of cycle t tests on all of cycle t + 1
+        assert row["test_count"] == len(cycles[row["cycle"] + 1].examples)
+
+
 def test_preprocess_idempotent_bytes(tmp_path, capsys):
     events = write_events(tmp_path)
     out1, out2 = tmp_path / "p1", tmp_path / "p2"
@@ -382,6 +403,23 @@ def test_ablate_bad_capacity_sweep_exits_1(tmp_path, capsys, dry_run):
     err = capsys.readouterr().err
     assert "config error" in err and "capacity_sweep" in err
     assert not (tmp_path / "abl").exists()
+
+
+@pytest.mark.parametrize("section,value", [
+    pytest.param("model", [16], id="model-list"),
+    pytest.param("model", None, id="model-null"),
+    pytest.param("training", 3, id="training-int"),
+    pytest.param("training", "fast", id="training-str"),
+])
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_model_or_training_section_not_a_mapping_exits_1(tmp_path, capsys, section, value, dry_run):
+    # before, resolving the section printed "unhandled failure" with a traceback, exit 2
+    path = write_config(tmp_path, {section: value})
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "run")] + (["--dry-run"] if dry_run else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"field '{section}' must be a mapping" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("dry_run", [True, False])

@@ -593,3 +593,35 @@ def test_cycles_malformed_line_names_path_and_line(tmp_path, line, message):
     path.write_text(f"# cycle 0 items 5\n0\t1 2\t3\ttrain\n{line}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"cycles\.txt:3: " + message):
         load_cycles(path)
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param("# cycle 0 items 5\n0\t1\t2\ttrain\n# cycle 0 items 5\n0\t2\t3\tval\n",
+                 r":3: cycle 0 out of sequence, expected cycle 1", id="repeated-id"),
+    pytest.param("# cycle 0 items 5\n0\t1\t2\ttrain\n# cycle 2 items 5\n2\t2\t3\tval\n",
+                 r":3: cycle 2 out of sequence, expected cycle 1", id="skipped-id"),
+    pytest.param("# cycle 1 items 5\n1\t1\t2\ttrain\n# cycle 2 items 5\n2\t2\t3\tval\n",
+                 r":1: cycle 1 out of sequence, expected cycle 0", id="first-id-not-0"),
+    pytest.param("# cycle 0 items 5\n0\t1\t2\ttrain\n# cycle 1 items 4\n1\t2\t3\tval\n",
+                 r":3: the item count falls from 5 to 4", id="items-fall"),
+    pytest.param("# cycle 0 items 5\n0\t1\t2\tval\n# cycle 1 items 5\n1\t2\t3\ttrain\n",
+                 r":1: cycle 0 has no 'train' line", id="no-train-line"),
+    pytest.param("\n# cycle 0 items 5\n0\t1\t2\ttrain\n# cycle 1 items 5\n# cycle 2 items 5\n2\t2\t3\tval\n",
+                 r":4: cycle 1 has no 'train' line", id="empty-middle-cycle"),
+    pytest.param("# cycle 0 items 5\n0\t1\t2\ttrain\n# cycle 1 items 6\n",
+                 r":3: the last cycle, 1, holds no example", id="empty-last-cycle"),
+    pytest.param("", r": no cycle header", id="empty-file"),
+])
+def test_cycles_out_of_sequence_names_path_and_header_line(tmp_path, text, message):
+    # each of these loaded, then either trained on mislabelled cycles or failed mid-run
+    path = tmp_path / "cycles.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=r"cycles\.txt" + message):
+        load_cycles(path)
+
+
+def test_cycles_last_cycle_may_hold_only_validation_lines(tmp_path):
+    # the last cycle is test data only, so it needs no 'train' line
+    path = tmp_path / "cycles.txt"
+    path.write_text("# cycle 0 items 5\n0\t1\t2\ttrain\n# cycle 1 items 5\n1\t2\t3\tval\n", encoding="utf-8")
+    assert [(len(ds.train), len(ds.validation)) for ds in load_cycles(path)] == [(1, 0), (0, 1)]
