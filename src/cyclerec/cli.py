@@ -101,6 +101,12 @@ _SOURCE_KEYS = {
 _TOP_KEYS = {"data", "methods", "seeds", "model", "training", "capacity_sweep", *_TOP_DEFAULTS}
 
 
+def _reject_repeats(values: list, name: str) -> None:
+    """A repeated entry would run or write the same thing twice."""
+    if len(set(values)) < len(values):
+        raise ConfigError(f"field '{name}' must not repeat an entry, got {values!r}")
+
+
 def _reject_unknown(keys, known: set, where: str, prefix: str = "") -> None:
     unknown = sorted(prefix + str(k) for k in keys if k not in known)
     if unknown:
@@ -150,6 +156,7 @@ def resolve_config(raw: dict) -> dict:
         values = resolved[name]
         if not isinstance(values, list) or not values or any(type(v) is not int or v < low for v in values):
             raise ConfigError(f"field '{name}' must list integers >= {low}, got {values!r}")
+        _reject_repeats(values, name)
     try:
         ModelConfig(**resolved["model"])
         TrainLoopConfig(**resolved["training"], seed=0)
@@ -188,24 +195,30 @@ def build_method(name: str, resolved: dict) -> MethodSpec:
 def build_methods(names: list, resolved: dict) -> list[MethodSpec]:
     """Every named method's spec; a bad name or setting is a ``ConfigError``."""
     try:
-        return [build_method(str(name), resolved) for name in names]
+        methods = [build_method(str(name), resolved) for name in names]
     except (TypeError, ValueError) as err:
         raise ConfigError(f"field 'methods': {err}") from err
+    _reject_repeats([m.name for m in methods], "methods")
+    return methods
 
 
 def build_sweep(resolved: dict) -> list[MethodSpec]:
-    """ADER at each capacity of the exemplar-budget sweep; a bad capacity is a ``ConfigError``.
+    """ADER at each capacity of the exemplar-budget sweep; a bad or repeated capacity is a ``ConfigError``.
 
     Without ``capacity_sweep`` the sweep is half and all of ``exemplar_capacity``.
     """
-    capacities = resolved.get("capacity_sweep") or sorted(
+    capacities = resolved.get("capacity_sweep", sorted(
         {max(1, resolved["exemplar_capacity"] // 2), resolved["exemplar_capacity"]}
-    )
+    ))
+    if not isinstance(capacities, list) or not capacities:
+        raise ConfigError(f"field 'capacity_sweep' must list capacities, got {capacities!r}")
     ader = build_method("ADER", resolved)
     try:
-        return [dataclasses.replace(ader, exemplar_capacity=int(cap)) for cap in capacities]
+        sweep = [dataclasses.replace(ader, exemplar_capacity=cap) for cap in capacities]
     except (TypeError, ValueError) as err:
         raise ConfigError(f"field 'capacity_sweep': {err}") from err
+    _reject_repeats(capacities, "capacity_sweep")
+    return sweep
 
 
 def _load_config(path: str) -> dict:

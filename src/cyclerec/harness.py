@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,7 +30,7 @@ import numpy as np
 
 from .data import CycleDataset, TrainingExample
 from .exemplars import ExemplarSet, SelectionStrategy, select_exemplars
-from .losses import _softmax, adaptive_lambda, ce_rows_from_logits, fisher_diagonal
+from .losses import adaptive_lambda, ce_rows_from_logits, fisher_diagonal, teacher_probabilities
 from .metrics import CycleReport, aggregate, mrr_at_k, recall_at_k, target_ranks
 from .model import (
     BatchSpec,
@@ -106,8 +108,16 @@ class MethodSpec:
             raise ValueError(f"{self.kind.value}: dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.kind in NO_DROPOUT_KINDS and self.dropout_rate != 0.0:
             raise ValueError(f"{self.kind.value}: dropout must be 0 (the dropout variant is its own baseline)")
-        if self.kind in EXEMPLAR_KINDS and self.exemplar_capacity < 1:
+        capacity = self.exemplar_capacity
+        if isinstance(capacity, bool) or not isinstance(capacity, numbers.Integral):
+            raise ValueError(f"{self.kind.value}: exemplar_capacity must be an integer, got {capacity!r}")
+        if self.kind in EXEMPLAR_KINDS and capacity < 1:
             raise ValueError(f"{self.kind.value}: exemplar_capacity must be positive")
+        for name in ("lambda_base", "fixed_lambda", "ewc_strength"):
+            value = getattr(self, name)
+            usable = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (usable and math.isfinite(value) and value >= 0):
+                raise ValueError(f"{self.kind.value}: {name} must be a finite number >= 0, got {value!r}")
 
     @property
     def selection_strategy(self) -> SelectionStrategy | None:
@@ -236,14 +246,6 @@ def _validation_scores(model: ModelState, examples) -> tuple[float, float]:
     return float(ce.mean()), recall_at_k(ranks, VAL_RECALL_K)
 
 
-def _teacher_rows(model: ModelState, feats: np.ndarray, item_range: int) -> np.ndarray:
-    """Softmax over the first ``item_range`` items per feature row, written block by block into one array."""
-    probs = np.empty((len(feats), item_range), dtype=feats.dtype)
-    for block, logits in logit_blocks(model, feats, item_range):
-        _softmax(logits, out=(logits, probs[block]))
-    return probs
-
-
 def _session_chains(pool: Sequence[TrainingExample], max_seq_len: int) -> list[np.ndarray]:
     """Pool indices grouped by the root of their trimmed prefixes, each chain ascending.
 
@@ -289,7 +291,7 @@ def update_model(
     if kd_examples:
         # the model is still the previous cycle's restored one, which chose the
         # store and encoded its rows: the teacher's distributions need no new pass
-        teacher_probs = _teacher_rows(model, store.features, old_item_count)
+        teacher_probs = teacher_probabilities(model, store.features, old_item_count)
     grow_vocabulary(model, cycle_data.item_count_after, seed=_derived_seed(loop_cfg.seed, t, 101))
     if state.ewc_anchor is not None:  # new rows carry zero Fisher weight, so their anchor value is inert
         pad = np.zeros((model.item_count - old_item_count, model.config.embed_dim), dtype=model.config.np_dtype)

@@ -6,11 +6,11 @@ cycle-adaptive interpolation weight between the two, and the Fisher
 diagonal that weights the EWC baseline's parameter anchor.
 
 The ``*_from_logits`` primitives are pure (``ce_rows_from_logits``
-overwrites its logits); ``teacher_probabilities`` and
-``kd_loss`` take model states and run the forward pass with dropout
-disabled, as the reference the tests check training against (training
-reads the teacher rows from the exemplar store's features). A training
-step combines the terms, the EWC penalty included, in
+overwrites its logits). ``teacher_probabilities`` is the teacher pass: it
+scores the exemplar store's features, which the frozen model encoded
+with dropout off; the tests check it against a float64 reference that
+re-encodes the exemplars (``tests/kd_reference.py``). A training step
+combines the terms, the EWC penalty included, in
 ``model.loss_and_gradients``.
 """
 
@@ -98,42 +98,20 @@ def kd_from_logits(
     return loss, dlogits
 
 
-def teacher_probabilities(
-    teacher: "ModelState",
-    exemplars: Sequence["TrainingExample"],
-    old_item_range: int,
-) -> np.ndarray:
-    """Frozen-model distributions over the old-item range, dropout off."""
-    from .model import extract_features_batch
+def teacher_probabilities(model: "ModelState", feats: np.ndarray, item_range: int) -> np.ndarray:
+    """Softmax over the first ``item_range`` items per feature row, written block by block into one array.
 
-    if old_item_range > teacher.item_count:
-        raise ValueError("teacher_probabilities: range exceeds the teacher registry")
-    feats = extract_features_batch(teacher, [ex.prefix for ex in exemplars])
-    logits = feats @ teacher.params["item_emb"][:old_item_range].T
-    return _softmax(logits)[2]
-
-
-def kd_loss(
-    previous_model: "ModelState",
-    current_model: "ModelState",
-    exemplars: Sequence["TrainingExample"],
-    old_item_range: int | None = None,
-) -> tuple[float, np.ndarray]:
-    """Distillation loss on exemplars plus per-logit grads for the student.
-
-    Both predicted distributions are restricted to the old-item range
-    before normalization; no gradient flows into ``previous_model``.
+    The teacher pass of distillation: ``feats`` are the frozen model's
+    features of the stored exemplars, encoded with dropout off.
     """
-    from .model import extract_features_batch
+    from .model import logit_blocks
 
-    if not exemplars:
-        raise ValueError("kd_loss: empty exemplar set (skip distillation in the first cycle)")
-    if old_item_range is None:
-        old_item_range = previous_model.item_count
-    teacher = teacher_probabilities(previous_model, exemplars, old_item_range)
-    feats = extract_features_batch(current_model, [ex.prefix for ex in exemplars])
-    logits = feats @ current_model.params["item_emb"][:old_item_range].T
-    return kd_from_logits(logits, teacher)
+    if item_range > model.item_count:
+        raise ValueError("teacher_probabilities: range exceeds the teacher registry")
+    probs = np.empty((len(feats), item_range), dtype=feats.dtype)
+    for block, logits in logit_blocks(model, feats, item_range):
+        _softmax(logits, out=(logits, probs[block]))
+    return probs
 
 
 def adaptive_lambda(

@@ -21,20 +21,12 @@ class CycleReport:
     epochs_trained: int = 0
 
 
-def rank_of_target(logits: Sequence[float] | np.ndarray, target: int) -> int:
-    """1-based rank of the target item.
-
-    rank = 1 + items scoring strictly higher + equal scorers with a lower
-    index (deterministic tie-break).
-    """
-    scores = np.asarray(logits, dtype=np.float64)
-    if not 0 <= target < len(scores):
-        raise ValueError("rank_of_target: target outside the logit range")
-    return int(target_ranks(scores[None, :], np.array([target]))[0])
-
-
 def target_ranks(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Row-wise ``rank_of_target`` over a (rows, items) logit matrix; a non-finite target score raises."""
+    """1-based rank of each row's target in a (rows, items) logit matrix; a non-finite target score raises.
+
+    rank = 1 + items scoring strictly higher + items scoring equal at a
+    lower index (a deterministic tie-break).
+    """
     t = logits[np.arange(len(targets)), targets][:, None]
     if not np.isfinite(t).all():
         raise ValueError("target_ranks: a target's score is not finite")

@@ -35,6 +35,10 @@ REFERENCE_FULL_SCALE_RECALL20 = {
 }
 REFERENCE_FULL_SCALE_CAPACITY = {10000: 49.59, 20000: 50.05, 30000: 50.21}
 
+# columns of cycle_reports.tsv, in file order, with the parser of each
+REPORT_COLUMNS = {"method": str, "seed": int, "cycle": int, "k": int, "recall": float, "mrr": float,
+                  "unseen_fraction": float, "test_count": int}
+
 
 def cycle_rows(cmp: ComparisonResult) -> list[dict]:
     """Flatten a comparison into per (method, seed, cycle, k) records."""
@@ -154,7 +158,7 @@ def write_run_directory(out_dir: str | Path, resolved_config: dict, cmp: Compari
 
     rows = cycle_rows(cmp)
     with open(out / "cycle_reports.tsv", "w", encoding="utf-8") as fh:
-        fh.write("method\tseed\tcycle\tk\trecall\tmrr\tunseen_fraction\ttest_count\n")
+        fh.write("\t".join(REPORT_COLUMNS) + "\n")
         for r in rows:
             fh.write(
                 f"{r['method']}\t{r['seed']}\t{r['cycle']}\t{r['k']}\t"
@@ -178,26 +182,30 @@ def render_statistics_table(stats: list[dict]) -> str:
 
 
 def read_cycle_reports(run_dir: str | Path) -> list[dict]:
-    """Parse cycle_reports.tsv back into row dicts."""
+    """Parse cycle_reports.tsv back into row dicts.
+
+    A missing column, a row with another field count than the header, or a
+    cell that does not parse is a ``ValueError`` naming ``path:line``.
+    """
     path = Path(run_dir) / "cycle_reports.tsv"
     if not path.exists():
         raise FileNotFoundError(f"incomplete run directory: missing {path}")
     rows = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
-        for line in fh:
+        missing = [col for col in REPORT_COLUMNS if col not in header]
+        if missing:
+            raise ValueError(f"{path}:1: missing column{'s' if len(missing) > 1 else ''} {', '.join(missing)}")
+        for lineno, line in enumerate(fh, start=2):
             cells = line.rstrip("\n").split("\t")
+            if len(cells) != len(header):
+                raise ValueError(f"{path}:{lineno}: {len(cells)} fields, the header has {len(header)}")
             row = dict(zip(header, cells))
-            rows.append(
-                {
-                    "method": row["method"],
-                    "seed": int(row["seed"]),
-                    "cycle": int(row["cycle"]),
-                    "k": int(row["k"]),
-                    "recall": float(row["recall"]),
-                    "mrr": float(row["mrr"]),
-                    "unseen_fraction": float(row["unseen_fraction"]),
-                    "test_count": int(row["test_count"]),
-                }
-            )
+            parsed = {}
+            for col, parse in REPORT_COLUMNS.items():
+                try:
+                    parsed[col] = parse(row[col])
+                except ValueError as err:
+                    raise ValueError(f"{path}:{lineno}: column '{col}': {err}") from None
+            rows.append(parsed)
     return rows

@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 import yaml
 
+import kd_reference
 from cyclerec.cli import main as cli_main
 from cyclerec.data import SyntheticStreamConfig, TrainingExample, generate_synthetic_stream
 from cyclerec.exemplars import allocate_quota, herding_order
 from cyclerec.harness import MethodKind, MethodSpec, TrainLoopConfig, run_experiment
-from cyclerec.losses import adaptive_lambda, kd_loss, teacher_probabilities
-from cyclerec.metrics import mrr_at_k, rank_of_target, recall_at_k
-from cyclerec.model import BatchSpec, ModelConfig, init_model, loss_and_gradients
+from cyclerec.losses import adaptive_lambda, teacher_probabilities
+from cyclerec.metrics import mrr_at_k, recall_at_k, target_ranks
+from cyclerec.model import BatchSpec, ModelConfig, extract_features_batch, init_model, loss_and_gradients
 
 # Shared configuration of the directional experiments (criteria 7-9).
 EXPERIMENT_SEEDS = [1, 2, 3]
@@ -170,6 +171,10 @@ def test_criterion_3_gradients_match_finite_differences():
 
 
 def test_criterion_4_kd_fixed_point():
+    # student = teacher: the distillation gradient vanishes and the loss is
+    # the teacher's entropy, on the float64 reference that re-encodes the
+    # exemplars and on the path training runs (the teacher pass over the
+    # exemplars' features, then the KD term of a training step)
     cfg = ModelConfig(embed_dim=16, block_count=2, max_seq_len=12, dtype="float64")
     model = init_model(cfg, item_count=20, seed=44)
     rng = np.random.default_rng(404)
@@ -178,13 +183,27 @@ def test_criterion_4_kd_fixed_point():
                         int(rng.integers(0, 16)))
         for _ in range(25)
     ]
-    loss, dlogits = kd_loss(model, model, exemplars, old_item_range=16)
+
+    def entropy(teacher):
+        return float(-(teacher * np.log(teacher)).sum(axis=1).mean())
+
+    loss, dlogits = kd_reference.kd_loss(model, model, exemplars, 16)
     per_exemplar = np.abs(dlogits) * len(exemplars)  # undo the 1/|E| factor
-    teacher = teacher_probabilities(model, exemplars, 16)
-    entropy = float(-(teacher * np.log(teacher)).sum(axis=1).mean())
+    teacher = kd_reference.teacher_probabilities(model, exemplars, 16)
     assert per_exemplar.max() <= 1e-10
-    assert abs(loss - entropy) <= 1e-8
-    _report("4 KD fixed point", f"max grad {per_exemplar.max():.1e}, |L-H| {abs(loss - entropy):.1e}")
+    assert abs(loss - entropy(teacher)) <= 1e-8
+
+    feats = extract_features_batch(model, [ex.prefix for ex in exemplars])
+    probs = teacher_probabilities(model, feats, 16)
+    breakdown, grads = loss_and_gradients(
+        model, BatchSpec(kd_examples=exemplars, kd_teacher_probs=probs, kd_item_range=16, kd_weight=1.0)
+    )
+    step_grad = np.abs(grads.flat).max() * len(exemplars)
+    assert step_grad <= 1e-10
+    assert abs(breakdown.kd - entropy(probs)) <= 1e-8
+    _report("4 KD fixed point",
+            f"reference: max grad {per_exemplar.max():.1e}, |L-H| {abs(loss - entropy(teacher)):.1e}; "
+            f"training step: max grad {step_grad:.1e}, |L-H| {abs(breakdown.kd - entropy(probs)):.1e}")
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +243,7 @@ def test_criterion_6_metrics_match_full_sort_oracle():
         target = int(rng.integers(0, n))
         order = sorted(range(n), key=lambda i: (-logits[i], i))
         oracle_rank = order.index(target) + 1
-        got_rank = rank_of_target(logits, target)
+        got_rank = int(target_ranks(logits[None, :], np.array([target]))[0])
         assert got_rank == oracle_rank
         all_ranks.append(got_rank)
         oracle_ranks.append(oracle_rank)

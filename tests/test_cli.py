@@ -1,4 +1,5 @@
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -165,7 +166,20 @@ def test_run_missing_config_field_exits_1(tmp_path, capsys):
     assert "methods" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("overrides", [{"methods": ["Finetune", "teleportation"]}, {"exemplar_capacity": 0}])
+@pytest.mark.parametrize("overrides", [
+    {"methods": ["Finetune", "teleportation"]},
+    {"exemplar_capacity": 0},
+    # before, these passed a dry run; the first and third then failed with a
+    # TypeError (exit 2), and the others trained: at capacity 1, or with a NaN
+    # or a negative weight
+    {"exemplar_capacity": 10.5},
+    {"exemplar_capacity": True},
+    {"lambda_base": "x"},
+    {"fixed_lambda": float("nan")},
+    {"lambda_base": -0.5},
+    {"ewc_strength": -3},
+    {"methods": ["ADER", "ader"]},  # before, trained every ADER run twice
+])
 @pytest.mark.parametrize("dry_run", [True, False])
 def test_run_bad_method_config_exits_1(tmp_path, capsys, overrides, dry_run):
     # an unknown method and a method setting its spec rejects are both
@@ -334,10 +348,13 @@ def test_bad_split_config_field_exits_1(tmp_path, capsys, field, value):
     ("seeds", [-1]),
     ("seeds", [True]),
     ("seeds", "1"),
+    ("ks", [20, 10, 20]),  # before, wrote every k=20 row of cycle_reports.tsv twice
+    ("seeds", [1, 1]),  # before, trained every run twice
 ])
 @pytest.mark.parametrize("dry_run", [True, False])
 def test_bad_ks_or_seeds_exits_1(tmp_path, capsys, field, value, dry_run):
-    # before, these passed a dry run and failed with a traceback after (or during) training
+    # before, these passed a dry run and failed with a traceback after (or during) training,
+    # or (a repeated entry) ran and wrote the same thing twice
     path = write_config(tmp_path, {field: value})
     argv = ["run", "--config", str(path), "--out", str(tmp_path / "run")] + (["--dry-run"] if dry_run else [])
     assert main(argv) == 1
@@ -403,6 +420,45 @@ def test_ablate_bad_capacity_sweep_exits_1(tmp_path, capsys, dry_run):
     err = capsys.readouterr().err
     assert "config error" in err and "capacity_sweep" in err
     assert not (tmp_path / "abl").exists()
+
+
+@pytest.mark.parametrize("sweep", [
+    pytest.param([2.7], id="float"),  # before, truncated to 2
+    pytest.param("12", id="string"),  # before, swept capacities 1 and 2
+    pytest.param([True], id="bool"),  # before, swept capacity 1
+    pytest.param([20, 20], id="repeat"),  # before, trained the same sweep point twice
+    pytest.param([], id="empty"),  # before, fell back to the default sweep
+])
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_ablate_capacity_sweep_must_list_distinct_capacities(tmp_path, capsys, sweep, dry_run):
+    path = write_config(tmp_path, {"capacity_sweep": sweep})
+    argv = ["ablate", "--config", str(path), "--out", str(tmp_path / "abl")] + (["--dry-run"] if dry_run else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "capacity_sweep" in err
+    assert not (tmp_path / "abl").exists()
+
+
+REPORT_HEADER = ["method", "seed", "cycle", "k", "recall", "mrr", "unseen_fraction", "test_count"]
+REPORT_ROW = ["ADER", "1", "0", "20", "0.500000", "0.250000", "0.000000", "40"]
+
+
+@pytest.mark.parametrize("lines,line", [
+    pytest.param([REPORT_HEADER[:5] + REPORT_HEADER[6:], REPORT_ROW[:5] + REPORT_ROW[6:]], 1, id="missing-column"),
+    pytest.param([REPORT_HEADER, REPORT_ROW, REPORT_ROW[:7]], 3, id="short-row"),
+    pytest.param([REPORT_HEADER, REPORT_ROW, REPORT_ROW + ["x"]], 3, id="long-row"),
+    pytest.param([REPORT_HEADER, REPORT_ROW[:4] + ["abc"] + REPORT_ROW[5:]], 2, id="bad-float"),
+    pytest.param([REPORT_HEADER, REPORT_ROW[:1] + ["1.5"] + REPORT_ROW[2:]], 2, id="bad-int"),
+])
+def test_report_on_a_malformed_cycle_reports_names_path_and_line(tmp_path, capsys, lines, line):
+    # before, a missing column or a short row printed "unhandled failure" with a traceback
+    path = tmp_path / "cycle_reports.tsv"
+    path.write_text("".join("\t".join(cells) + "\n" for cells in lines))
+    with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ")):
+        read_cycle_reports(tmp_path)
+    assert main(["report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("section,value", [

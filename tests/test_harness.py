@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import kd_reference
 from cyclerec.data import CycleDataset, SyntheticStreamConfig, TrainingExample, generate_synthetic_stream
 from cyclerec.harness import (
     EarlyStopper,
@@ -16,7 +17,7 @@ from cyclerec.harness import (
     run_experiment,
     update_model,
 )
-from cyclerec.losses import ce_from_logits, teacher_probabilities
+from cyclerec.losses import ce_from_logits
 from cyclerec.model import DivergenceError, ModelConfig, extract_features_batch, init_model
 from cyclerec.reporting import cycle_rows, summarize_rows
 
@@ -192,8 +193,9 @@ def test_kd_methods_carry_teacher_distributions_across_cycles(monkeypatch):
     # distributions on the stored exemplars, over the items it knew, read
     # from the features the store kept, so no encoder pass runs before the
     # first step, and no rows are computed when distillation is off.
-    # The teacher pass is the scoring pass over a store's features; every
-    # other scoring pass of update_model is an epoch's validation pass.
+    # The teacher pass (losses.teacher_probabilities) is the scoring pass over
+    # a store's features; every other scoring pass of update_model is an
+    # epoch's validation pass.
     import cyclerec.harness as harness_mod
     import cyclerec.model as model_mod
 
@@ -216,7 +218,8 @@ def test_kd_methods_carry_teacher_distributions_across_cycles(monkeypatch):
 
     monkeypatch.setattr(model_mod, "_encode_rows", encoding)
     monkeypatch.setattr(harness_mod, "loss_and_gradients", recording)
-    monkeypatch.setattr(harness_mod, "logit_blocks", scoring)
+    monkeypatch.setattr(harness_mod, "logit_blocks", scoring)  # validation
+    monkeypatch.setattr(model_mod, "logit_blocks", scoring)  # the teacher pass imports it on each call
     datasets, _ = tiny_stream()
     loop = tiny_loop()
     ader = MethodSpec(MethodKind.ADER, exemplar_capacity=50)
@@ -226,7 +229,7 @@ def test_kd_methods_carry_teacher_distributions_across_cycles(monkeypatch):
     store = ader_state.exemplars
     stores.append(store)
     old = datasets[0].item_count_after
-    expected = teacher_probabilities(ader_state.model.copy(), store.examples, old)
+    expected = kd_reference.teacher_probabilities(ader_state.model.copy(), store.examples, old)
     assert expected.shape == (len(store.examples), old)
 
     events.clear()

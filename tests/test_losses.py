@@ -4,16 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import kd_reference
 from cyclerec.data import TrainingExample
-from cyclerec.losses import (
-    adaptive_lambda,
-    ce_from_logits,
-    fisher_diagonal,
-    kd_from_logits,
-    kd_loss,
-    teacher_probabilities,
+from cyclerec.losses import adaptive_lambda, ce_from_logits, fisher_diagonal, kd_from_logits, teacher_probabilities
+from cyclerec.model import (
+    BatchSpec,
+    DivergenceError,
+    ModelConfig,
+    extract_features_batch,
+    init_model,
+    loss_and_gradients,
 )
-from cyclerec.model import BatchSpec, DivergenceError, ModelConfig, init_model, loss_and_gradients
 
 CFG = ModelConfig(embed_dim=8, block_count=1, max_seq_len=10, dtype="float64")
 
@@ -65,11 +66,14 @@ def test_ce_gradient_identity_vs_finite_differences():
 def test_kd_identical_models_fixed_point():
     m = init_model(CFG, 8, seed=5)
     exemplars = [TrainingExample((0, 1), 2), TrainingExample((3,), 4), TrainingExample((5, 6, 7), 1)]
-    loss, dlogits = kd_loss(m, m, exemplars, old_item_range=6)
-    teacher = teacher_probabilities(m, exemplars, 6)
+    loss, dlogits = kd_reference.kd_loss(m, m, exemplars, 6)
+    teacher = kd_reference.teacher_probabilities(m, exemplars, 6)
     entropy = float(-(teacher * np.log(teacher)).sum(axis=1).mean())
     assert np.abs(dlogits).max() <= 1e-12
     assert loss == pytest.approx(entropy, abs=1e-10)
+    # the teacher pass over the exemplars' features gives the reference's distributions
+    feats = extract_features_batch(m, [ex.prefix for ex in exemplars])
+    np.testing.assert_allclose(teacher_probabilities(m, feats, 6), teacher, rtol=1e-12, atol=0)
 
 
 def test_kd_one_hot_teacher_matched_student_contributes_zero():
@@ -117,18 +121,19 @@ def test_kd_nonnegative_and_bounded_below_by_teacher_entropy():
         assert loss >= entropy - 1e-10  # Gibbs' inequality
 
 
-def test_kd_empty_exemplars_error():
-    m = init_model(CFG, 5, seed=0)
-    with pytest.raises(ValueError, match="empty exemplar"):
-        kd_loss(m, m, [])
-
-
 def test_kd_restricts_to_old_item_range():
     prev = init_model(CFG, 6, seed=3)
     curr = init_model(CFG, 9, seed=4)
     exemplars = [TrainingExample((0, 2), 1)]
-    _, dlogits = kd_loss(prev, curr, exemplars, old_item_range=6)
+    _, dlogits = kd_reference.kd_loss(prev, curr, exemplars, 6)
     assert dlogits.shape == (1, 6)
+    # a training step's KD term leaves the item rows beyond the range untouched
+    probs = teacher_probabilities(prev, extract_features_batch(prev, [(0, 2)]), 6)
+    assert probs.shape == (1, 6)
+    _, grads = loss_and_gradients(curr, BatchSpec(kd_examples=exemplars, kd_teacher_probs=probs,
+                                                  kd_item_range=6, kd_weight=1.0))
+    assert np.abs(grads["item_emb"][:6]).max() > 0.0
+    np.testing.assert_array_equal(grads["item_emb"][6:], 0.0)
 
 
 # ---------------------------------------------------------------------------

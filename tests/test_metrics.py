@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cyclerec.metrics import CycleReport, aggregate, mrr_at_k, rank_of_target, recall_at_k, target_ranks
+from cyclerec.metrics import CycleReport, aggregate, mrr_at_k, recall_at_k, target_ranks
 
 
 def sort_rank_oracle(logits, target):
@@ -11,12 +11,17 @@ def sort_rank_oracle(logits, target):
     return order.index(target) + 1
 
 
+def rank(logits, target):
+    """``target_ranks`` on a one-row matrix."""
+    return int(target_ranks(np.asarray(logits, dtype=np.float64)[None, :], np.array([target]))[0])
+
+
 def report(cycle, recall, mrr, count=10, unseen=0.0):
     return CycleReport(cycle, dict(recall), dict(mrr), count, unseen)
 
 
 # ---------------------------------------------------------------------------
-# rank_of_target
+# target_ranks
 # ---------------------------------------------------------------------------
 
 
@@ -32,25 +37,25 @@ def test_non_finite_scores_of_other_items_still_rank():
 
 
 def test_rank_simple():
-    assert rank_of_target([0.9, 0.1, 0.5], 0) == 1
-    assert rank_of_target([0.9, 0.1, 0.5], 2) == 2
-    assert rank_of_target([0.9, 0.1, 0.5], 1) == 3
+    assert rank([0.9, 0.1, 0.5], 0) == 1
+    assert rank([0.9, 0.1, 0.5], 2) == 2
+    assert rank([0.9, 0.1, 0.5], 1) == 3
 
 
 def test_rank_tie_breaks_by_index():
-    assert rank_of_target([0.5, 0.5], 0) == 1
-    assert rank_of_target([0.5, 0.5], 1) == 2
+    assert rank([0.5, 0.5], 0) == 1
+    assert rank([0.5, 0.5], 1) == 2
 
 
 def test_rank_all_equal():
     logits = [1.0] * 6
     for i in range(6):
-        assert rank_of_target(logits, i) == i + 1
+        assert rank(logits, i) == i + 1
 
 
 def test_rank_out_of_range():
-    with pytest.raises(ValueError):
-        rank_of_target([0.1, 0.2], 5)
+    with pytest.raises(IndexError):
+        rank([0.1, 0.2], 5)
 
 
 def test_rank_matches_sort_oracle_randomized():
@@ -62,7 +67,7 @@ def test_rank_matches_sort_oracle_randomized():
         else:
             logits = rng.normal(size=n)
         target = int(rng.integers(0, n))
-        assert rank_of_target(logits, target) == sort_rank_oracle(logits, target)
+        assert rank(logits, target) == sort_rank_oracle(logits, target)
 
 
 def test_target_ranks_match_sort_oracle_row_by_row():
@@ -77,9 +82,9 @@ def test_rank_invariant_under_monotone_transform():
     rng = np.random.default_rng(1)
     logits = rng.normal(size=30)
     for target in range(0, 30, 7):
-        base = rank_of_target(logits, target)
-        assert rank_of_target(3.0 * logits + 5.0, target) == base
-        assert rank_of_target(np.exp(logits), target) == base
+        base = rank(logits, target)
+        assert rank(3.0 * logits + 5.0, target) == base
+        assert rank(np.exp(logits), target) == base
 
 
 # ---------------------------------------------------------------------------

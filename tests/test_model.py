@@ -202,23 +202,23 @@ def test_logits_argmax_for_orthogonal_embeddings():
     m = small_model(item_count=8)
     m.params["item_emb"][...] = np.eye(8)
     constant_features(m, np.eye(8)[3])
-    probs = teacher_probabilities(m, [TrainingExample((1, 2), 0)], 8)
+    probs = teacher_probabilities(m, extract_features_batch(m, [(1, 2)]), 8)
     assert int(np.argmax(probs[0])) == 3
 
 
 def test_logits_item_range_restriction():
     m = small_model(item_count=9)
-    ex = [TrainingExample((1,), 0)]
-    assert teacher_probabilities(m, ex, 6).shape == (1, 6)
+    feats = extract_features_batch(m, [(1,)])
+    assert teacher_probabilities(m, feats, 6).shape == (1, 6)
     with pytest.raises(ValueError):
-        teacher_probabilities(m, ex, 10)
+        teacher_probabilities(m, feats, 10)
 
 
 def test_zero_feature_gives_uniform_softmax():
     m = small_model(item_count=7)
     constant_features(m, 0.0)
     np.testing.assert_array_equal(features(m, [1, 5]), 0.0)
-    probs = teacher_probabilities(m, [TrainingExample((1, 5), 0)], 7)
+    probs = teacher_probabilities(m, extract_features_batch(m, [(1, 5)]), 7)
     np.testing.assert_allclose(probs[0], np.full(7, 1 / 7))
 
 

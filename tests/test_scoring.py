@@ -18,8 +18,8 @@ import pytest
 import cyclerec.model as model_mod
 from cyclerec.data import TrainingExample
 from cyclerec.exemplars import SelectionStrategy, allocate_quota, select_exemplars
-from cyclerec.harness import VAL_RECALL_K, _teacher_rows, _validation_scores, evaluate_model
-from cyclerec.losses import _softmax, ce_from_logits
+from cyclerec.harness import VAL_RECALL_K, _validation_scores, evaluate_model
+from cyclerec.losses import _softmax, ce_from_logits, teacher_probabilities
 from cyclerec.metrics import recall_at_k, target_ranks
 from cyclerec.model import ModelConfig, extract_features_batch, init_model, logit_blocks
 
@@ -125,7 +125,7 @@ def test_loss_rule_picks_the_one_array_rows_in_order(model, batch_size):
 def test_teacher_rows_match_one_array_softmax(model, examples, batch_size):
     feats = extract_features_batch(model, [ex.prefix for ex in examples])
     expected = _softmax(feats @ model.params["item_emb"][:30].T)[2]
-    assert_same_floats(_teacher_rows(model, feats, 30), expected, batch_size)
+    assert_same_floats(teacher_probabilities(model, feats, 30), expected, batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ def test_full_vocabulary_pass_holds_a_block_not_the_rows(big, site):
         "evaluation": lambda: evaluate_model(model, examples, BIG_ITEMS),
         "validation": lambda: _validation_scores(model, examples),
         "loss rule": lambda: select_exemplars(model, examples, 1000, SelectionStrategy.LOSS),
-        "teacher rows": lambda: _teacher_rows(model, feats, BIG_ITEMS),
+        "teacher rows": lambda: teacher_probabilities(model, feats, BIG_ITEMS),
     }[site]
     peak = traced_peak(run)
     assert peak < PEAK_BOUND, f"{site}: peak {peak / 2**20:.1f} MiB"
