@@ -5,13 +5,17 @@
 #
 #   scripts/byte_identity.sh <ref> [cyclerec command and options]
 #
-# Without a command it runs `run --config scripts/byte_identity.yaml`. The
-# command gets `--out <dir>` appended, so give every other option it needs;
-# relative paths are read from the root of this checkout, by both sides.
+# Without a command it runs `run --config scripts/byte_identity.yaml`.
+# `scripts/byte_identity_trim.yaml` is the same grid on long sessions and
+# `max_seq_len` 5, so that rows are windows that stop nesting; a change to
+# the encoder's layout should pass both configs. The command gets
+# `--out <dir>` appended, so give every other option it needs; relative
+# paths are read from the root of this checkout, by both sides.
 # Examples:
 #
 #   scripts/byte_identity.sh HEAD~1
 #   scripts/byte_identity.sh HEAD~1 run --config scripts/byte_identity.yaml --workers 2
+#   scripts/byte_identity.sh HEAD~1 run --config scripts/byte_identity_trim.yaml
 #   scripts/byte_identity.sh HEAD~1 preprocess --input clicks.csv --seed 1
 #
 # A click log reaches `run` only as the cycles.txt that `preprocess` writes,

@@ -282,6 +282,8 @@ def cmd_preprocess(args) -> int:
 
 def cmd_run(args) -> int:
     resolved = resolve_config(_load_config(args.config))
+    if "capacity_sweep" in resolved:
+        raise ConfigError("field 'capacity_sweep' is read only by `cyclerec ablate`, not by `run`")
     if args.out:
         resolved["out"] = args.out
     if args.seed is not None:

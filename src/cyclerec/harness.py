@@ -37,7 +37,8 @@ from .model import (
     DivergenceError,
     ModelConfig,
     ModelState,
-    _prefix_roots,
+    PrefixTable,
+    TableRows,
     extract_features_batch,
     grow_vocabulary,
     init_model,
@@ -138,15 +139,18 @@ class TrainLoopConfig:
     kd_batch_size: int | None = None
 
     def __post_init__(self) -> None:
-        if self.patience >= self.max_epochs:
-            raise ValueError("train loop: patience must be < max_epochs")
-        # a negative kd_batch_size skipped distillation
+        # a negative kd_batch_size skipped distillation; a float count failed only once training ran
         for name in ("max_epochs", "patience", "batch_size", "kd_batch_size"):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"train loop: {name} must be >= 1, got {value}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"train loop: learning_rate must be finite and > 0, got {self.learning_rate}")
+            if value is None and name == "kd_batch_size":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"train loop: {name} must be an integer >= 1, got {value!r}")
+        if self.patience >= self.max_epochs:
+            raise ValueError("train loop: patience must be < max_epochs")
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"train loop: learning_rate must be finite and > 0, got {rate!r}")
 
 
 VAL_RECALL_K = 20  # cutoff of the logged validation recall
@@ -246,14 +250,14 @@ def _validation_scores(model: ModelState, examples) -> tuple[float, float]:
     return float(ce.mean()), recall_at_k(ranks, VAL_RECALL_K)
 
 
-def _session_chains(pool: Sequence[TrainingExample], max_seq_len: int) -> list[np.ndarray]:
-    """Pool indices grouped by the root of their trimmed prefixes, each chain ascending.
+def _session_chains(table: PrefixTable, count: int) -> list[np.ndarray]:
+    """The first ``count`` rows of ``table`` grouped by the root of their trimmed prefixes, each chain ascending.
 
-    Rows whose trimmed prefixes nest share a root (``model._prefix_roots``),
+    Rows whose trimmed prefixes nest share a root (``PrefixTable.roots``),
     so a chain is in practice one session's training positions; a session
     longer than ``max_seq_len`` splits where its trimmed windows stop nesting.
     """
-    roots = _prefix_roots([tuple(ex.prefix[-max_seq_len:]) for ex in pool])
+    roots = table.roots(np.arange(count))
     order = np.argsort(roots, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(roots[order])) + 1)
 
@@ -306,7 +310,9 @@ def update_model(
 
     ewc_active = method.kind is MethodKind.EWC and state.ewc_anchor is not None
 
-    chains = _session_chains(ce_pool, model.config.max_seq_len)
+    # one table per cycle: the CE pool, then the distilled exemplars; a step passes row indices into it
+    cycle_rows = TableRows.of(ce_pool + kd_examples, model.config.max_seq_len)
+    chains = _session_chains(cycle_rows.table, len(ce_pool))
     # every step and pass takes its arrays from the model's workspace; each
     # step's gradients are consumed by adam_step before the next step or pass reuses them
     kd_bs = loop_cfg.kd_batch_size or loop_cfg.batch_size
@@ -324,16 +330,15 @@ def update_model(
         sums = {"ce": 0.0, "kd": 0.0, "ewc": 0.0, "total": 0.0}
         steps = 0
         for lo in range(0, len(order), loop_cfg.batch_size):
-            batch = [ce_pool[i] for i in order[lo : lo + loop_cfg.batch_size]]
             spec = BatchSpec(
-                ce_examples=batch,
+                ce_examples=cycle_rows[order[lo : lo + loop_cfg.batch_size]],
                 dropout_rate=method.dropout_rate,
                 dropout_seed=_derived_seed(loop_cfg.seed, t, epoch, steps),
             )
             if kd_examples:
-                sel = [(kd_cursor + j) % len(kd_examples) for j in range(min(kd_bs, len(kd_examples)))]
+                sel = (kd_cursor + np.arange(min(kd_bs, len(kd_examples)))) % len(kd_examples)
                 kd_cursor = (kd_cursor + len(sel)) % len(kd_examples)
-                spec.kd_examples = [kd_examples[j] for j in sel]
+                spec.kd_examples = cycle_rows[len(ce_pool) + sel]
                 spec.kd_teacher_probs = teacher_probs[sel]
                 spec.kd_item_range = old_item_count
                 spec.kd_weight = lambda_t

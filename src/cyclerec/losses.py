@@ -137,14 +137,15 @@ def fisher_diagonal(model: "ModelState", exemplars: Sequence["TrainingExample"])
 
     Every exemplar's step and square take their arrays from the model's workspace.
     """
-    from .model import BatchSpec, loss_and_gradients
+    from .model import BatchSpec, TableRows, loss_and_gradients
 
     if not exemplars:
         raise ValueError("fisher_diagonal: empty exemplar set")
     ws = model.workspace
     fisher = np.zeros_like(model.flat_params)
-    for ex in exemplars:
-        _, grads = loss_and_gradients(model, BatchSpec(ce_examples=[ex]))
+    rows = TableRows.of(exemplars, model.config.max_seq_len)
+    for i in range(len(exemplars)):
+        _, grads = loss_and_gradients(model, BatchSpec(ce_examples=rows[i : i + 1]))
         fisher += np.multiply(grads.flat, grads.flat, out=ws("fisher.square", fisher.shape, fisher.dtype))
     fisher /= len(exemplars)
     return fisher

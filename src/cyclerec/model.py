@@ -6,21 +6,26 @@ use float64.
 Rows that share a session prefix share one pass. Each row's trimmed
 prefix maps to a root: a row of the same call that it is a prefix of and
 that is a prefix of no other row (in lexicographic order, a row is a
-prefix of some row if and only if it is a prefix of the next one). Only
-roots are encoded, and under the causal mask a row's features are its
-root's hidden state at the row's last item. The roots of one call are
-packed first-fit-decreasing into rows as wide as the longest root
-(sequence packing; Krell et al. 2021, arXiv 2107.02027): each root is a
-segment whose positions restart at 0, and a token attends only to real
-tokens of its own segment, causally. So segments never see each other
-or the padding, and per-row features are independent of what else the
-call holds. That holds in exact arithmetic; in float32 a row's values
-can differ in the last bits with what its call packs, as GEMM blocking
-and summation order change. Every block runs at every token, forward
-and backward, through one code path. Dropout belongs to the training
-step, not the model: a step's ``BatchSpec.dropout_rate`` (0 for none)
-draws masks once per call, per real token and block, so rows sharing a
-root share every mask, as one SASRec pass over the session would.
+prefix of some row if and only if it is a prefix of the next one). A
+``PrefixTable`` ranks a set of rows' trimmed prefixes once, so the roots
+and packed layout of any of its rows come from index arrays: training
+builds one per cycle and a step passes row indices (``TableRows``), and
+an inference pass builds one per call. Only roots are encoded, and under
+the causal mask a row's features are its root's hidden state at the
+row's last item. The roots of one call are packed first-fit-decreasing
+into rows as wide as the longest root (sequence packing; Krell et al.
+2021, arXiv 2107.02027): each root is a segment whose positions restart
+at 0, and a token attends only to real tokens of its own segment,
+causally. So segments never see each other or the padding, and per-row
+features are independent of what else the call holds. That holds in
+exact arithmetic; in float32 a row's values can differ in the last bits
+with what its call packs, as GEMM blocking and summation order change.
+Every block runs at every token, forward and backward, through one code
+path. Dropout belongs to the training step, not the model: a step's
+``BatchSpec.dropout_rate`` (0 for none) draws masks once per call, per
+real token and block, so rows sharing a root share every mask, as one
+SASRec pass over the session would. The masks are read from the
+generator's raw words and equal ``random() >= dropout_rate``.
 
 The encoder runs token-major: the packed hidden states are one
 contiguous (B*L, D) matrix, so every projection, residual, dropout
@@ -38,7 +43,8 @@ are views of their segments, written only in place. Every per-step
 array of a training step (packed layout, dropout masks, forward cache,
 backward temporaries, logits, gradients) is written with ``out=`` into
 the model's ``Workspace``, whose buffers grow to the largest step and are
-then reused. A ``ModelState`` and its copies share one workspace, so
+then reused (the dropout draw's raw words excepted). A ``ModelState``
+and its copies share one workspace, so
 every pass of a run, in every cycle, reuses the same buffers. Adam runs
 over the flat vectors in chunks that stay in cache. Every inference
 pass runs in blocks of ``BLOCK_ROWS`` rows, so a full-vocabulary scoring
@@ -49,8 +55,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -80,8 +87,10 @@ class ModelConfig:
     dtype: str = "float32"  # training precision; oracle checks use float64
 
     def __post_init__(self) -> None:
-        if min(self.embed_dim, self.block_count, self.attention_heads, self.max_seq_len) < 1:
-            raise ValueError("model config: all sizes must be positive")
+        for name in ("embed_dim", "block_count", "attention_heads", "max_seq_len"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"model config: {name} must be a positive integer, got {value!r}")
         if self.embed_dim % self.attention_heads:
             raise ValueError("model config: embed_dim must be divisible by attention_heads")
         if self.dtype not in ("float32", "float64"):
@@ -421,111 +430,201 @@ def _encode_batch(
     return x, cache
 
 
-def _prefix_roots(trimmed: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Index of each row's root: a row that it is a prefix of and that is a prefix of no other row.
+class PrefixTable:
+    """Rows' last ``max_seq_len`` items, flat (``items``, ``starts``, ``lengths``), ranked once to find roots.
 
-    In lexicographic order every row that starts with ``a`` follows ``a``
-    directly, so ``a`` is a prefix of some other row if and only if it is a
-    prefix of the row right after it, whose root it then shares. Equal rows
-    share a root.
+    ``rank`` orders the distinct trimmed prefixes lexicographically, and the ranks that start with distinct prefix
+    ``r`` run from ``r`` to ``_last[r]``, found over a sparse table of common-prefix lengths' range minima.
     """
-    root = np.arange(len(trimmed))
-    order = sorted(range(len(trimmed)), key=trimmed.__getitem__)
-    for k in range(len(order) - 2, -1, -1):
-        row, nxt = order[k], order[k + 1]
-        if trimmed[nxt][: len(trimmed[row])] == trimmed[row]:
-            root[row] = root[nxt]
-    return root
+
+    def __init__(self, prefixes: Sequence[Sequence[int]], max_seq_len: int):
+        self.max_seq_len = max_seq_len
+        trimmed = [p[-max_seq_len:] for p in prefixes]
+        n = len(trimmed)
+        self.lengths = np.fromiter(map(len, trimmed), dtype=np.int64, count=n)
+        if n and self.lengths.min() < 1:
+            raise ValueError("empty prefix")
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        self.items = np.fromiter(itertools.chain.from_iterable(trimmed), dtype=np.int64, count=self.lengths.sum())
+        # padded below every item, a row sorts right before the rows it is a prefix of, as tuples do
+        padded = np.full((n, self.lengths.max(initial=1)), self.items.min(initial=0) - 1, dtype=np.int64)
+        row = np.repeat(np.arange(n), self.lengths)
+        padded[row, np.arange(len(self.items)) - self.starts[row]] = self.items
+        order = np.lexsort(padded.T[::-1])
+        differs = padded[order[1:]] != padded[order[:-1]]
+        new = differs.any(axis=1)
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[order] = np.concatenate(([0], np.cumsum(new)))[:n]
+        # neighbouring distinct prefixes first differ where the shorter one ends or at their first other item
+        lcp = differs[new].argmax(axis=1)
+        levels = [lcp]  # level k: minima of lcp over 2**k neighbouring pairs
+        while 1 << len(levels) <= len(lcp):
+            half = 1 << (len(levels) - 1)
+            levels.append(np.minimum(levels[-1][:-half], levels[-1][half:]))
+        # the ranks that start with distinct prefix r run to _last[r]: jump while the pairs passed all share r
+        need = self.lengths[order][np.concatenate(([True], new))[:n]]  # each distinct prefix's length
+        self._last = np.arange(len(need))
+        for k in range(len(levels) - 1, -1, -1):
+            jump = np.flatnonzero(self._last + (1 << k) < len(need))
+            jump = jump[levels[k][self._last[jump]] >= need[jump]]
+            self._last[jump] += 1 << k
+
+    def roots(self, rows: np.ndarray) -> np.ndarray:
+        """Index into ``rows`` of each row's root: a row of ``rows`` that it is a prefix of and that nests in none.
+
+        In lexicographic order a row is a prefix of some row if and only if it is a prefix of the next one, whose
+        root it then shares; equal rows sort in call order.
+        """
+        rank = self.rank[rows]
+        order = np.argsort(rank, kind="stable")
+        nested = rank[order[1:]] <= self._last[rank[order[:-1]]]  # sorted row j is a prefix of row j + 1
+        # a row's root is the first row at or after it, in sorted order, that is a prefix of no other
+        ends = np.where(np.append(~nested, True), np.arange(len(rows)), len(rows))
+        root = np.empty(len(rows), dtype=np.int64)
+        root[order] = order[np.minimum.accumulate(ends[::-1])[::-1]]
+        return root
+
+
+@dataclass(frozen=True, eq=False)
+class TableRows(Sequence):
+    """Positions ``rows`` of ``examples``, whose prefixes ``table`` and targets ``targets`` hold: a step's rows.
+
+    A slice or an index array gives the view of those positions; an integer, or iteration, the examples.
+    """
+
+    table: PrefixTable
+    examples: Sequence[TrainingExample]
+    targets: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def of(cls, examples: Sequence[TrainingExample], max_seq_len: int) -> "TableRows":
+        """Every row of ``examples``, in a table of their own."""
+        targets = np.fromiter((ex.target for ex in examples), dtype=np.int64, count=len(examples))
+        return cls(PrefixTable([ex.prefix for ex in examples], max_seq_len), examples, targets,
+                   np.arange(len(examples)))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, (slice, np.ndarray)):
+            return TableRows(self.table, self.examples, self.targets, self.rows[i])
+        return self.examples[self.rows[i]]
 
 
 def _pack(lengths: np.ndarray) -> tuple[np.ndarray, int]:
     """First-fit-decreasing packing of segments into rows as wide as the longest.
 
-    Returns each segment's first token as a flat index into the (rows, width)
-    layout, and the number of rows.
+    Returns each segment's first token as a flat index into the (rows, width) layout, and the number of rows.
+    First fit puts each of a run of segments of length ``s`` into the first row with ``s`` free slots, so a
+    row with ``f`` free slots takes the next ``f // s`` of them: one scan of the rows per length.
     """
     width = int(lengths.max())
-    size = lengths.tolist()
+    order = np.argsort(-lengths, kind="stable")
+    size = lengths[order]
+    cuts = (np.flatnonzero(size[1:] != size[:-1]) + 1).tolist()
+    first: list[int] = []  # each segment's first token, in packing order
     free: list[int] = []  # space left in each row
-    start = np.empty(len(size), dtype=np.int64)
-    full = 0  # every row before this one is full
     # plain Python lists: the rows are few, and numpy calls would cost more than the scan
-    for i in np.argsort(-lengths, kind="stable").tolist():
-        while full < len(free) and free[full] == 0:
-            full += 1
-        for row in range(full, len(free)):
-            if free[row] >= size[i]:
-                break
-        else:
-            row = len(free)
-            free.append(width)
-        start[i] = row * width + width - free[row]
-        free[row] -= size[i]
+    for lo, hi, s in zip([0, *cuts], [*cuts, len(size)], size[[0, *cuts]].tolist()):
+        left = hi - lo
+        for row in range(len(free)):
+            if free[row] >= s:
+                count = min(free[row] // s, left)
+                slot = (row + 1) * width - free[row]
+                first.extend(range(slot, slot + count * s, s))
+                free[row] -= count * s
+                left -= count
+                if not left:
+                    break
+        while left:  # new rows
+            count = min(width // s, left)
+            first.extend(range(len(free) * width, len(free) * width + count * s, s))
+            free.append(width - count * s)
+            left -= count
+    start = np.empty(len(size), dtype=np.int64)
+    start[order] = first
     return start, len(free)
+
+
+def _dropout_keep(seed: int, shape: tuple[int, ...], dtype: np.dtype, rate: float, out: np.ndarray) -> np.ndarray:
+    """``default_rng(SeedSequence([seed])).random(shape, dtype) >= rate``, from PCG64's raw 64-bit words.
+
+    ``random`` gives float64 ``(u64 >> 11) * 2**-53`` and float32 ``(u32 >> 8) * 2**-24``, u32 the words'
+    halves, low first (an even count). So a value reaches ``rate`` exactly when its word reaches a threshold.
+    """
+    mantissa, word_bits = np.finfo(dtype).nmant + 1, 8 * dtype.itemsize
+    rate = float(np.result_type(dtype, rate).type(rate))
+    threshold = math.ceil(math.ldexp(rate, mantissa)) << (word_bits - mantissa)
+    raw = np.random.PCG64(np.random.SeedSequence([seed])).random_raw(math.prod(shape) * word_bits // 64)
+    words = raw.astype("<u8", copy=False).view(f"<u{dtype.itemsize}").reshape(shape)
+    return np.greater_equal(words, threshold, out=out)
 
 
 def _encode_rows(
     state: ModelState,
-    prefixes: Sequence[Sequence[int]],
+    table: PrefixTable,
+    rows: np.ndarray,
     dropout_rate: float = 0.0,
     dropout_seed: int = 0,
     need_cache: bool = False,
 ):
-    """Last-position features of each prefix, from one packed pass over their roots.
+    """Last-position features of rows ``rows`` of ``table``, from one packed pass over their roots.
 
-    Each trimmed prefix maps to its root (``_prefix_roots``). The roots are
-    packed first-fit-decreasing into rows as wide as the longest root, with
-    positions restarting at 0 in each segment, and encoded in one call.
-    Under the causal mask a row's features are its root's hidden state at
-    the row's last item. With a ``dropout_rate`` above 0, masks come from
-    one draw per call, seeded by ``dropout_seed``, per real token and
-    block, so rows sharing a root share every mask. Returns the (rows, D)
-    features and, with ``need_cache``, the cache ``_encode_backward``
-    reads; both are arrays of the model's workspace.
+    Each row maps to its root (``table.roots``). The roots are packed
+    first-fit-decreasing into rows as wide as the longest root, with
+    positions restarting at 0 in each segment, gathered from
+    ``table.items`` by index and encoded in one call. Under the causal mask
+    a row's features are its root's hidden state at the row's last item.
+    With a ``dropout_rate`` above 0, masks come from one draw per call,
+    seeded by ``dropout_seed``, per real token and block, so rows sharing a
+    root share every mask; ``_dropout_keep`` reads them from the raw words.
+    Returns the (rows, D) features and, with ``need_cache``, the cache
+    ``_encode_backward`` reads; both are arrays of the model's workspace.
     """
     ws = state.workspace
     cfg = state.config
     dt = cfg.np_dtype
     d = cfg.embed_dim
-    trimmed = [tuple(p[-cfg.max_seq_len :]) for p in prefixes]
-    lengths = np.fromiter(map(len, trimmed), dtype=np.int64, count=len(trimmed))
-    if lengths.min() < 1:
-        raise ValueError("empty prefix")
-    roots, group = np.unique(_prefix_roots(trimmed), return_inverse=True)
+    if table.max_seq_len != cfg.max_seq_len:  # positions past the model's would wrap
+        raise ValueError(f"prefix table trimmed to {table.max_seq_len} items, the model reads {cfg.max_seq_len}")
+    lengths = table.lengths[rows]
+    root = table.roots(rows)
+    is_root = root == np.arange(len(rows))  # roots in call order, and each row's index among them
+    roots, group = np.flatnonzero(is_root), np.cumsum(is_root)[root] - 1
     root_len = lengths[roots]
-    start, rows = _pack(root_len)
+    start, packed = _pack(root_len)
     width = int(root_len.max())
-    slots = rows * width
-    # flat index of every root token, root after root
-    offsets = np.cumsum(root_len) - root_len
-    tok = np.repeat(start - offsets, root_len) + np.arange(int(root_len.sum()))
+    slots = packed * width
+    # every root token, root after root: its segment and its position in it
+    segment = np.repeat(np.arange(len(roots)), root_len)
+    within = np.arange(len(segment)) - (np.cumsum(root_len) - root_len)[segment]
+    tok = start[segment] + within
     ids = ws("ids", (slots,), np.int64)
     ids.fill(0)
-    ids[tok] = np.fromiter(itertools.chain.from_iterable(trimmed[i] for i in roots), dtype=np.int64, count=len(tok))
+    ids[tok] = table.items[table.starts[rows[roots]][segment] + within]
     seg = ws("seg", (slots,), np.int64)
     seg.fill(-1)
-    seg[tok] = np.repeat(np.arange(len(roots)), root_len)
+    seg[tok] = segment
     pos = ws("pos", (slots,), np.int64)
     pos.fill(0)
-    pos[tok] = tok - np.repeat(start, root_len)
+    pos[tok] = within
     masks = None
     if dropout_rate > 0.0:
-        rng = np.random.default_rng(np.random.SeedSequence([dropout_seed]))
         shape = (cfg.block_count, 2, len(tok), d)
+        keep = _dropout_keep(dropout_seed, shape, dt, dropout_rate, out=ws("dropout.keep", shape, bool))
         masks = ws("dropout.masks", (cfg.block_count, 2, slots, d), dt)
-        # the draw is cut from the masks' buffer: it is read into keep before the masks are written
-        draw = rng.random(shape, dtype=dt, out=ws("dropout.masks", shape, dt))
-        keep = np.greater_equal(draw, dropout_rate, out=ws("dropout.keep", shape, bool))
         masks.fill(0)
         masks[:, :, tok] = keep
         masks *= dt.type(1.0 / (1.0 - dropout_rate))
-    shape = (rows, width)
+    shape = (packed, width)
     hidden, cache = _encode_batch(state, ids.reshape(shape), seg.reshape(shape), pos.reshape(shape), masks,
                                   need_cache)
     last = start[group] + lengths - 1  # each row's last item, in its root's segment
     if need_cache:
         cache["last"] = last
-    return np.take(hidden, last, axis=0, out=ws("feats", (len(trimmed), d), dt), mode="wrap"), cache
+    return np.take(hidden, last, axis=0, out=ws("feats", (len(rows), d), dt), mode="wrap"), cache
 
 
 def _scatter_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray, ws: Workspace) -> None:
@@ -639,13 +738,15 @@ def _encode_backward(state: ModelState, cache: dict, dfeats: np.ndarray, grads: 
 def extract_features_batch(state: ModelState, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
     """Feature vectors (final-block output at the last position) per prefix, dropout off.
 
-    Each chunk of ``BLOCK_ROWS`` prefixes is encoded in the model's
-    workspace, and its features are copied out before the next.
+    The prefixes go into one ``PrefixTable``; each range of ``BLOCK_ROWS``
+    of its rows is encoded in the model's workspace, and its features are
+    copied out before the next.
     """
+    table = PrefixTable(prefixes, state.config.max_seq_len)
     out = np.empty((len(prefixes), state.config.embed_dim), dtype=state.config.np_dtype)
     for lo in range(0, len(prefixes), BLOCK_ROWS):
-        chunk = prefixes[lo : lo + BLOCK_ROWS]
-        out[lo : lo + len(chunk)], _ = _encode_rows(state, chunk)
+        rows = np.arange(lo, min(lo + BLOCK_ROWS, len(prefixes)))
+        out[lo : lo + len(rows)], _ = _encode_rows(state, table, rows)
     return out
 
 
@@ -676,6 +777,9 @@ def logit_blocks(state: ModelState, feats: np.ndarray, item_range: int) -> Itera
 class BatchSpec:
     """One optimization step's inputs: examples plus the loss recipe.
 
+    The examples are sequences of items with ``.prefix`` and ``.target``:
+    the training loop passes ``TableRows`` of its per-cycle table, encoded
+    by index, and any other sequence goes into a table first.
     ``ewc_anchor`` and ``ewc_fisher`` are vectors laid out like
     ``ModelState.flat_params``. ``dropout_rate`` is the step's dropout
     probability, 0 for none; the training loop fills it from the method.
@@ -711,19 +815,23 @@ def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdow
     E = state.params["item_emb"]
     ce_val = kd_val = ewc_val = 0.0
 
-    # CE and KD rows share one encoder pass; KD rows follow the CE rows.
-    ce_rows = list(spec.ce_examples)
-    kd_rows = list(spec.kd_examples) if spec.kd_weight != 0.0 else []
-    if kd_rows and (spec.kd_teacher_probs is None or spec.kd_item_range <= 0):
+    # CE and KD rows share one encoder pass of one table; KD rows follow the CE rows.
+    ce_rows = spec.ce_examples
+    kd_rows = spec.kd_examples if spec.kd_weight != 0.0 else ()
+    if len(kd_rows) and (spec.kd_teacher_probs is None or spec.kd_item_range <= 0):
         raise ValueError("loss_and_gradients: KD requires teacher probs and an old-item range")
+    given = [part for part in (ce_rows, kd_rows) if len(part)]
+    if not all(isinstance(part, TableRows) and part.table is given[0].table for part in given):
+        both = TableRows.of([*ce_rows, *kd_rows], state.config.max_seq_len)
+        ce_rows, kd_rows = both[: len(ce_rows)], both[len(ce_rows) :]
     n_ce = len(ce_rows)
-    if ce_rows or kd_rows:
-        feats, cache = _encode_rows(
-            state, [ex.prefix for ex in ce_rows + kd_rows], spec.dropout_rate, spec.dropout_seed, need_cache=True
-        )
+    if given:
+        table = (ce_rows if n_ce else kd_rows).table
+        rows = np.concatenate([part.rows for part in (ce_rows, kd_rows) if len(part)])
+        feats, cache = _encode_rows(state, table, rows, spec.dropout_rate, spec.dropout_seed, need_cache=True)
         dfeats = ws("dfeats", feats.shape, dt)  # the CE rows, then the KD rows, each written whole
-        if ce_rows:
-            targets = np.array([ex.target for ex in ce_rows])
+        if n_ce:
+            targets = ce_rows.targets[ce_rows.rows]
             if targets.max() >= state.item_count:
                 raise ValueError("loss_and_gradients: CE target outside item range")
             ce_feats = feats[:n_ce]
@@ -731,7 +839,7 @@ def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdow
             ce_val, dlogits = ce_from_logits(logits, targets, out=(logits, ws("dlogits", logits.shape, dt)))
             grads["item_emb"] += np.matmul(dlogits.T, ce_feats, out=ws("demb", E.shape, dt))
             np.matmul(dlogits, E, out=dfeats[:n_ce])
-        if kd_rows:
+        if len(kd_rows):
             kd_feats = feats[n_ce:]
             kd_range = spec.kd_item_range
             logits = np.matmul(kd_feats, E[:kd_range].T, out=ws("logits", (len(kd_rows), kd_range), dt))

@@ -378,6 +378,42 @@ def test_bad_training_setting_exits_1(tmp_path, capsys, field, value, dry_run):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("section,field,value", [
+    ("model", "embed_dim", 8.0),
+    ("model", "block_count", 1.0),
+    ("model", "attention_heads", True),
+    ("model", "max_seq_len", True),
+    ("training", "max_epochs", 2.5),
+    ("training", "patience", True),
+    ("training", "batch_size", 32.0),
+    ("training", "kd_batch_size", 16.0),
+    ("training", "learning_rate", True),
+])
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_counts_must_be_integers_exits_1(tmp_path, capsys, section, field, value, dry_run):
+    # before, each passed a dry run; a real run then failed with a TypeError
+    # (exit 2), or trained with patience 1 or at learning rate 1
+    path = write_config(tmp_path, {section: {**TOY_CONFIG[section], field: value}})
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "run")] + (["--dry-run"] if dry_run else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_capacity_sweep_is_for_ablate_only(tmp_path, capsys, dry_run):
+    # before, `run` accepted the sweep, which it never reads, and wrote it into config.yaml
+    path = write_config(tmp_path, {"capacity_sweep": [20, 40]})
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "run")] + (["--dry-run"] if dry_run else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "capacity_sweep" in err and "ablate" in err
+    assert not (tmp_path / "run").exists()
+    assert main(["ablate", "--config", str(path), "--dry-run"]) == 0
+    assert yaml.safe_load(capsys.readouterr().out)["capacity_sweep"] == [20, 40]
+
+
 @pytest.mark.parametrize("dry_run", [True, False])
 def test_negative_run_seed_is_a_usage_error(tmp_path, capsys, dry_run):
     # a dry run printed "seeds: [-1]" and a real run failed after reading the data, with exit 2

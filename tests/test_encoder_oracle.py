@@ -21,6 +21,7 @@ from cyclerec.losses import ce_from_logits, kd_from_logits
 from cyclerec.model import (
     BatchSpec,
     ModelConfig,
+    PrefixTable,
     _encode_rows,
     extract_features_batch,
     init_model,
@@ -206,7 +207,9 @@ def _packed_masks(monkeypatch, state, spec, prefixes):
         return encode_batch(state, ids, seg, pos, masks, need_cache)
 
     monkeypatch.setattr(model_mod, "_encode_batch", spy)
-    _, cache = _encode_rows(state, prefixes, spec.dropout_rate, spec.dropout_seed, need_cache=True)
+    table = PrefixTable(prefixes, state.config.max_seq_len)
+    _, cache = _encode_rows(state, table, np.arange(len(prefixes)), spec.dropout_rate, spec.dropout_seed,
+                            need_cache=True)
     monkeypatch.undo()
     (masks, shape), = seen  # one encoder call per step
     if masks is not None:
@@ -270,7 +273,8 @@ def test_token_major_encoder_matches_reference(monkeypatch, heads, blocks, dropo
     assert max(len(set(row[row >= 0].tolist())) for row in seg) > 1  # a row packs several segments
     trimmed = {tuple(p)[-state.config.max_seq_len :] for p in prefixes}
     assert seg.max() + 1 < len(trimmed)  # some root serves several distinct rows
-    feats = _encode_rows(state, prefixes, spec.dropout_rate, spec.dropout_seed)[0].copy()
+    table = PrefixTable(prefixes, state.config.max_seq_len)
+    feats = _encode_rows(state, table, np.arange(len(prefixes)), spec.dropout_rate, spec.dropout_seed)[0].copy()
     loss, grads = loss_and_gradients(state, spec)
     grads = {name: g.copy() for name, g in grads.items()}  # the reference's passes reuse their buffer
     ref_feats, ref_loss, ref_grads = reference_loss_and_gradients(state, spec, row_masks)

@@ -18,7 +18,7 @@ from cyclerec.harness import (
     update_model,
 )
 from cyclerec.losses import ce_from_logits
-from cyclerec.model import DivergenceError, ModelConfig, extract_features_batch, init_model
+from cyclerec.model import DivergenceError, ModelConfig, PrefixTable, extract_features_batch, init_model
 from cyclerec.reporting import cycle_rows, summarize_rows
 
 MODEL_CFG = ModelConfig(embed_dim=16, block_count=2, max_seq_len=16)
@@ -143,6 +143,8 @@ def test_evaluate_counts_unseen_targets_as_misses():
     recall, mrr, unseen = evaluate_model(m, examples, item_range=6, ks=(6,))
     assert unseen == pytest.approx(2 / 3)
     assert recall[6] == pytest.approx(1 / 3)  # only the rankable example can hit
+    recall, mrr, unseen = evaluate_model(m, examples[1:], item_range=6, ks=(6,))  # nothing to encode
+    assert (unseen, recall[6], mrr[6]) == (1.0, 0.0, 0.0)
 
 
 def test_evaluate_prefix_filtered_to_known_items():
@@ -298,7 +300,7 @@ def test_epochs_visit_whole_session_chains_in_steps_of_batch_size(monkeypatch, m
     assert orders[0] == orders[1]
 
     pool = datasets[0].train + datasets[1].train if method is MethodKind.JOINT else datasets[1].train
-    chains = harness_mod._session_chains(pool, MODEL_CFG.max_seq_len)
+    chains = harness_mod._session_chains(PrefixTable([ex.prefix for ex in pool], MODEL_CFG.max_seq_len), len(pool))
     assert max(len(chain) for chain in chains) > 1
     chain_of = {id(pool[i]): c for c, chain in enumerate(chains) for i in chain.tolist()}
     for c, chain in enumerate(chains):  # a chain nests in its longest row

@@ -4,16 +4,18 @@ import math
 import numpy as np
 import pytest
 
+import packing_reference
 from cyclerec.data import TrainingExample
 from cyclerec.losses import _softmax, teacher_probabilities
 from cyclerec.model import (
     BatchSpec,
+    _dropout_keep,
     _encode_rows,
     _pack,
-    _prefix_roots,
     _scatter_rows,
     DivergenceError,
     ModelConfig,
+    PrefixTable,
     Workspace,
     adam_step,
     extract_features_batch,
@@ -40,9 +42,14 @@ def zero_gradients(m):
     return gradients(m, BatchSpec())
 
 
+def encode(m, prefixes, *args, **kwargs):
+    """``_encode_rows`` over every row of a table of ``prefixes``."""
+    return _encode_rows(m, PrefixTable(prefixes, m.config.max_seq_len), np.arange(len(prefixes)), *args, **kwargs)
+
+
 def features(m, prefix, dropout_rate=0.0, dropout_seed=0):
     """Features of one prefix, encoded alone, copied out of the model's workspace."""
-    return _encode_rows(m, [tuple(prefix)], dropout_rate, dropout_seed)[0][0].copy()
+    return encode(m, [tuple(prefix)], dropout_rate, dropout_seed)[0][0].copy()
 
 
 def softmax(z):
@@ -155,7 +162,7 @@ def test_causality_prefix_features_match_within_longer_sequence():
     m = small_model(item_count=12, seed=8)
     seq = [3, 1, 4, 1, 5, 9, 2, 6]
     prefixes = [tuple(seq[:j]) for j in range(1, len(seq) + 1)]
-    assert len(set(_prefix_roots(prefixes).tolist())) == 1
+    assert len(set(PrefixTable(prefixes, m.config.max_seq_len).roots(np.arange(len(prefixes))).tolist())) == 1
     shared = extract_features_batch(m, prefixes)
     for j, prefix in enumerate(prefixes):
         np.testing.assert_allclose(shared[j], features(m, prefix), atol=1e-10)
@@ -313,7 +320,7 @@ def test_packed_batch_matches_per_example_gradients():
     examples = [TrainingExample((int(rng.integers(0, 12)),), int(rng.integers(0, 12))) for _ in range(200)]
     examples += [TrainingExample(tuple(int(v) for v in rng.integers(0, 12, size=9)), int(rng.integers(0, 12)))
                  for _ in range(4)]
-    _, cache = _encode_rows(m, [ex.prefix for ex in examples], need_cache=True)
+    _, cache = encode(m, [ex.prefix for ex in examples], need_cache=True)
     assert max(len(set(row[row >= 0].tolist())) for row in cache["seg"]) > 1
     g_batch = gradients(m, BatchSpec(ce_examples=examples))
     singles = [gradients(m, BatchSpec(ce_examples=[ex])) for ex in examples]
@@ -343,7 +350,7 @@ def test_long_session_packs_one_segment_per_nesting_run():
     session = tuple(range(1, 9))
     prefixes = [session[:k] for k in range(1, 8)]
     m = small_model(max_seq_len=3, block_count=2)
-    feats, cache = _encode_rows(m, prefixes, need_cache=True)
+    feats, cache = encode(m, prefixes, need_cache=True)
     feats = feats.copy()
     assert cache["ids"].shape == (5, 3)
     assert sorted(cache["seg"].ravel().tolist()) == [s for s in range(5) for _ in range(3)]
@@ -363,11 +370,49 @@ def test_prefix_roots_group_only_true_prefixes_after_trimming():
     prefixes = [session[:k] for k in range(1, 7)] + [(2, 3), (1, 2)]
     trimmed = [p[-3:] for p in prefixes]
     assert trimmed == [(1,), (1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (2, 3), (1, 2)]
-    assert _prefix_roots(trimmed).tolist() == [2, 2, 2, 3, 4, 5, 3, 2]
+    assert PrefixTable(prefixes, 3).roots(np.arange(len(prefixes))).tolist() == [2, 2, 2, 3, 4, 5, 3, 2]
+    assert packing_reference.prefix_roots(trimmed).tolist() == [2, 2, 2, 3, 4, 5, 3, 2]
     m = small_model(max_seq_len=3, block_count=2)
-    shared = _encode_rows(m, prefixes)[0].copy()
+    shared = encode(m, prefixes)[0].copy()
     alone = np.stack([features(m, p) for p in prefixes])
     np.testing.assert_allclose(shared, alone, rtol=0, atol=1e-12)
+
+
+def test_prefix_table_roots_and_pack_equal_the_reference_loops():
+    # 1,200 seeded prefix sets over vocabularies of 1-4 items, so that many
+    # rows are equal or nested, with trimming, repeated rows and row subsets
+    # in a random order: the table's roots and the run-wise packing must equal
+    # the tuple sort and the linear first-fit scan exactly
+    for case in range(1200):
+        rng = np.random.default_rng(case)
+        vocab, max_len = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        prefixes = [tuple(rng.integers(0, vocab, size=int(rng.integers(1, 10))).tolist())
+                    for _ in range(int(rng.integers(1, 50)))]
+        prefixes += [prefixes[i] for i in rng.integers(0, len(prefixes), size=int(rng.integers(0, 10))).tolist()]
+        table = PrefixTable(prefixes, max_len)
+        trimmed = [p[-max_len:] for p in prefixes]
+        rows = rng.permutation(len(prefixes))[: int(rng.integers(1, len(prefixes) + 1))]
+        rows = np.concatenate([rows, rows[: int(rng.integers(0, 3))]])  # a row twice in one call
+        np.testing.assert_array_equal(table.roots(rows), packing_reference.prefix_roots([trimmed[i] for i in rows]),
+                                      err_msg=f"case {case}")
+        lengths = rng.integers(1, int(rng.integers(1, 30)) + 1, size=int(rng.integers(1, 120)))
+        (start, count), (ref_start, ref_count) = _pack(lengths), packing_reference.pack(lengths)
+        np.testing.assert_array_equal(start, ref_start, err_msg=f"case {case}")
+        assert count == ref_count, f"case {case}"
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("rate", [0.3, 0.5, 1e-9, 0.999, np.float64(0.3), 0.7, np.float64(0.7)])
+def test_dropout_masks_from_raw_words_equal_the_float_draw(dtype, rate):
+    # the encoder compares the generator's raw words with an integer
+    # threshold; the masks must be those of the float draw it replaced, which
+    # pins PCG64's word order and numpy's float conversion and comparison
+    dt = np.dtype(dtype)
+    shape = (2, 2, 37, 6)
+    for seed in (0, 11, 2**40 + 3):
+        expected = np.random.default_rng(np.random.SeedSequence([seed])).random(shape, dtype=dt) >= rate
+        got = _dropout_keep(seed, shape, dt, rate, out=np.empty(shape, dtype=bool))
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_scatter_rows_matches_add_at():
