@@ -1,38 +1,37 @@
 #!/usr/bin/env bash
-# Byte-identity check: run one cyclerec command with the program of <ref> and
+# Byte-identity check: run cyclerec commands with the program of <ref> and
 # with the program of this checkout, and compare what each wrote, stdout
 # included.
 #
 #   scripts/byte_identity.sh <ref> [cyclerec command and options]
 #
-# Without a command it runs `run --config scripts/byte_identity.yaml`.
-# `scripts/byte_identity_trim.yaml` is the same grid on long sessions and
-# `max_seq_len` 5, so that rows are windows that stop nesting; a change to
-# the encoder's layout should pass both configs. The command gets
-# `--out <dir>` appended, so give every other option it needs; relative
-# paths are read from the root of this checkout, by both sides.
-# Examples:
+# Without a command it runs the whole fixture set and prints one line per
+# check, "identical" or the `diff -r` output:
+#
+#   - `run` on `scripts/byte_identity.yaml` (every method, two seeds, four
+#     small cycles) at `--workers 1` and at `--workers 2`;
+#   - `run` on `scripts/byte_identity_trim.yaml`, the same grid on long
+#     sessions and `max_seq_len` 5, so that rows are windows that stop
+#     nesting;
+#   - `ablate` on `scripts/byte_identity.yaml`;
+#   - `preprocess --seed 1` on the seed-1 benchmark click log
+#     (`perfbench.clicklog`);
+#   - a Joint + ADER + ER_loss + EWC `run` (d=16, `max_seq_len` 4, 2
+#     epochs) on the `cycles.txt` that <ref>'s `preprocess` wrote: trimmed
+#     rows over a larger vocabulary, and EWC's Fisher pass of one-row steps.
+#
+# It exits non-zero if any check differs. With a command it runs that one
+# command: it gets `--out <dir>` appended, so give every other option it
+# needs; relative paths are read from the root of this checkout, by both
+# sides. Examples:
 #
 #   scripts/byte_identity.sh HEAD~1
-#   scripts/byte_identity.sh HEAD~1 run --config scripts/byte_identity.yaml --workers 2
-#   scripts/byte_identity.sh HEAD~1 run --config scripts/byte_identity_trim.yaml
+#   scripts/byte_identity.sh HEAD~1 run --config scripts/byte_identity_trim.yaml --workers 2
 #   scripts/byte_identity.sh HEAD~1 preprocess --input clicks.csv --seed 1
-#
-# A click log reaches `run` only as the cycles.txt that `preprocess` writes,
-# so check a change on that path in three steps:
-#
-#   1. write a log: python -c "from perfbench.clicklog import ClickLog, \
-#        write_click_log; write_click_log('/tmp/clicks.csv', ClickLog(), 1)"
-#   2. scripts/byte_identity.sh HEAD~1 preprocess --input /tmp/clicks.csv --seed 1
-#   3. write cycles.txt with `cyclerec preprocess --input /tmp/clicks.csv --seed 1
-#      --out /tmp/prepped`, point a config's `data: {cycles: ...}` at
-#      /tmp/prepped/cycles.txt, and run
-#      scripts/byte_identity.sh HEAD~1 run --config <that config>
 #
 # <ref> is exported with `git archive` into a temporary directory. Both sides
 # run with one BLAS thread and write to the same path in turn, so paths that
-# reach stdout match. Exits 0 and prints "identical" when the outputs are
-# byte-identical, and non-zero with the `diff -r` output otherwise.
+# reach stdout match.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
@@ -41,7 +40,6 @@ if [ $# -lt 1 ]; then
 fi
 ref=$1
 shift
-[ $# -gt 0 ] || set -- run --config scripts/byte_identity.yaml
 
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
@@ -49,15 +47,52 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/ref"
 git -C "$root" archive "$ref" | tar -x -C "$tmp/ref"
 
-for side in ref change; do
-    src=$root/src
-    [ "$side" = ref ] && src=$tmp/ref/src
-    (cd "$root" && OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=$src \
-        python3 -m cyclerec.cli "$@" --out "$tmp/out" > "$tmp/stdout")
-    mkdir "$tmp/$side.result"
-    mv "$tmp/out" "$tmp/$side.result/out"
-    mv "$tmp/stdout" "$tmp/$side.result/stdout"
-done
+# compare <cyclerec command and options>: run it on both sides; print "identical", or the diff and return 1
+compare() {
+    local side src
+    for side in ref change; do
+        src=$root/src
+        [ "$side" = ref ] && src=$tmp/ref/src
+        (cd "$root" && OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 PYTHONPATH=$src \
+            python3 -m cyclerec.cli "$@" --out "$tmp/out" > "$tmp/stdout") || { echo "failed on the $side side"; return 1; }
+        rm -rf "$tmp/$side.result"
+        mkdir "$tmp/$side.result"
+        mv "$tmp/out" "$tmp/$side.result/out"
+        mv "$tmp/stdout" "$tmp/$side.result/stdout"
+    done
+    if diff -r "$tmp/ref.result" "$tmp/change.result"; then
+        echo identical
+    else
+        return 1
+    fi
+}
 
-diff -r "$tmp/ref.result" "$tmp/change.result"
-echo identical
+if [ $# -gt 0 ]; then
+    compare "$@"
+    exit
+fi
+
+status=0
+check() {  # check <label> <cyclerec command and options>
+    printf '%s: ' "$1"
+    shift
+    compare "$@" || status=1
+}
+check "run byte_identity.yaml --workers 1" run --config scripts/byte_identity.yaml --workers 1
+check "run byte_identity.yaml --workers 2" run --config scripts/byte_identity.yaml --workers 2
+check "run byte_identity_trim.yaml" run --config scripts/byte_identity_trim.yaml
+check "ablate byte_identity.yaml" ablate --config scripts/byte_identity.yaml
+PYTHONPATH=$root python3 -c "import sys; from perfbench.clicklog import ClickLog, write_click_log
+write_click_log(sys.argv[1], ClickLog(), 1)" "$tmp/clicks.csv"
+check "preprocess --seed 1 (click log)" preprocess --input "$tmp/clicks.csv" --seed 1
+cp "$tmp/ref.result/out/cycles.txt" "$tmp/cycles.txt"
+cat > "$tmp/clicklog.yaml" <<EOF
+data: {cycles: $tmp/cycles.txt}
+model: {embed_dim: 16, block_count: 2, attention_heads: 2, max_seq_len: 4}
+training: {max_epochs: 2, patience: 1, batch_size: 128}
+methods: [Joint, ADER, ER_loss, EWC]
+seeds: [1]
+exemplar_capacity: 200
+EOF
+check "run Joint/ADER/ER_loss/EWC on the click log's cycles.txt" run --config "$tmp/clicklog.yaml"
+exit $status

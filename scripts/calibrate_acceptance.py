@@ -31,7 +31,7 @@ def stop_points(epoch_log, max_epochs):
     points = []
     for cycle in sorted({r.cycle for r in epoch_log}):
         records = [r for r in epoch_log if r.cycle == cycle]
-        best = min(records, key=lambda r: r.val_loss)  # earliest of equal minima, as the stopper keeps
+        best = min(records, key=lambda r: r.val_loss)  # earliest of equal minima, as update_model keeps
         points.append((best.epoch, records[-1].epoch == max_epochs))
     return points
 

@@ -144,9 +144,11 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"field 'data.validation_fraction' must be in [0, 1), got {fraction!r}")
     if "synthetic" in data:
         try:
-            data_mod.SyntheticStreamConfig(**data["synthetic"])
+            stream = data_mod.SyntheticStreamConfig(**data["synthetic"])
         except (TypeError, ValueError) as err:
             raise ConfigError(f"field 'data.synthetic': {err}") from err
+        if stream.cycle_count < 2:
+            raise ConfigError("field 'data.synthetic.cycle_count' must be >= 2: the last cycle is test data only")
     resolved = {**_TOP_DEFAULTS, **cfg}
     for section, defaults in (("model", _MODEL_DEFAULTS), ("training", _TRAINING_DEFAULTS)):
         if not isinstance(cfg.get(section, {}), dict):

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
+import numbers
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, compress
@@ -379,14 +381,17 @@ class SyntheticStreamConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.cycle_count < 1 or self.sessions_per_cycle < 1 or self.initial_vocab < 1:
-            raise ValueError("synthetic stream: counts must be positive")
-        if self.mean_session_length < 2:
-            raise ValueError("synthetic stream: mean_session_length must be >= 2")
-        if self.new_items_per_cycle < 0:
-            raise ValueError("synthetic stream: new_items_per_cycle must be >= 0")
-        if not 0.0 <= self.popularity_drift_rate <= 1.0:
-            raise ValueError("synthetic stream: popularity_drift_rate must be in [0, 1]")
+        # config values arrive unchecked: a float count or a NaN length would fail only mid-generation, True pass as 1
+        for name, low in (("cycle_count", 1), ("sessions_per_cycle", 1), ("initial_vocab", 1),
+                          ("new_items_per_cycle", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"synthetic stream: {name} must be an integer >= {low}, got {value!r}")
+        for name, low, high in (("mean_session_length", 2.0, math.inf), ("popularity_drift_rate", 0.0, 1.0)):
+            value = getattr(self, name)
+            usable = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (usable and math.isfinite(value) and low <= value <= high):
+                raise ValueError(f"synthetic stream: {name} must be a finite number in [{low}, {high}], got {value!r}")
 
 
 _ZIPF_EXPONENT = 1.25

@@ -5,11 +5,13 @@ trained with the method's loss recipe, evaluated on the *next* cycle's
 data, and the exemplar store is refreshed. An epoch visits the training
 pool as whole session chains in a random order, cut into steps of
 ``batch_size`` rows, so a step encodes each session once, as SASRec
-batches whole sequences. Training stops early on the
-validation cross entropy (dropout off, over the item range training
-uses): after ``patience`` (default 5) epochs without a strict decrease it
-stops and restores the parameters of the best epoch. Validation
-Recall@20 from the same forward pass goes to the epoch log only.
+batches whole sequences. Training stops early on the validation cross
+entropy (dropout off, over the item range training uses): ``update_model``
+keeps the lowest loss and a snapshot of that epoch's parameters, stops
+after ``patience`` (default 5) epochs without a strict decrease, and
+restores the snapshot. A cycle with no validation examples trains to
+``max_epochs``. Validation Recall@20 from the same forward pass goes to
+the epoch log only.
 
 Cycles are strictly sequential; method x seed runs are independent and
 may be dispatched to worker processes.
@@ -181,28 +183,6 @@ class ExperimentState:
     last_cycle: int = -1
 
 
-class EarlyStopper:
-    """Strict-improvement patience counter with best-payload snapshots."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = -np.inf
-        self.best_payload = None
-        self.best_epoch = 0
-        self.streak = 0
-
-    def update(self, value: float, epoch: int, payload_fn) -> bool:
-        """Record one epoch's validation value; True means stop now."""
-        if value > self.best:
-            self.best = value
-            self.best_epoch = epoch
-            self.best_payload = payload_fn()
-            self.streak = 0
-        else:
-            self.streak += 1
-        return self.streak >= self.patience
-
-
 def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
@@ -317,7 +297,7 @@ def update_model(
     # step's gradients are consumed by adam_step before the next step or pass reuses them
     kd_bs = loop_cfg.kd_batch_size or loop_cfg.batch_size
     kd_cursor = 0
-    stopper = EarlyStopper(loop_cfg.patience)
+    best_loss, best_epoch, stale, snapshot = math.inf, 0, 0, None
     records: list[EpochRecord] = []
     has_validation = bool(cycle_data.validation)
     if not has_validation:
@@ -340,7 +320,6 @@ def update_model(
                 kd_cursor = (kd_cursor + len(sel)) % len(kd_examples)
                 spec.kd_examples = cycle_rows[len(ce_pool) + sel]
                 spec.kd_teacher_probs = teacher_probs[sel]
-                spec.kd_item_range = old_item_count
                 spec.kd_weight = lambda_t
             if ewc_active:
                 spec.ewc_anchor = state.ewc_anchor
@@ -360,16 +339,17 @@ def update_model(
                                    sums["total"] / steps, lambda_t, val_loss, val_recall))
         logger.debug("cycle %d epoch %d: total=%.4f val_loss=%.4f val_recall@%d=%.4f",
                      t, epoch, sums["total"] / steps, val_loss, VAL_RECALL_K, val_recall)
-        # the stopper maximises, so it tracks the negated loss
-        # a new best overwrites the previous best's vectors, so the cycle allocates one snapshot
-        if has_validation and stopper.update(-val_loss, epoch, lambda: model.copy(out=stopper.best_payload)):
-            break
+        if has_validation:
+            stale += 1
+            if val_loss < best_loss:  # a strict decrease; the copy reuses the snapshot's vectors, so a cycle makes one
+                best_loss, best_epoch, stale, snapshot = val_loss, epoch, 0, model.copy(out=snapshot)
+            if stale >= loop_cfg.patience:
+                break
 
-    if has_validation and stopper.best_payload is not None:
-        state.model = stopper.best_payload
-        model = state.model
+    if snapshot is not None:
+        state.model = model = snapshot
         logger.info("cycle %d: stopped after %d epochs, restored epoch %d (val loss %.4f)",
-                    t, records[-1].epoch, stopper.best_epoch, -stopper.best)
+                    t, records[-1].epoch, best_epoch, best_loss)
 
     if method.kind in EXEMPLAR_KINDS:
         pool = list(cycle_data.train) + exemplar_examples
@@ -433,7 +413,6 @@ def run_experiment(
             mrr_at=mrr,
             test_example_count=len(test),
             unseen_target_fraction=unseen,
-            lambda_t=records[-1].lambda_t,
             epochs_trained=len(records),
         )
         reports.append(report)

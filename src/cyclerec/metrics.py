@@ -17,7 +17,6 @@ class CycleReport:
     mrr_at: dict[int, float]
     test_example_count: int
     unseen_target_fraction: float
-    lambda_t: float = 0.0
     epochs_trained: int = 0
 
 

@@ -614,10 +614,10 @@ def _encode_rows(
     if dropout_rate > 0.0:
         shape = (cfg.block_count, 2, len(tok), d)
         keep = _dropout_keep(dropout_seed, shape, dt, dropout_rate, out=ws("dropout.keep", shape, bool))
-        masks = ws("dropout.masks", (cfg.block_count, 2, slots, d), dt)
-        masks.fill(0)
-        masks[:, :, tok] = keep
-        masks *= dt.type(1.0 / (1.0 - dropout_rate))
+        kept = ws("dropout.kept", (cfg.block_count, 2, slots, d), bool)  # ``keep`` in the packed slots
+        kept.fill(False)
+        kept.view(f"V{d}")[:, :, tok] = keep.view(f"V{d}")  # a token's d flags as one item: one copy per token
+        masks = np.multiply(kept, dt.type(1.0 / (1.0 - dropout_rate)), out=ws("dropout.masks", kept.shape, dt))
     shape = (packed, width)
     hidden, cache = _encode_batch(state, ids.reshape(shape), seg.reshape(shape), pos.reshape(shape), masks,
                                   need_cache)
@@ -630,29 +630,18 @@ def _encode_rows(
 def _scatter_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray, ws: Workspace) -> None:
     """``out[index[i]] += rows[i]`` with repeated indices summed, like ``np.add.at``.
 
-    Distinct indices (each row's last token, unless two rows share a
-    trimmed prefix) are added as they come: one add per row, so the result
-    is ``np.add.at``'s bit for bit. Repeated ones are sorted by index and
-    each run of equal indices is summed with one ``reduceat`` first. Only
-    the rows that occur are touched.
+    The rows are sorted by index and each run of equal indices is summed
+    with one ``reduceat`` first (a run of one is the row itself). Only the
+    rows that occur are touched.
     """
-    distinct = False
-    if len(index) <= len(out):
-        hit = ws("scatter.hit", (len(out),), bool)
-        hit.fill(False)
-        hit[index] = True
-        distinct = np.count_nonzero(hit) == len(index)
-    if distinct:
-        dest, sums = index, rows
-    else:
-        order = np.argsort(index, kind="stable")
-        keys = index[order]
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        dest = keys[starts]
-        shape = (len(starts),) + rows.shape[1:]
-        grouped = np.take(rows, order, axis=0, out=ws("scatter.rows", rows.shape, rows.dtype), mode="wrap")
-        sums = np.add.reduceat(grouped, starts, axis=0, out=ws("scatter.sums", shape, rows.dtype))
-    acc = np.take(out, dest, axis=0, out=ws("scatter.acc", sums.shape, out.dtype), mode="wrap")
+    order = np.argsort(index, kind="stable")
+    keys = index[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    dest = keys[starts]
+    shape = (len(starts),) + rows.shape[1:]
+    grouped = np.take(rows, order, axis=0, out=ws("scatter.rows", rows.shape, rows.dtype), mode="wrap")
+    sums = np.add.reduceat(grouped, starts, axis=0, out=ws("scatter.sums", shape, rows.dtype))
+    acc = np.take(out, dest, axis=0, out=ws("scatter.acc", shape, out.dtype), mode="wrap")
     acc += sums
     out[dest] = acc
 
@@ -775,11 +764,12 @@ def logit_blocks(state: ModelState, feats: np.ndarray, item_range: int) -> Itera
 
 @dataclass
 class BatchSpec:
-    """One optimization step's inputs: examples plus the loss recipe.
+    """One optimization step's inputs: rows plus the loss recipe.
 
-    The examples are sequences of items with ``.prefix`` and ``.target``:
-    the training loop passes ``TableRows`` of its per-cycle table, encoded
-    by index, and any other sequence goes into a table first.
+    ``ce_examples`` and ``kd_examples`` are ``TableRows`` of one
+    ``PrefixTable``, encoded by index (either may be empty): the training
+    loop passes rows of its per-cycle table. The KD term scores the
+    teacher's items, the first ``kd_teacher_probs.shape[1]``.
     ``ewc_anchor`` and ``ewc_fisher`` are vectors laid out like
     ``ModelState.flat_params``. ``dropout_rate`` is the step's dropout
     probability, 0 for none; the training loop fills it from the method.
@@ -789,7 +779,6 @@ class BatchSpec:
     ce_examples: Sequence[TrainingExample] = ()
     kd_examples: Sequence[TrainingExample] = ()
     kd_teacher_probs: np.ndarray | None = None
-    kd_item_range: int = 0
     kd_weight: float = 0.0
     ewc_anchor: np.ndarray | None = None
     ewc_fisher: np.ndarray | None = None
@@ -813,41 +802,36 @@ def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdow
     grads = state._views(ws("grads", state.flat_params.shape, dt))
     grads.flat.fill(0)
     E = state.params["item_emb"]
-    ce_val = kd_val = ewc_val = 0.0
+    values = {"ce": 0.0, "kd": 0.0, "ewc": 0.0}
 
-    # CE and KD rows share one encoder pass of one table; KD rows follow the CE rows.
     ce_rows = spec.ce_examples
     kd_rows = spec.kd_examples if spec.kd_weight != 0.0 else ()
-    if len(kd_rows) and (spec.kd_teacher_probs is None or spec.kd_item_range <= 0):
-        raise ValueError("loss_and_gradients: KD requires teacher probs and an old-item range")
     given = [part for part in (ce_rows, kd_rows) if len(part)]
     if not all(isinstance(part, TableRows) and part.table is given[0].table for part in given):
-        both = TableRows.of([*ce_rows, *kd_rows], state.config.max_seq_len)
-        ce_rows, kd_rows = both[: len(ce_rows)], both[len(ce_rows) :]
-    n_ce = len(ce_rows)
-    if given:
-        table = (ce_rows if n_ce else kd_rows).table
-        rows = np.concatenate([part.rows for part in (ce_rows, kd_rows) if len(part)])
-        feats, cache = _encode_rows(state, table, rows, spec.dropout_rate, spec.dropout_seed, need_cache=True)
-        dfeats = ws("dfeats", feats.shape, dt)  # the CE rows, then the KD rows, each written whole
-        if n_ce:
-            targets = ce_rows.targets[ce_rows.rows]
-            if targets.max() >= state.item_count:
-                raise ValueError("loss_and_gradients: CE target outside item range")
-            ce_feats = feats[:n_ce]
-            logits = np.matmul(ce_feats, E.T, out=ws("logits", (n_ce, state.item_count), dt))
-            ce_val, dlogits = ce_from_logits(logits, targets, out=(logits, ws("dlogits", logits.shape, dt)))
-            grads["item_emb"] += np.matmul(dlogits.T, ce_feats, out=ws("demb", E.shape, dt))
-            np.matmul(dlogits, E, out=dfeats[:n_ce])
-        if len(kd_rows):
-            kd_feats = feats[n_ce:]
-            kd_range = spec.kd_item_range
-            logits = np.matmul(kd_feats, E[:kd_range].T, out=ws("logits", (len(kd_rows), kd_range), dt))
-            kd_val, dlogits = kd_from_logits(logits, spec.kd_teacher_probs,
-                                             out=(logits, ws("dlogits", logits.shape, dt)))
-            dlogits *= spec.kd_weight
-            grads["item_emb"][:kd_range] += np.matmul(dlogits.T, kd_feats, out=ws("demb", (kd_range, D), dt))
-            np.matmul(dlogits, E[:kd_range], out=dfeats[n_ce:])
+        raise ValueError("loss_and_gradients: the CE and KD rows must be TableRows of one PrefixTable")
+    terms = []  # (name, rows, loss, labels, items scored, weight): CE over every item, KD over the teacher's
+    if len(ce_rows):
+        targets = ce_rows.targets[ce_rows.rows]
+        if targets.max() >= state.item_count:
+            raise ValueError("loss_and_gradients: CE target outside item range")
+        terms.append(("ce", ce_rows, ce_from_logits, targets, state.item_count, 1.0))
+    if len(kd_rows):
+        teacher = spec.kd_teacher_probs
+        if teacher is None or len(teacher) != len(kd_rows) or teacher.shape[1] > state.item_count:
+            raise ValueError("loss_and_gradients: KD needs a teacher row per KD row, over at most the model's items")
+        terms.append(("kd", kd_rows, kd_from_logits, teacher, teacher.shape[1], spec.kd_weight))
+    if terms:  # one encoder pass over one table; the KD rows follow the CE rows
+        feats, cache = _encode_rows(state, given[0].table, np.concatenate([part.rows for part in given]),
+                                    spec.dropout_rate, spec.dropout_seed, need_cache=True)
+        dfeats = ws("dfeats", feats.shape, dt)  # each term writes its rows whole
+        for (name, part, loss, labels, width, weight), lo in zip(terms, (0, len(ce_rows))):
+            f, df = feats[lo : lo + len(part)], dfeats[lo : lo + len(part)]
+            logits = np.matmul(f, E[:width].T, out=ws("logits", (len(part), width), dt))
+            values[name], dlogits = loss(logits, labels, out=(logits, ws("dlogits", logits.shape, dt)))
+            if weight != 1.0:
+                dlogits *= weight
+            grads["item_emb"][:width] += np.matmul(dlogits.T, f, out=ws("demb", (width, D), dt))
+            np.matmul(dlogits, E[:width], out=df)
         _encode_backward(state, cache, dfeats, grads)
 
     if spec.ewc_anchor is not None and spec.ewc_weight != 0.0:
@@ -858,15 +842,15 @@ def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdow
         term = np.multiply(fw, diff, out=ws("ewc.term", theta.shape, np.result_type(fw, diff)))
         term *= diff
         for segment in state._views(term).values():  # summed per parameter: the logged loss keeps its float order
-            ewc_val += 0.5 * float(segment.sum())
+            values["ewc"] += 0.5 * float(segment.sum())
         np.multiply(fw, spec.ewc_weight, out=term)  # ewc_weight * fw * diff
         term *= diff
         grads.flat += term
 
-    total = ce_val + spec.kd_weight * kd_val + spec.ewc_weight * ewc_val
+    total = values["ce"] + spec.kd_weight * values["kd"] + spec.ewc_weight * values["ewc"]
     if not math.isfinite(total):
-        raise DivergenceError(f"non-finite loss: ce={ce_val} kd={kd_val} ewc={ewc_val}")
-    return LossBreakdown(ce=ce_val, kd=kd_val, ewc=ewc_val, total=total), grads
+        raise DivergenceError(f"non-finite loss: ce={values['ce']} kd={values['kd']} ewc={values['ewc']}")
+    return LossBreakdown(**values, total=total), grads
 
 
 def adam_step(state: ModelState, grads: _Views, lr: float = 5e-4) -> ModelState:

@@ -17,13 +17,14 @@ import pytest
 import yaml
 
 import kd_reference
+from step_rows import batch_spec
 from cyclerec.cli import main as cli_main
 from cyclerec.data import SyntheticStreamConfig, TrainingExample, generate_synthetic_stream
 from cyclerec.exemplars import allocate_quota, herding_order
 from cyclerec.harness import MethodKind, MethodSpec, TrainLoopConfig, run_experiment
 from cyclerec.losses import adaptive_lambda, teacher_probabilities
 from cyclerec.metrics import mrr_at_k, recall_at_k, target_ranks
-from cyclerec.model import BatchSpec, ModelConfig, extract_features_batch, init_model, loss_and_gradients
+from cyclerec.model import ModelConfig, extract_features_batch, init_model, loss_and_gradients
 
 # Shared configuration of the directional experiments (criteria 7-9).
 EXPERIMENT_SEEDS = [1, 2, 3]
@@ -135,13 +136,7 @@ def test_criterion_3_gradients_match_finite_differences():
         for _ in range(4)
     ]
     teacher = rng.dirichlet(np.ones(10), size=len(kd_examples))
-    spec = BatchSpec(
-        ce_examples=ce_examples,
-        kd_examples=kd_examples,
-        kd_teacher_probs=teacher,
-        kd_item_range=10,
-        kd_weight=0.5,
-    )
+    spec = batch_spec(model, ce=ce_examples, kd=kd_examples, kd_teacher_probs=teacher, kd_weight=0.5)
     _, grads = loss_and_gradients(model, spec)
     grads = {name: g.copy() for name, g in grads.items()}  # the model's next pass reuses their buffer
     h = 1e-5
@@ -195,9 +190,8 @@ def test_criterion_4_kd_fixed_point():
 
     feats = extract_features_batch(model, [ex.prefix for ex in exemplars])
     probs = teacher_probabilities(model, feats, 16)
-    breakdown, grads = loss_and_gradients(
-        model, BatchSpec(kd_examples=exemplars, kd_teacher_probs=probs, kd_item_range=16, kd_weight=1.0)
-    )
+    spec = batch_spec(model, kd=exemplars, kd_teacher_probs=probs, kd_weight=1.0)
+    breakdown, grads = loss_and_gradients(model, spec)
     step_grad = np.abs(grads.flat).max() * len(exemplars)
     assert step_grad <= 1e-10
     assert abs(breakdown.kd - entropy(probs)) <= 1e-8

@@ -401,6 +401,30 @@ def test_counts_must_be_integers_exits_1(tmp_path, capsys, section, field, value
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("sessions_per_cycle", 20.5),
+    ("mean_session_length", float("nan")),
+    ("mean_session_length", float("inf")),
+    ("seed", -1),
+    ("cycle_count", True),
+    ("cycle_count", 1),
+    ("popularity_drift_rate", True),
+    ("new_items_per_cycle", 2.5),
+    ("initial_vocab", 0),
+])
+@pytest.mark.parametrize("dry_run", [True, False])
+def test_bad_synthetic_stream_field_exits_1(tmp_path, capsys, field, value, dry_run):
+    # before, each passed a dry run (a zero vocabulary failed, naming no field); a real run then
+    # failed with exit 2, or read True as 1 (a one-cycle stream, or training at drift 1.0)
+    synthetic = {**TOY_CONFIG["data"]["synthetic"], field: value}
+    path = write_config(tmp_path, {"data": {"synthetic": synthetic}})
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "run")] + (["--dry-run"] if dry_run else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("dry_run", [True, False])
 def test_capacity_sweep_is_for_ablate_only(tmp_path, capsys, dry_run):
     # before, `run` accepted the sweep, which it never reads, and wrote it into config.yaml

@@ -526,6 +526,10 @@ def test_synthetic_config_validation():
         SyntheticStreamConfig(popularity_drift_rate=1.5)
     with pytest.raises(ValueError):
         SyntheticStreamConfig(mean_session_length=1.0)
+    for bad in ({"sessions_per_cycle": 20.5}, {"cycle_count": True}, {"seed": -1}, {"new_items_per_cycle": 1.5},
+                {"mean_session_length": float("nan")}, {"popularity_drift_rate": True}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SyntheticStreamConfig(**bad)
 
 
 def test_synthetic_new_action_fraction_declines():

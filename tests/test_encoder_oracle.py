@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 import cyclerec.model as model_mod
+from step_rows import batch_spec
 from cyclerec.data import TrainingExample
 from cyclerec.losses import ce_from_logits, kd_from_logits
 from cyclerec.model import (
-    BatchSpec,
     ModelConfig,
     PrefixTable,
     _encode_rows,
@@ -175,7 +175,7 @@ def _random_model(heads, blocks, item_count=15, seed=4):
     return state
 
 
-def _shared_prefix_spec(rng, dropout):
+def _shared_prefix_spec(state, rng, dropout):
     """A step whose rows share roots: every prefix of a few sessions, one longer
     than ``max_seq_len``, duplicate rows, KD rows sharing roots with CE rows, and
     enough unrelated short rows that several segments share a packed row."""
@@ -186,11 +186,11 @@ def _shared_prefix_spec(rng, dropout):
              for _ in range(100)]
     rows = [rows[int(i)] for i in rng.permutation(len(rows))]
     ce, kd = rows[: len(rows) * 2 // 3], rows[len(rows) * 2 // 3 :]
-    return BatchSpec(
-        ce_examples=ce,
-        kd_examples=kd,
+    return batch_spec(
+        state,
+        ce=ce,
+        kd=kd,
         kd_teacher_probs=rng.dirichlet(np.ones(11), size=len(kd)),
-        kd_item_range=11,
         kd_weight=0.7,
         dropout_rate=dropout,
         dropout_seed=9,
@@ -246,14 +246,14 @@ def reference_loss_and_gradients(state, spec, row_masks):
         for ex, masks in zip(rows, row_masks)
     ]
     feats = np.concatenate([x[:, -1] for x, _ in encoded])
-    n_ce = len(spec.ce_examples)
+    n_ce, kd_range = len(spec.ce_examples), spec.kd_teacher_probs.shape[1]
     ce, dce = ce_from_logits(feats[:n_ce] @ E.T, np.array([ex.target for ex in spec.ce_examples]))
-    kd, dkd = kd_from_logits(feats[n_ce:] @ E[: spec.kd_item_range].T, spec.kd_teacher_probs)
+    kd, dkd = kd_from_logits(feats[n_ce:] @ E[:kd_range].T, spec.kd_teacher_probs)
     dkd *= spec.kd_weight
     grads = state._views(np.zeros_like(state.flat_params))
     grads["item_emb"] += dce.T @ feats[:n_ce]
-    grads["item_emb"][: spec.kd_item_range] += dkd.T @ feats[n_ce:]
-    dfeats = np.concatenate([dce @ E, dkd @ E[: spec.kd_item_range]])
+    grads["item_emb"][:kd_range] += dkd.T @ feats[n_ce:]
+    dfeats = np.concatenate([dce @ E, dkd @ E[:kd_range]])
     for (_, cache), d in zip(encoded, dfeats):
         reference_encode_backward(state, cache, d[None], grads)
     return feats, ce + spec.kd_weight * kd, grads
@@ -266,7 +266,7 @@ def test_token_major_encoder_matches_reference(monkeypatch, heads, blocks, dropo
     # row was given
     rng = np.random.default_rng(heads * 10 + blocks)
     state = _random_model(heads, blocks, item_count=30)
-    spec = _shared_prefix_spec(rng, dropout)
+    spec = _shared_prefix_spec(state, rng, dropout)
     prefixes = [ex.prefix for ex in list(spec.ce_examples) + list(spec.kd_examples)]
     row_masks, cache = _row_masks(monkeypatch, state, spec, prefixes)
     seg = cache["seg"]
@@ -290,8 +290,8 @@ def test_rows_sharing_a_root_share_inner_dropout_masks(monkeypatch):
     # a prefix reads its root's pass, so in every block, the final one
     # included, its masks are the root's masks on their common tokens
     state = _random_model(1, 2)
-    spec = BatchSpec(ce_examples=[TrainingExample((3, 1, 4), 1), TrainingExample((3, 1, 4, 1, 5), 9)],
-                     dropout_rate=0.3, dropout_seed=2)
+    spec = batch_spec(state, ce=[TrainingExample((3, 1, 4), 1), TrainingExample((3, 1, 4, 1, 5), 9)],
+                      dropout_rate=0.3, dropout_seed=2)
     masks, cache = _packed_masks(monkeypatch, state, spec, [ex.prefix for ex in spec.ce_examples])
     assert cache["seg"].tolist() == [[0, 0, 0, 0, 0]]  # one segment: the longer row
     assert cache["last"].tolist() == [2, 4]
@@ -309,7 +309,7 @@ def test_shared_prefix_gradients_match_finite_differences():
     # the seed and the rows only
     rng = np.random.default_rng(5)
     state = _random_model(2, 2, item_count=30)
-    spec = _shared_prefix_spec(rng, 0.3)
+    spec = _shared_prefix_spec(state, rng, 0.3)
     _, grads = loss_and_gradients(state, spec)
     grads = {name: g.copy() for name, g in grads.items()}  # the model's next pass reuses their buffer
     h = 1e-5  # central differences: O(h^2) truncation, O(1e-16 * loss / h) rounding

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cyclerec.model as model_mod
+from step_rows import batch_spec
 from cyclerec.data import TrainingExample
 from cyclerec.exemplars import (
     SelectionStrategy,
@@ -12,7 +13,7 @@ from cyclerec.exemplars import (
     herding_order,
     select_exemplars,
 )
-from cyclerec.model import BatchSpec, ModelConfig, extract_features_batch, init_model, loss_and_gradients
+from cyclerec.model import ModelConfig, extract_features_batch, init_model, loss_and_gradients
 
 CFG = ModelConfig(embed_dim=8, block_count=1, max_seq_len=10, dtype="float64")
 
@@ -245,7 +246,7 @@ def test_select_loss_keeps_smallest_ce():
     rng = np.random.default_rng(6)
     m = init_model(CFG, 6, seed=3)
     candidates = [TrainingExample((0, 1), 3), TrainingExample((2, 4), 3), TrainingExample((5,), 3)]
-    losses = [loss_and_gradients(m, BatchSpec(ce_examples=[ex]))[0].ce for ex in candidates]
+    losses = [loss_and_gradients(m, batch_spec(m, ce=[ex]))[0].ce for ex in candidates]
     store = select_exemplars(m, candidates, capacity=1, strategy=SelectionStrategy.LOSS)
     assert store.examples == [candidates[int(np.argmin(losses))]]
 
@@ -291,7 +292,7 @@ def _grouped_reference(model, pool, capacity, strategy, seed):
             rng = np.random.default_rng(np.random.SeedSequence([seed, item]))
             order = rng.choice(len(members), size=quota, replace=False).tolist()
         elif strategy is SelectionStrategy.LOSS:
-            ce = [loss_and_gradients(model, BatchSpec(ce_examples=[pool[i]]))[0].ce for i in members]
+            ce = [loss_and_gradients(model, batch_spec(model, ce=[pool[i]]))[0].ce for i in members]
             order = sorted(range(len(members)), key=lambda j: ce[j])[:quota]
         else:
             order = herding_order(feats[members], quota)

@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import cyclerec.harness as harness
 import kd_reference
 from cyclerec.data import CycleDataset, SyntheticStreamConfig, TrainingExample, generate_synthetic_stream
 from cyclerec.harness import (
-    EarlyStopper,
     ExperimentState,
     MethodKind,
     MethodSpec,
@@ -46,27 +46,42 @@ def params_identical(a, b):
 # ---------------------------------------------------------------------------
 
 
-def test_patience_counter_hand_trace():
-    # values [.30,.31,.31,.30,.30,.30,.30,.30] with patience 5: epochs 3..7
-    # fail to improve, stop fires after epoch 7, best is epoch 2.
-    stopper = EarlyStopper(patience=5)
-    values = [0.30, 0.31, 0.31, 0.30, 0.30, 0.30, 0.30, 0.30]
-    stopped_at = None
-    for epoch, val in enumerate(values, start=1):
-        if stopper.update(val, epoch, lambda: epoch):
-            stopped_at = epoch
-            break
-    assert stopped_at == 7
-    assert stopper.best_epoch == 2
-    assert stopper.best_payload == 2
+def _train_on_scripted_losses(monkeypatch, losses, patience):
+    """One Finetune cycle whose validation losses are ``losses``, epoch by epoch.
+
+    Returns the epoch records, the parameters each epoch validated, and the
+    parameters ``update_model`` left in place.
+    """
+    validated = []
+
+    def scripted(model, examples):
+        validated.append(model.flat_params.copy())
+        return losses[len(validated) - 1], 0.0
+
+    monkeypatch.setattr(harness, "_validation_scores", scripted)
+    datasets, _ = tiny_stream(cycles=2)
+    state = ExperimentState(model=init_model(MODEL_CFG, datasets[0].item_count_after, seed=0))
+    loop = TrainLoopConfig(max_epochs=len(losses) + 2, patience=patience, batch_size=64)
+    records = update_model(state, datasets[0], MethodSpec(MethodKind.FINETUNE), loop)
+    assert [r.val_loss for r in records] == losses[: len(records)]
+    return records, validated, state.model.flat_params
 
 
-def test_stopper_requires_strict_improvement():
-    stopper = EarlyStopper(patience=2)
-    assert not stopper.update(0.5, 1, lambda: 1)
-    assert not stopper.update(0.5, 2, lambda: 2)  # equal is not better
-    assert stopper.update(0.5, 3, lambda: 3)
-    assert stopper.best_epoch == 1
+def test_patience_counter_hand_trace(monkeypatch):
+    # losses [.30,.29,.29,.30,.30,.30,.30,.30] with patience 5: epochs 3..7
+    # fail to improve, training stops after epoch 7, and epoch 2's model is restored
+    losses = [0.30, 0.29, 0.29, 0.30, 0.30, 0.30, 0.30, 0.30]
+    records, validated, restored = _train_on_scripted_losses(monkeypatch, losses, patience=5)
+    assert [r.epoch for r in records] == [1, 2, 3, 4, 5, 6, 7]
+    np.testing.assert_array_equal(restored, validated[1])
+    assert not np.array_equal(restored, validated[-1])
+
+
+def test_stopper_requires_strict_improvement(monkeypatch):
+    # an equal loss is not better: epochs 2 and 3 are stale, so patience 2 stops after epoch 3
+    records, validated, restored = _train_on_scripted_losses(monkeypatch, [0.5, 0.5, 0.5, 0.4], patience=2)
+    assert len(records) == 3
+    np.testing.assert_array_equal(restored, validated[0])
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +444,14 @@ def test_lambda_matches_rational_recomputation():
     res = run_experiment(datasets, method, tiny_loop(epochs=3), MODEL_CFG)
     sizes = {e[1]: e[2] for e in res.audit if e[0] == "exemplars"}
     item_counts = [d.item_count_after for d in datasets]
-    for report in res.reports[1:]:
-        t = report.cycle_id
+    for t in range(1, len(res.reports)):
         old_items = item_counts[t - 1]
         new_items = item_counts[t]
         exemplar_count = sizes[t - 1]
         data_count = len(datasets[t].train)
         expected = 0.8 * math.sqrt(float(Fraction(old_items, new_items) * Fraction(exemplar_count, data_count)))
-        assert report.lambda_t == pytest.approx(expected, rel=1e-12)
+        lambdas = [r.lambda_t for r in res.epoch_log if r.cycle == t]
+        assert lambdas and all(lam == pytest.approx(expected, rel=1e-12) for lam in lambdas)
 
 
 def test_run_experiment_deterministic():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import kd_reference
+from step_rows import batch_spec
 from cyclerec.data import TrainingExample
 from cyclerec.losses import adaptive_lambda, ce_from_logits, fisher_diagonal, kd_from_logits, teacher_probabilities
 from cyclerec.model import (
@@ -130,8 +131,7 @@ def test_kd_restricts_to_old_item_range():
     # a training step's KD term leaves the item rows beyond the range untouched
     probs = teacher_probabilities(prev, extract_features_batch(prev, [(0, 2)]), 6)
     assert probs.shape == (1, 6)
-    _, grads = loss_and_gradients(curr, BatchSpec(kd_examples=exemplars, kd_teacher_probs=probs,
-                                                  kd_item_range=6, kd_weight=1.0))
+    _, grads = loss_and_gradients(curr, batch_spec(curr, kd=exemplars, kd_teacher_probs=probs, kd_weight=1.0))
     assert np.abs(grads["item_emb"][:6]).max() > 0.0
     np.testing.assert_array_equal(grads["item_emb"][6:], 0.0)
 
@@ -195,25 +195,24 @@ CE_ROWS = [TrainingExample((0, 1), 2), TrainingExample((3, 4, 5), 1)]
 KD_ROWS = [TrainingExample((0,), 4), TrainingExample((2, 3), 5)]
 
 
-def _kd_spec(weight, teacher=None):
+def _kd_spec(m, weight, teacher=None):
     if teacher is None:
         teacher = np.random.default_rng(5).dirichlet(np.ones(6), size=len(KD_ROWS))
-    return BatchSpec(ce_examples=CE_ROWS, kd_examples=KD_ROWS, kd_teacher_probs=teacher,
-                     kd_item_range=6, kd_weight=weight)
+    return batch_spec(m, ce=CE_ROWS, kd=KD_ROWS, kd_teacher_probs=teacher, kd_weight=weight)
 
 
 def test_ader_loss_reduces_to_ce_without_kd():
     m = init_model(CFG, 8, seed=13)
-    plain, _ = loss_and_gradients(m, BatchSpec(ce_examples=CE_ROWS))
-    breakdown, _ = loss_and_gradients(m, BatchSpec(ce_examples=CE_ROWS, kd_weight=0.9))  # no exemplars
+    plain, _ = loss_and_gradients(m, batch_spec(m, ce=CE_ROWS))
+    breakdown, _ = loss_and_gradients(m, batch_spec(m, ce=CE_ROWS, kd_weight=0.9))  # no exemplars
     assert breakdown.kd == 0.0
     assert breakdown.total == pytest.approx(plain.total, rel=1e-12)
 
 
 def test_ader_loss_weighted_sum():
     m = init_model(CFG, 8, seed=14)
-    plain, _ = loss_and_gradients(m, BatchSpec(ce_examples=CE_ROWS))
-    breakdown, _ = loss_and_gradients(m, _kd_spec(0.64))
+    plain, _ = loss_and_gradients(m, batch_spec(m, ce=CE_ROWS))
+    breakdown, _ = loss_and_gradients(m, _kd_spec(m, 0.64))
     assert breakdown.ce == pytest.approx(plain.ce, rel=1e-10)
     assert breakdown.kd > 0.0
     assert breakdown.total == pytest.approx(breakdown.ce + 0.64 * breakdown.kd, rel=1e-12)
@@ -221,9 +220,9 @@ def test_ader_loss_weighted_sum():
 
 def test_ader_loss_zero_lambda_is_plain_ce():
     m = init_model(CFG, 8, seed=15)
-    plain, g_plain = loss_and_gradients(m, BatchSpec(ce_examples=CE_ROWS))
+    plain, g_plain = loss_and_gradients(m, batch_spec(m, ce=CE_ROWS))
     g_plain = g_plain.flat.copy()  # the model's next pass reuses the gradients' buffer
-    breakdown, grads = loss_and_gradients(m, _kd_spec(0.0))
+    breakdown, grads = loss_and_gradients(m, _kd_spec(m, 0.0))
     assert breakdown.total == plain.total and breakdown.kd == 0.0
     np.testing.assert_array_equal(grads.flat, g_plain)
 
@@ -231,7 +230,7 @@ def test_ader_loss_zero_lambda_is_plain_ce():
 def test_ader_loss_rejects_nonfinite():
     m = init_model(CFG, 8, seed=16)
     with pytest.raises(DivergenceError):
-        loss_and_gradients(m, _kd_spec(0.5, teacher=np.full((len(KD_ROWS), 6), np.nan)))
+        loss_and_gradients(m, _kd_spec(m, 0.5, teacher=np.full((len(KD_ROWS), 6), np.nan)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +241,7 @@ def test_ader_loss_rejects_nonfinite():
 def test_fisher_single_exemplar_is_squared_gradient():
     m = init_model(CFG, 6, seed=7)
     ex = TrainingExample((0, 2), 4)
-    squared = loss_and_gradients(m, BatchSpec(ce_examples=[ex]))[1].flat ** 2
+    squared = loss_and_gradients(m, batch_spec(m, ce=[ex]))[1].flat ** 2
     fisher = fisher_diagonal(m, [ex])
     assert fisher.shape == m.flat_params.shape
     np.testing.assert_allclose(fisher, squared, atol=1e-15)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import packing_reference
+from step_rows import batch_spec
 from cyclerec.data import TrainingExample
 from cyclerec.losses import _softmax, teacher_probabilities
 from cyclerec.model import (
@@ -16,6 +17,7 @@ from cyclerec.model import (
     DivergenceError,
     ModelConfig,
     PrefixTable,
+    TableRows,
     Workspace,
     adam_step,
     extract_features_batch,
@@ -256,9 +258,7 @@ def _fd_check(model, spec, rng, samples=25, h=1e-5, tol=1e-4):
 def test_gradients_match_finite_differences_eval_mode():
     rng = np.random.default_rng(0)
     m = small_model(seed=1)
-    spec = BatchSpec(
-        ce_examples=[TrainingExample((0, 3, 5), 7), TrainingExample((1,), 2)],
-    )
+    spec = batch_spec(m, ce=[TrainingExample((0, 3, 5), 7), TrainingExample((1,), 2)])
     _fd_check(m, spec, rng)
 
 
@@ -266,11 +266,11 @@ def test_gradients_match_finite_differences_with_dropout_and_kd():
     rng = np.random.default_rng(1)
     m = small_model(seed=2, block_count=2, attention_heads=2)
     teacher = rng.dirichlet(np.ones(9), size=2)
-    spec = BatchSpec(
-        ce_examples=[TrainingExample((0, 3, 5), 7), TrainingExample((2, 4, 6, 8), 11)],
-        kd_examples=[TrainingExample((3, 1), 4), TrainingExample((5,), 0)],
+    spec = batch_spec(
+        m,
+        ce=[TrainingExample((0, 3, 5), 7), TrainingExample((2, 4, 6, 8), 11)],
+        kd=[TrainingExample((3, 1), 4), TrainingExample((5,), 0)],
         kd_teacher_probs=teacher,
-        kd_item_range=9,
         kd_weight=0.5,
         dropout_rate=0.3,
         dropout_seed=42,
@@ -283,8 +283,9 @@ def test_gradients_match_finite_differences_with_ewc():
     m = small_model(seed=4)
     anchor = m.flat_params + 0.01
     fisher = np.abs(rng.normal(size=m.flat_params.shape))
-    spec = BatchSpec(
-        ce_examples=[TrainingExample((0, 1), 3)],
+    spec = batch_spec(
+        m,
+        ce=[TrainingExample((0, 1), 3)],
         ewc_anchor=anchor,
         ewc_fisher=fisher,
         ewc_weight=2.5,
@@ -303,10 +304,10 @@ def test_duplicated_example_doubles_contribution():
     m = small_model()
     a = TrainingExample((0, 1), 3)
     b = TrainingExample((2,), 5)
-    g_ab = gradients(m, BatchSpec(ce_examples=[a, b]))
-    g_abb = gradients(m, BatchSpec(ce_examples=[a, b, b]))
-    g_a = gradients(m, BatchSpec(ce_examples=[a]))
-    g_b = gradients(m, BatchSpec(ce_examples=[b]))
+    g_ab = gradients(m, batch_spec(m, ce=[a, b]))
+    g_abb = gradients(m, batch_spec(m, ce=[a, b, b]))
+    g_a = gradients(m, batch_spec(m, ce=[a]))
+    g_b = gradients(m, batch_spec(m, ce=[b]))
     for name in g_ab:
         np.testing.assert_allclose(g_abb[name], (2 * g_a[name] + 4 * g_b[name]) / 6, atol=1e-12)
 
@@ -322,8 +323,8 @@ def test_packed_batch_matches_per_example_gradients():
                  for _ in range(4)]
     _, cache = encode(m, [ex.prefix for ex in examples], need_cache=True)
     assert max(len(set(row[row >= 0].tolist())) for row in cache["seg"]) > 1
-    g_batch = gradients(m, BatchSpec(ce_examples=examples))
-    singles = [gradients(m, BatchSpec(ce_examples=[ex])) for ex in examples]
+    g_batch = gradients(m, batch_spec(m, ce=examples))
+    singles = [gradients(m, batch_spec(m, ce=[ex])) for ex in examples]
     for name in g_batch:
         expected = sum(g[name] for g in singles) / len(examples)
         np.testing.assert_allclose(g_batch[name], expected, atol=1e-12)
@@ -438,10 +439,8 @@ def test_scatter_rows_fast_path_is_add_at_bit_for_bit(distinct):
     rows = rng.normal(size=(len(index), 8)).astype(np.float32)
     expected = out.copy()
     np.add.at(expected, index, rows)
-    ws = Workspace()
-    _scatter_rows(out, index, rows, ws)
-    assert ("scatter.rows" in ws._buffers) != distinct  # only repeated indices take the sort
-    if distinct:  # one add per row, as add.at makes it
+    _scatter_rows(out, index, rows, Workspace())
+    if distinct:  # runs of one: one add per row, as add.at makes it
         assert out.tobytes() == expected.tobytes()
     else:  # reduceat sums a run in its own order, so only to rounding
         np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-6)
@@ -451,13 +450,36 @@ def test_nonfinite_loss_raises_divergence():
     m = small_model()
     m.params["item_emb"][0, 0] = np.nan
     with pytest.raises(DivergenceError):
-        loss_and_gradients(m, BatchSpec(ce_examples=[TrainingExample((0,), 1)]))
+        loss_and_gradients(m, batch_spec(m, ce=[TrainingExample((0,), 1)]))
 
 
 def test_ce_target_out_of_range_errors():
     m = small_model(item_count=4)
     with pytest.raises(ValueError):
-        loss_and_gradients(m, BatchSpec(ce_examples=[TrainingExample((0,), 9)]))
+        loss_and_gradients(m, batch_spec(m, ce=[TrainingExample((0,), 9)]))
+
+
+def test_step_rows_must_be_table_rows_of_one_table():
+    # the step encodes its rows by index into one table: a plain list, or views of two tables, is refused
+    m = small_model()
+    a, b = TrainingExample((0, 1), 3), TrainingExample((2,), 5)
+    teacher = np.full((1, 12), 1 / 12)
+    for spec in (BatchSpec(ce_examples=[a, b]),
+                 BatchSpec(kd_examples=[a], kd_teacher_probs=teacher, kd_weight=0.5),
+                 BatchSpec(ce_examples=TableRows.of([a], 10), kd_examples=TableRows.of([b], 10),
+                           kd_teacher_probs=teacher, kd_weight=0.5)):
+        with pytest.raises(ValueError, match="must be TableRows of one PrefixTable"):
+            loss_and_gradients(m, spec)
+
+
+def test_kd_teacher_gives_one_row_per_kd_row_within_the_items():
+    # the KD term scores the teacher's width of items: a missing teacher, a row count other than the
+    # KD rows' or a width past the model's items is refused
+    m = small_model(item_count=12)
+    rows = [TrainingExample((0, 1), 3), TrainingExample((2,), 5)]
+    for teacher in (None, np.full((1, 9), 1 / 9), np.full((2, 13), 1 / 13)):
+        with pytest.raises(ValueError, match="a teacher row per KD row"):
+            loss_and_gradients(m, batch_spec(m, kd=rows, kd_teacher_probs=teacher, kd_weight=0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +595,7 @@ def test_checkpoint_float32_round_trip():
 def test_float32_training_step_keeps_dtype():
     cfg = ModelConfig(embed_dim=8, block_count=2, max_seq_len=6, dtype="float32")
     m = init_model(cfg, 6, seed=0)
-    spec = BatchSpec(ce_examples=[TrainingExample((0, 1), 2)], dropout_rate=0.2, dropout_seed=1)
+    spec = batch_spec(m, ce=[TrainingExample((0, 1), 2)], dropout_rate=0.2, dropout_seed=1)
     _, grads = loss_and_gradients(m, spec)
     adam_step(m, grads)
     assert all(g.dtype == np.float32 for g in grads.values())
@@ -622,8 +644,8 @@ def test_fused_adam_matches_per_parameter_loop_bit_for_bit():
         adam_step(fused, grads, lr=1e-2)
         reference_adam_step(ref, grads, lr=1e-2)
         assert states_equal(fused, ref), step
-    spec = BatchSpec(ce_examples=[TrainingExample((1, 2, 3), 4), TrainingExample((5,), 6)], dropout_rate=0.3,
-                     dropout_seed=3)
+    spec = batch_spec(fused, ce=[TrainingExample((1, 2, 3), 4), TrainingExample((5,), 6)], dropout_rate=0.3,
+                      dropout_seed=3)
     _, grads = loss_and_gradients(fused, spec)  # views of the workspace that adam_step also draws on
     reference_adam_step(ref, grads, lr=1e-2)
     adam_step(fused, grads, lr=1e-2)
@@ -662,7 +684,7 @@ def test_named_arrays_are_written_in_place_not_replaced():
     # every name of the parameters, the moments and the gradients is a view
     # of its flat vector: in-place writes reach the vector, a new array raises
     m = float32_model()
-    _, grads = loss_and_gradients(m, BatchSpec(ce_examples=[TrainingExample((1, 2), 3)]))
+    _, grads = loss_and_gradients(m, batch_spec(m, ce=[TrainingExample((1, 2), 3)]))
     for named, flat in ((m.params, m.flat_params), (m.adam_m, m.flat_m), (m.adam_v, m.flat_v),
                         (grads, grads.flat)):
         before = flat.copy()
@@ -698,8 +720,9 @@ def test_copy_into_a_snapshot_reuses_its_vectors():
         m.copy(out=m)
 
 
-def _workspace_steps(rng, item_count):
+def _workspace_steps(rng, model):
     """Steps of different sizes with dropout, KD and EWC terms; the first holds every later step's rows."""
+    item_count = model.item_count
     sessions = [tuple(int(v) for v in rng.integers(0, item_count, size=int(n))) for n in rng.integers(2, 10, 12)]
     rows = [TrainingExample(s[:k], s[k]) for s in sessions for k in range(1, len(s))]
     teacher = rng.dirichlet(np.ones(item_count - 4), size=len(rows)).astype(np.float32)
@@ -707,11 +730,11 @@ def _workspace_steps(rng, item_count):
     specs = []
     for pick in picks:
         ce, kd = pick[: len(pick) * 2 // 3 + 1], pick[len(pick) * 2 // 3 + 1 :]
-        specs.append(BatchSpec(
-            ce_examples=[rows[i] for i in ce],
-            kd_examples=[rows[i] for i in kd],
+        specs.append(batch_spec(
+            model,
+            ce=[rows[i] for i in ce],
+            kd=[rows[i] for i in kd],
             kd_teacher_probs=teacher[kd],
-            kd_item_range=item_count - 4,
             kd_weight=0.6 if len(kd) else 0.0,
             dropout_rate=0.3,
             dropout_seed=int(rng.integers(1000)),
@@ -727,7 +750,7 @@ def test_workspace_steps_match_fresh_ones_and_stop_allocating():
     anchor = (shared.flat_params + rng.normal(scale=0.1, size=shared.flat_params.shape)).astype(np.float32)
     fisher = np.abs(rng.normal(size=shared.flat_params.shape)).astype(np.float32)
     ws = shared.workspace
-    specs = _workspace_steps(rng, 20)
+    specs = _workspace_steps(rng, shared)
     for i, spec in enumerate(specs * 2):
         spec = dataclasses.replace(spec, ewc_anchor=anchor, ewc_fisher=fisher, ewc_weight=3.0)
         fresh.workspace = Workspace()
