@@ -16,6 +16,9 @@
 #   - `ablate` on `scripts/byte_identity.yaml`;
 #   - `preprocess --seed 1` on the seed-1 benchmark click log
 #     (`perfbench.clicklog`);
+#   - `preprocess --seed 1 --max-seq-len 4 --validation-fraction 0.3` on
+#     that log: its sessions run to 11-13 items, so many prefixes are
+#     trimmed windows;
 #   - a Joint + ADER + ER_loss + EWC `run` (d=16, `max_seq_len` 4, 2
 #     epochs) on the `cycles.txt` that <ref>'s `preprocess` wrote: trimmed
 #     rows over a larger vocabulary, and EWC's Fisher pass of one-row steps.
@@ -86,6 +89,8 @@ PYTHONPATH=$root python3 -c "import sys; from perfbench.clicklog import ClickLog
 write_click_log(sys.argv[1], ClickLog(), 1)" "$tmp/clicks.csv"
 check "preprocess --seed 1 (click log)" preprocess --input "$tmp/clicks.csv" --seed 1
 cp "$tmp/ref.result/out/cycles.txt" "$tmp/cycles.txt"
+check "preprocess --seed 1 --max-seq-len 4 --validation-fraction 0.3 (click log)" \
+    preprocess --input "$tmp/clicks.csv" --seed 1 --max-seq-len 4 --validation-fraction 0.3
 cat > "$tmp/clicklog.yaml" <<EOF
 data: {cycles: $tmp/cycles.txt}
 model: {embed_dim: 16, block_count: 2, attention_heads: 2, max_seq_len: 4}

@@ -12,8 +12,14 @@ order of first appearance, plus the key lists the codes index.
 ``preprocess`` counts, filters, sorts and groups those arrays with numpy
 and registers items in one pass over the surviving walk; ``split_cycles``
 buckets sessions and fills ``cycle_first_seen`` with array operations.
-The first objects made per event are the ``Session`` item lists and the
-``TrainingExample``s the sessions expand into.
+The only objects made per event are the ``Session`` item lists.
+
+A cycle's examples travel as columns too: an ``Examples`` holds every
+prefix as a range of one flat item array, so ``split_cycles`` and
+``generate_synthetic_stream`` expand sessions by index arithmetic over
+their items, ``save_cycles`` writes each prefix as a slice of one joined
+string, and ``load_cycles`` appends integers to columns. A
+``TrainingExample`` is built only when one example is read by index.
 """
 
 from __future__ import annotations
@@ -24,9 +30,10 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from bisect import bisect_left
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -87,6 +94,80 @@ class TrainingExample:
     target: int
 
 
+@dataclass(frozen=True, eq=False)
+class Examples(Sequence):
+    """Training examples as columns: an immutable ``Sequence[TrainingExample]`` with no object per example.
+
+    Example ``i`` predicts ``targets[i]`` after ``items[starts[i] : starts[i] + lengths[i]]``. The prefixes are
+    ranges of one flat int64 array, which views share: the examples a split expands from its sessions all point
+    into their items. An integer index builds the ``TrainingExample``; a slice, an index array or a mask gives
+    the ``Examples`` of those rows, and ``+`` the examples of both, one after the other, in a fresh item array.
+    Two are equal when they hold the same examples in the same order, as a list of them would be. The columns
+    are made read-only.
+    """
+
+    items: np.ndarray = ()
+    starts: np.ndarray = ()
+    lengths: np.ndarray = ()
+    targets: np.ndarray = ()
+
+    def __post_init__(self) -> None:
+        for name in ("items", "starts", "lengths", "targets"):
+            column = np.asarray(getattr(self, name), dtype=np.int64)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        n = len(self.targets)
+        if self.items.ndim != 1 or self.starts.shape != (n,) or self.lengths.shape != (n,):
+            raise ValueError(f"Examples: expected one item column and {n} starts and lengths, got "
+                             f"{self.items.shape}, {self.starts.shape} and {self.lengths.shape}")
+        ends = self.starts + self.lengths
+        if n and (min(self.starts.min(), self.lengths.min()) < 0 or ends.max() > len(self.items)):
+            raise ValueError(f"Examples: a prefix reaches outside the {len(self.items)} items")
+
+    @classmethod
+    def of(cls, examples: Sequence[TrainingExample]) -> "Examples":
+        """``examples`` as columns; an ``Examples`` is returned as it is."""
+        if isinstance(examples, Examples):
+            return examples
+        examples = list(examples)
+        lengths = np.fromiter((len(ex.prefix) for ex in examples), dtype=np.int64, count=len(examples))
+        items = np.fromiter(chain.from_iterable(ex.prefix for ex in examples), dtype=np.int64, count=int(lengths.sum()))
+        return _back_to_back(items, lengths, [ex.target for ex in examples])
+
+    def _flat(self) -> np.ndarray:
+        """Every prefix's items, one after the other."""
+        offsets = np.cumsum(self.lengths) - self.lengths
+        return self.items[np.repeat(self.starts - offsets, self.lengths) + np.arange(int(self.lengths.sum()))]
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __getitem__(self, i):
+        if isinstance(i, numbers.Integral):
+            start, length = int(self.starts[i]), int(self.lengths[i])
+            return TrainingExample(tuple(self.items[start : start + length].tolist()), int(self.targets[i]))
+        return Examples(self.items, self.starts[i], self.lengths[i], self.targets[i])
+
+    def __iter__(self) -> Iterator[TrainingExample]:
+        flat = self._flat().tolist()
+        ends = np.cumsum(self.lengths).tolist()
+        for lo, hi, target in zip([0, *ends], ends, self.targets.tolist()):
+            yield TrainingExample(tuple(flat[lo:hi]), target)
+
+    def __add__(self, other: Sequence[TrainingExample]) -> "Examples":
+        other = Examples.of(other)
+        columns = ((self._flat(), other._flat()), (self.lengths, other.lengths), (self.targets, other.targets))
+        return _back_to_back(*map(np.concatenate, columns))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Examples):
+            return (np.array_equal(self.lengths, other.lengths) and np.array_equal(self.targets, other.targets)
+                    and np.array_equal(self._flat(), other._flat()))
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 @dataclass
 class ItemRegistry:
     """Append-only bijection between external item keys and dense indices.
@@ -118,25 +199,34 @@ class ItemRegistry:
                 fh.write(f"{idx}\t{key}\t{self.cycle_first_seen[idx]}\n")
 
 
-def _ints(texts: Sequence[str], where: str) -> list[int]:
-    """``texts`` as integers, or a ``ValueError`` naming ``where``."""
+def _back_to_back(items: Sequence[int], lengths: Sequence[int], targets: Sequence[int]) -> Examples:
+    """The ``Examples`` whose prefixes lie one after the other in ``items``, ``lengths`` long each."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    return Examples(items, np.cumsum(lengths) - lengths, lengths, targets)
+
+
+def _ints(texts: Sequence[str], path: str | Path, lineno: int) -> list[int]:
+    """``texts`` as integers, or a ``ValueError`` naming the path and line."""
     try:
-        return [int(t) for t in texts]
+        return list(map(int, texts))
     except ValueError:
-        raise ValueError(f"{where}: expected integers, got {' '.join(texts)!r}") from None
+        raise ValueError(f"{path}:{lineno}: expected integers, got {' '.join(texts)!r}") from None
 
 
 @dataclass
 class CycleDataset:
-    """All training material belonging to one update cycle."""
+    """All training material belonging to one update cycle; ``train`` and ``validation`` become ``Examples``."""
 
     cycle_id: int
-    train: list[TrainingExample]
-    validation: list[TrainingExample]
+    train: Examples
+    validation: Examples
     item_count_after: int
 
+    def __post_init__(self) -> None:
+        self.train, self.validation = Examples.of(self.train), Examples.of(self.validation)
+
     @property
-    def examples(self) -> list[TrainingExample]:
+    def examples(self) -> Examples:
         return self.train + self.validation
 
 
@@ -157,12 +247,13 @@ def ingest(path: str | Path, fmt: ColumnFormat | None = None) -> EventLog:
     """Parse a delimited event log into an ``EventLog``.
 
     Each kept row becomes one entry of three int64 columns: its session
-    code, its timestamp (``int(float(field))``, unix seconds) and its item
-    code. A row with a missing field, or whose timestamp does not parse,
-    is not finite or lies outside int64, is skipped and counted in
-    ``skipped``. The log holds about 50 bytes per event: 24 in the
-    columns, the rest in the key strings. Raises ``ValueError`` when the
-    header lacks a required column or no row parses.
+    code, its timestamp (unix seconds: integer text exactly, other numbers
+    as ``int(float(field))``) and its item code. A row with a missing
+    field, or whose timestamp does not parse, is not finite or lies
+    outside int64, is skipped and counted in ``skipped``. The log holds
+    about 50 bytes per event: 24 in the columns, the rest in the key
+    strings. Raises ``ValueError`` when the header lacks a required
+    column or no row parses.
     """
     fmt = fmt or ColumnFormat()
     path = Path(path)
@@ -196,11 +287,14 @@ def ingest(path: str | Path, fmt: ColumnFormat | None = None) -> EventLog:
             if not session or not item or not raw_time:
                 skipped += 1
                 continue
-            try:
-                timestamp = int(float(raw_time))
-            except (ValueError, OverflowError):  # nan, inf, not a number
-                skipped += 1
-                continue
+            try:  # integer text exactly: a float holds 53 bits, so later events could tie or swap
+                timestamp = int(raw_time)
+            except ValueError:
+                try:
+                    timestamp = int(float(raw_time))
+                except (ValueError, OverflowError):  # nan, inf, not a number
+                    skipped += 1
+                    continue
             if not _INT64_MIN <= timestamp <= _INT64_MAX:
                 skipped += 1
                 continue
@@ -268,29 +362,24 @@ def preprocess(
     return sessions, registry
 
 
-def expand_session(session: Session, max_seq_len: int = DEFAULT_MAX_SEQ_LEN) -> list[TrainingExample]:
-    """All-prefix expansion: every position j >= 1 becomes a target.
+def _expand(items: np.ndarray, lengths: np.ndarray, max_seq_len: int) -> Examples:
+    """All-prefix expansion of sessions laid back to back in ``items``, ``lengths`` long each.
 
-    The prefix keeps the most recent ``max_seq_len`` items before j.
+    Every position j >= 1 of a session becomes a target, in session order; its prefix is the range of at most
+    ``max_seq_len`` items before it, in ``items`` itself.
     """
-    items = session.items
-    if len(items) < 2:
-        raise ValueError("expand_session: session shorter than 2")
-    if max_seq_len < 1:
-        raise ValueError(f"expand_session: max_seq_len must be >= 1, got {max_seq_len}")
-    out = []
-    for j in range(1, len(items)):
-        lo = max(0, j - max_seq_len)
-        out.append(TrainingExample(tuple(items[lo:j]), items[j]))
-    return out
+    counts = lengths - 1  # targets per session
+    session = np.repeat(np.arange(len(lengths)), counts)
+    first = (np.cumsum(lengths) - lengths)[session]  # each example's session's first item
+    j = np.arange(len(session)) - (np.cumsum(counts) - counts)[session] + 1
+    lo = np.maximum(j - max_seq_len, 0)
+    return Examples(items, first + lo, j - lo, items[first + j])
 
 
-def _split_validation(
-    examples: list[TrainingExample], fraction: float, rng: np.random.Generator
-) -> tuple[list[TrainingExample], list[TrainingExample]]:
+def _split_validation(examples: Examples, fraction: float, rng: np.random.Generator) -> tuple[Examples, Examples]:
     held = np.zeros(len(examples), dtype=bool)
     held[rng.permutation(len(examples))[:int(len(examples) * fraction)]] = True
-    return list(compress(examples, (~held).tolist())), list(compress(examples, held.tolist()))
+    return examples[~held], examples[held]
 
 
 def _buckets(starts: np.ndarray, period_seconds: int) -> tuple[np.ndarray, np.ndarray]:
@@ -317,10 +406,13 @@ def split_cycles(
     A session belongs to the bucket of its first event time. Empty buckets
     are dropped and cycle ids renumbered consecutively. Fills in
     ``registry.cycle_first_seen`` as a side effect: an item still at -1
-    gets the first cycle that holds it.
+    gets the first cycle that holds it. Every cycle's examples are
+    ``Examples`` over one array of all the sessions' items.
     """
     if not sessions:
         raise ValueError("split_cycles: no sessions")
+    if max_seq_len < 1:
+        raise ValueError(f"split_cycles: max_seq_len must be >= 1, got {max_seq_len}")
     if period_seconds <= 0:
         raise ValueError(f"split_cycles: period_seconds must be positive, got {period_seconds}")
     if not 0.0 <= validation_fraction < 1.0:
@@ -335,13 +427,13 @@ def split_cycles(
         logger.info("split_cycles: %d empty buckets dropped, cycles renumbered", empty)
     cuts = np.searchsorted(cycle_of, np.arange(len(bucket_ids) + 1)).tolist()
     ordered = [sessions[i] for i in order.tolist()]
-    cycle_examples = [
-        [ex for s in ordered[lo:hi] for ex in expand_session(s, max_seq_len)] for lo, hi in zip(cuts, cuts[1:])
-    ]
-
     lengths = np.fromiter((len(s.items) for s in ordered), dtype=np.int64, count=len(ordered))
+    if lengths.min() < 2:
+        raise ValueError("split_cycles: session shorter than 2")
     ends = np.cumsum(lengths)
     items = np.fromiter(chain.from_iterable(s.items for s in ordered), dtype=np.int64, count=int(ends[-1]))
+    examples = _expand(items, lengths, max_seq_len)  # session by session, so each cycle's are one run
+    example_cuts = np.r_[0, np.cumsum(lengths - 1)][cuts].tolist()
     seen, first_at = np.unique(items, return_index=True)
     first_seen = np.array(registry.cycle_first_seen, dtype=np.int64)
     unset = first_seen[seen] == -1
@@ -351,9 +443,9 @@ def split_cycles(
     item_counts = (np.maximum.accumulate(cycle_max) + 1).tolist()
 
     datasets = []
-    for cycle, examples in enumerate(cycle_examples):
+    for cycle, (lo, hi) in enumerate(zip(example_cuts, example_cuts[1:])):
         rng = np.random.default_rng(np.random.SeedSequence([seed, cycle]))
-        train, val = _split_validation(examples, validation_fraction, rng)
+        train, val = _split_validation(examples[lo:hi], validation_fraction, rng)
         datasets.append(CycleDataset(cycle, train, val, item_counts[cycle]))
     return datasets
 
@@ -406,6 +498,8 @@ def generate_synthetic_stream(
     validation_fraction: float = 0.1,
 ) -> tuple[list[CycleDataset], ItemRegistry]:
     """Generate a seed-deterministic drifting stream of cycle datasets."""
+    if max_seq_len < 1:
+        raise ValueError(f"generate_synthetic_stream: max_seq_len must be >= 1, got {max_seq_len}")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     registry = ItemRegistry()
     vocab = cfg.initial_vocab
@@ -437,7 +531,7 @@ def generate_synthetic_stream(
                 successors[targets, slots] = rng.integers(0, vocab, size=refresh)
 
         weights = 1.0 / (rank + 1.0) ** _ZIPF_EXPONENT
-        cdf = np.cumsum(weights / weights.sum())
+        cdf = np.cumsum(weights / weights.sum()).tolist()  # bisect_left on floats: np.searchsorted's index
         new_share = 0.0
         if t > 0 and cfg.new_items_per_cycle:
             new_share = 0.35 / (1.0 + 0.5 * (t - 1))
@@ -445,19 +539,19 @@ def generate_synthetic_stream(
         def draw() -> int:
             if new_share and rng.random() < new_share:
                 return int(rng.integers(fresh_lo, vocab))
-            return int(np.searchsorted(cdf, rng.random()))
+            return bisect_left(cdf, rng.random())
 
-        examples: list[TrainingExample] = []
-        base_time = t * WEEK_SECONDS
+        items: list[int] = []  # the cycle's sessions, back to back
+        lengths = np.empty(cfg.sessions_per_cycle, dtype=np.int64)
         for s in range(cfg.sessions_per_cycle):
-            length = 2 + int(rng.poisson(cfg.mean_session_length - 2.0))
-            items = [draw()]
+            lengths[s] = length = 2 + int(rng.poisson(cfg.mean_session_length - 2.0))
+            items.append(draw())
             for _ in range(length - 1):
                 if rng.random() < _SUCCESSOR_PROB:
                     items.append(int(successors[items[-1], rng.integers(0, _SUCCESSORS_PER_ITEM)]))
                 else:
                     items.append(draw())
-            examples.extend(expand_session(Session(items, base_time + s), max_seq_len))
+        examples = _expand(np.array(items, dtype=np.int64), lengths, max_seq_len)
         val_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t, 1]))
         train, val = _split_validation(examples, validation_fraction, val_rng)
         datasets.append(CycleDataset(t, train, val, vocab))
@@ -468,15 +562,25 @@ def save_cycles(datasets: list[CycleDataset], path: str | Path) -> None:
     """Write cycle datasets to a line-oriented text file.
 
     One example per line: cycle id, space-separated prefix indices, target,
-    split tag. A header line per cycle records the vocabulary size.
+    split tag. A header line per cycle records the vocabulary size. A
+    prefix is written as a slice of one space-joined string of the item
+    array it ranges over.
     """
+    joined: dict[int, tuple[np.ndarray, str, np.ndarray]] = {}  # per item array: it, its text, each item's offset
     with open(path, "w", encoding="utf-8") as fh:
         for ds in datasets:
             fh.write(f"# cycle {ds.cycle_id} items {ds.item_count_after}\n")
             for tag, examples in (("train", ds.train), ("val", ds.validation)):
-                fh.writelines(
-                    f"{ds.cycle_id}\t{' '.join(map(str, ex.prefix))}\t{ex.target}\t{tag}\n" for ex in examples
-                )
+                if id(examples.items) not in joined:
+                    text = " ".join(map(str, examples.items.tolist()))
+                    spaces = np.flatnonzero(np.frombuffer(text.encode("ascii"), dtype=np.uint8) == ord(" "))
+                    joined[id(examples.items)] = examples.items, text, np.r_[0, spaces + 1, len(text) + 1]
+                _, text, offset = joined[id(examples.items)]
+                cuts = zip(offset[examples.starts].tolist(), (offset[examples.starts + examples.lengths] - 1).tolist())
+                fh.write("".join(
+                    f"{ds.cycle_id}\t{text[lo:hi]}\t{target}\t{tag}\n"
+                    for (lo, hi), target in zip(cuts, examples.targets.tolist())
+                ))
 
 
 def load_cycles(path: str | Path) -> list[CycleDataset]:
@@ -484,51 +588,58 @@ def load_cycles(path: str | Path) -> list[CycleDataset]:
 
     As ``save_cycles`` writes them, headers number the cycles 0, 1, 2, ..., ``items`` never falls, every cycle
     but the last holds a ``train`` line and the last holds a line; a break names the cycle header's line.
+    Each split of a cycle is read into three integer columns: prefix items, prefix lengths and targets.
     """
-    datasets: list[CycleDataset] = []
+    item_counts: list[int] = []  # per cycle
+    columns: list[dict[str, tuple[array, array, array]]] = []  # per cycle and split tag
     header = str(path)  # where the last cycle header stands
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            where = f"{path}:{lineno}"
             if line.startswith("#"):
+                where = f"{path}:{lineno}"
                 parts = line.split()
                 if len(parts) != 5 or parts[:2] != ["#", "cycle"] or parts[3] != "items":
                     raise ValueError(f"{where}: malformed cycle header {line!r}, expected '# cycle <id> items <count>'")
-                cycle_id, items = _ints(parts[2::2], where)
-                if cycle_id != len(datasets):
-                    raise ValueError(f"{where}: cycle {cycle_id} out of sequence, expected cycle {len(datasets)}")
-                floor = datasets[-1].item_count_after if datasets else 0
+                cycle_id, items = _ints(parts[2::2], path, lineno)
+                if cycle_id != len(item_counts):
+                    raise ValueError(f"{where}: cycle {cycle_id} out of sequence, expected cycle {len(item_counts)}")
+                floor = item_counts[-1] if item_counts else 0
                 if items < floor:
                     raise ValueError(f"{where}: the item count falls from {floor} to {items}")
-                if datasets and not datasets[-1].train:
+                if columns and not columns[-1]["train"][1]:
                     raise ValueError(f"{header}: cycle {cycle_id - 1} has no 'train' line")
-                datasets.append(CycleDataset(cycle_id, [], [], items))
+                item_counts.append(items)
+                columns.append({tag: (array("q"), array("q"), array("q")) for tag in ("train", "val")})
                 header = where
                 continue
+            # an example line names its place only when it fails
             fields = line.split("\t")
             if len(fields) != 4:
-                raise ValueError(f"{where}: expected 4 tab-separated fields, got {len(fields)}")
+                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
             cycle_s, prefix_s, target_s, tag = fields
             if tag not in ("train", "val"):
-                raise ValueError(f"{where}: split tag {tag!r} is neither 'train' nor 'val'")
-            cycle_id, *prefix, target = _ints([cycle_s, *prefix_s.split(), target_s], where)
-            if not datasets or datasets[-1].cycle_id != cycle_id:
-                header = f"cycle {datasets[-1].cycle_id}" if datasets else "no cycle header"
-                raise ValueError(f"{where}: example of cycle {cycle_s} under {header}")
-            ds = datasets[-1]
+                raise ValueError(f"{path}:{lineno}: split tag {tag!r} is neither 'train' nor 'val'")
+            cycle_id, *prefix, target = _ints([cycle_s, *prefix_s.split(), target_s], path, lineno)
+            if not item_counts or len(item_counts) - 1 != cycle_id:
+                under = f"cycle {len(item_counts) - 1}" if item_counts else "no cycle header"
+                raise ValueError(f"{path}:{lineno}: example of cycle {cycle_s} under {under}")
             if not prefix:
-                raise ValueError(f"{where}: empty prefix")
-            if min(target, *prefix) < 0 or max(target, *prefix) >= ds.item_count_after:
-                raise ValueError(f"{where}: item index outside cycle {cycle_s}'s [0, {ds.item_count_after})")
-            (ds.train if tag == "train" else ds.validation).append(TrainingExample(tuple(prefix), target))
-    if not datasets:
+                raise ValueError(f"{path}:{lineno}: empty prefix")
+            if min(target, *prefix) < 0 or max(target, *prefix) >= item_counts[-1]:
+                raise ValueError(f"{path}:{lineno}: item index outside cycle {cycle_s}'s [0, {item_counts[-1]})")
+            prefix_items, lengths, targets = columns[-1][tag]
+            prefix_items.extend(prefix)
+            lengths.append(len(prefix))
+            targets.append(target)
+    if not item_counts:
         raise ValueError(f"{path}: no cycle header")
-    if not datasets[-1].examples:
-        raise ValueError(f"{header}: the last cycle, {len(datasets) - 1}, holds no example")
-    return datasets
+    if not any(lengths for _, lengths, _ in columns[-1].values()):
+        raise ValueError(f"{header}: the last cycle, {len(item_counts) - 1}, holds no example")
+    return [CycleDataset(cycle_id, *(_back_to_back(*split) for split in splits.values()), item_count)
+            for cycle_id, (item_count, splits) in enumerate(zip(item_counts, columns))]
 
 
 def stream_statistics(
@@ -555,7 +666,7 @@ def stream_statistics(
                 "cycle": ds.cycle_id,
                 "actions": total,
                 "new_action_fraction": new / total if total else 0.0,
-                "examples": len(ds.examples),
+                "examples": len(ds.train) + len(ds.validation),
                 "item_count": ds.item_count_after,
             }
         )

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import TrainingExample
+from .data import Examples, TrainingExample
 from .losses import ce_rows_from_logits
 from .model import ModelState, extract_features_batch, logit_blocks
 
@@ -40,7 +40,7 @@ class ExemplarSet:
     random selection, which encodes nothing).
     """
 
-    examples: list[TrainingExample]
+    examples: Examples
     features: np.ndarray | None = None
 
 
@@ -147,28 +147,27 @@ def select_exemplars(
     if not pool:
         raise ValueError("select_exemplars: empty pool")
     strategy = SelectionStrategy(strategy)
-    targets = np.array([ex.target for ex in pool])
+    pool = Examples.of(pool)
+    targets = pool.targets
     counts = np.bincount(targets, minlength=model.item_count)
     if strategy is SelectionStrategy.EQUAL_HERDING:
         quotas = equal_quota(counts, capacity)
     else:
         quotas = allocate_quota(counts, capacity)
 
-    member_idx: dict[int, list[int]] = {}
-    for i, ex in enumerate(pool):
-        member_idx.setdefault(ex.target, []).append(i)
+    by_target = np.argsort(targets, kind="stable")  # each item's rows, ascending, item after item
+    present, firsts = np.unique(targets[by_target], return_index=True)
 
     feats = None
     if strategy is not SelectionStrategy.RANDOM:
-        feats = extract_features_batch(model, [ex.prefix for ex in pool])
+        feats = extract_features_batch(model, pool)
     if strategy is SelectionStrategy.LOSS:
         per_example_loss = np.empty(len(pool), dtype=feats.dtype)
         for block, logits in logit_blocks(model, feats, model.item_count):
             per_example_loss[block] = ce_rows_from_logits(logits, targets[block])
 
     chosen: list[int] = []
-    for item in sorted(member_idx):
-        members = member_idx[item]
+    for item, members in zip(present.tolist(), np.split(by_target, firsts[1:])):
         quota = int(min(quotas[item], len(members)))
         if quota == 0:
             continue
@@ -179,5 +178,5 @@ def select_exemplars(
             order = np.argsort(per_example_loss[members], kind="stable")[:quota].tolist()
         else:
             order = herding_order(feats[members], quota)
-        chosen.extend(members[j] for j in order)
-    return ExemplarSet([pool[i] for i in chosen], None if feats is None else feats[chosen])
+        chosen.extend(members[order].tolist())
+    return ExemplarSet(pool[np.array(chosen, dtype=np.int64)], None if feats is None else feats[chosen])

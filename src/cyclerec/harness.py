@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import CycleDataset, TrainingExample
+from .data import CycleDataset, Examples, TrainingExample
 from .exemplars import ExemplarSet, SelectionStrategy, select_exemplars
 from .losses import adaptive_lambda, ce_rows_from_logits, fisher_diagonal, teacher_probabilities
 from .metrics import CycleReport, aggregate, mrr_at_k, recall_at_k, target_ranks
@@ -177,7 +177,7 @@ class ExperimentState:
 
     model: ModelState
     exemplars: ExemplarSet | None = None
-    joint_buffer: list[TrainingExample] = field(default_factory=list)
+    joint_buffer: Examples = field(default_factory=Examples)
     ewc_anchor: np.ndarray | None = None  # laid out like ``model.flat_params``
     ewc_fisher: np.ndarray | None = None
     last_cycle: int = -1
@@ -196,17 +196,22 @@ def evaluate_model(
     """Full-ranking recall/MRR of ``model`` over the first ``item_range`` items.
 
     Targets outside the range cannot be ranked and count as misses; prefix
-    items outside the range are dropped (a fully-unseen prefix is a miss).
-    ``model.BLOCK_ROWS`` rows are encoded and ranked at a time, so the pass
-    holds one (BLOCK_ROWS, item_range) logit block of the model's workspace.
+    items outside the range are dropped, by a mask over the flat items (a
+    fully-unseen prefix is a miss). ``model.BLOCK_ROWS`` rows are encoded
+    and ranked at a time, so the pass holds one (BLOCK_ROWS, item_range)
+    logit block of the model's workspace.
     """
     if not examples:
         raise ValueError("evaluate_model: empty test set")
+    examples = Examples.of(examples)
     ranks = np.full(len(examples), np.inf)
-    prefixes = [tuple(j for j in ex.prefix if j < item_range) for ex in examples]
-    rows = np.array([i for i, ex in enumerate(examples) if ex.target < item_range and prefixes[i]], dtype=np.int64)
-    targets = np.array([examples[i].target for i in rows], dtype=np.int64)
-    feats = extract_features_batch(model, [prefixes[i] for i in rows])
+    seen = examples.items < item_range
+    kept = np.r_[0, np.cumsum(seen)]  # seen items before each position
+    lengths = kept[examples.starts + examples.lengths] - kept[examples.starts]
+    known = Examples(examples.items[seen], kept[examples.starts], lengths, examples.targets)
+    rows = np.flatnonzero((known.targets < item_range) & (lengths > 0))
+    targets = known.targets[rows]
+    feats = extract_features_batch(model, known[rows])
     for block, logits in logit_blocks(model, feats, item_range):
         ranks[rows[block]] = target_ranks(logits, targets[block])
     recall = {k: recall_at_k(ranks, k) for k in ks}
@@ -214,14 +219,16 @@ def evaluate_model(
     return recall, mrr, 1.0 - len(rows) / len(examples)
 
 
-def _validation_scores(model: ModelState, examples) -> tuple[float, float]:
+def _validation_scores(model: ModelState, examples: TableRows) -> tuple[float, float]:
     """Cross entropy and Recall@20 over the model's full item range, dropout off.
 
-    Each block of rows is ranked, then overwritten by its per-row cross
-    entropy; the loss is the mean of those (rows,) values.
+    ``examples`` is ``TableRows.of`` the validation examples, so that a
+    cycle builds their table once for all its epochs. Each block of rows is
+    ranked, then overwritten by its per-row cross entropy; the loss is the
+    mean of those (rows,) values.
     """
-    feats = extract_features_batch(model, [ex.prefix for ex in examples])
-    targets = np.array([ex.target for ex in examples])
+    feats = extract_features_batch(model, examples.table)
+    targets = examples.examples.targets
     ranks = np.empty(len(examples), dtype=np.int64)
     ce = np.empty(len(examples), dtype=feats.dtype)
     for block, logits in logit_blocks(model, feats, model.item_count):
@@ -257,11 +264,12 @@ def update_model(
         raise ValueError(f"update_model: cycle {t} has no training data")
     if audit is not None:
         audit.append(("train", t, len(cycle_data.train)))
+    train = Examples.of(cycle_data.train)
 
     model = state.model
     old_item_count = model.item_count
     store = state.exemplars
-    exemplar_examples = store.examples if store else []
+    exemplar_examples = store.examples if store else Examples()
     lambda_t = 0.0
     if method.kind in KD_KINDS and exemplar_examples:
         if method.kind is MethodKind.ADER_FIX:
@@ -269,9 +277,9 @@ def update_model(
         else:
             lambda_t = adaptive_lambda(
                 method.lambda_base, old_item_count, cycle_data.item_count_after,
-                len(exemplar_examples), len(cycle_data.train),
+                len(exemplar_examples), len(train),
             )
-    kd_examples = exemplar_examples if lambda_t != 0.0 else []
+    kd_examples = exemplar_examples if lambda_t != 0.0 else Examples()
     if kd_examples:
         # the model is still the previous cycle's restored one, which chose the
         # store and encoded its rows: the teacher's distributions need no new pass
@@ -282,9 +290,9 @@ def update_model(
         state.ewc_anchor = splice_item_rows(state.ewc_anchor, old_item_count, pad)
         state.ewc_fisher = splice_item_rows(state.ewc_fisher, old_item_count, pad)
 
-    ce_pool: list[TrainingExample] = list(cycle_data.train)
+    ce_pool = train
     if method.kind is MethodKind.JOINT:
-        ce_pool = list(state.joint_buffer) + ce_pool
+        ce_pool = state.joint_buffer + ce_pool
     if method.kind in ER_KINDS and exemplar_examples:
         ce_pool = ce_pool + exemplar_examples
 
@@ -300,7 +308,9 @@ def update_model(
     best_loss, best_epoch, stale, snapshot = math.inf, 0, 0, None
     records: list[EpochRecord] = []
     has_validation = bool(cycle_data.validation)
-    if not has_validation:
+    if has_validation:  # one table for every epoch's validation pass
+        validation = TableRows.of(cycle_data.validation, model.config.max_seq_len)
+    else:
         logger.warning("cycle %d has no validation examples; early stopping disabled", t)
 
     for epoch in range(1, loop_cfg.max_epochs + 1):
@@ -334,7 +344,7 @@ def update_model(
                              ("ewc", breakdown.ewc), ("total", breakdown.total)):
                 sums[key] += val
             steps += 1
-        val_loss, val_recall = _validation_scores(model, cycle_data.validation) if has_validation else (0.0, 0.0)
+        val_loss, val_recall = _validation_scores(model, validation) if has_validation else (0.0, 0.0)
         records.append(EpochRecord(t, epoch, sums["ce"] / steps, sums["kd"] / steps, sums["ewc"] / steps,
                                    sums["total"] / steps, lambda_t, val_loss, val_recall))
         logger.debug("cycle %d epoch %d: total=%.4f val_loss=%.4f val_recall@%d=%.4f",
@@ -352,7 +362,7 @@ def update_model(
                     t, records[-1].epoch, best_epoch, best_loss)
 
     if method.kind in EXEMPLAR_KINDS:
-        pool = list(cycle_data.train) + exemplar_examples
+        pool = train + exemplar_examples
         state.exemplars = select_exemplars(
             model, pool, method.exemplar_capacity, method.selection_strategy,
             seed=_derived_seed(loop_cfg.seed, t, 55),
@@ -363,7 +373,7 @@ def update_model(
         state.ewc_anchor = model.flat_params.copy()
         state.ewc_fisher = fisher_diagonal(model, state.exemplars.examples)
     if method.kind is MethodKind.JOINT:
-        state.joint_buffer.extend(cycle_data.train)
+        state.joint_buffer = state.joint_buffer + train
 
     state.last_cycle = t
     return records

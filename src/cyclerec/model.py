@@ -61,7 +61,7 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .data import TrainingExample
+from .data import Examples, TrainingExample
 from .losses import LossBreakdown, ce_from_logits, kd_from_logits
 
 LN_EPS = 1e-8
@@ -431,25 +431,33 @@ def _encode_batch(
 
 
 class PrefixTable:
-    """Rows' last ``max_seq_len`` items, flat (``items``, ``starts``, ``lengths``), ranked once to find roots.
+    """Rows' last ``max_seq_len`` items (``items[starts : starts + lengths]``), ranked once to find roots.
 
-    ``rank`` orders the distinct trimmed prefixes lexicographically, and the ranks that start with distinct prefix
-    ``r`` run from ``r`` to ``_last[r]``, found over a sparse table of common-prefix lengths' range minima.
+    The rows are an ``Examples``' prefixes, whose item array the table shares, or a sequence of prefixes, laid
+    out flat; trimming moves ``starts``. ``rank`` orders the distinct trimmed prefixes lexicographically, and the
+    ranks that start with distinct prefix ``r`` run from ``r`` to ``_last[r]``, found over a sparse table of
+    common-prefix lengths' range minima.
     """
 
-    def __init__(self, prefixes: Sequence[Sequence[int]], max_seq_len: int):
+    def __init__(self, prefixes: Examples | Sequence[Sequence[int]], max_seq_len: int):
         self.max_seq_len = max_seq_len
-        trimmed = [p[-max_seq_len:] for p in prefixes]
-        n = len(trimmed)
-        self.lengths = np.fromiter(map(len, trimmed), dtype=np.int64, count=n)
-        if n and self.lengths.min() < 1:
+        if isinstance(prefixes, Examples):
+            items, starts, lengths = prefixes.items, prefixes.starts, prefixes.lengths
+        else:
+            lengths = np.fromiter(map(len, prefixes), dtype=np.int64, count=len(prefixes))
+            items = np.fromiter(itertools.chain.from_iterable(prefixes), dtype=np.int64, count=lengths.sum())
+            starts = np.cumsum(lengths) - lengths
+        n = len(lengths)
+        if n and lengths.min() < 1:
             raise ValueError("empty prefix")
-        self.starts = np.cumsum(self.lengths) - self.lengths
-        self.items = np.fromiter(itertools.chain.from_iterable(trimmed), dtype=np.int64, count=self.lengths.sum())
-        # padded below every item, a row sorts right before the rows it is a prefix of, as tuples do
-        padded = np.full((n, self.lengths.max(initial=1)), self.items.min(initial=0) - 1, dtype=np.int64)
+        cut = np.maximum(lengths - max_seq_len, 0)
+        self.items, self.starts, self.lengths = items, starts + cut, lengths - cut
         row = np.repeat(np.arange(n), self.lengths)
-        padded[row, np.arange(len(self.items)) - self.starts[row]] = self.items
+        col = np.arange(len(row)) - (np.cumsum(self.lengths) - self.lengths)[row]
+        trimmed = items[self.starts[row] + col]
+        # padded below every item, a row sorts right before the rows it is a prefix of, as tuples do
+        padded = np.full((n, self.lengths.max(initial=1)), trimmed.min(initial=0) - 1, dtype=np.int64)
+        padded[row, col] = trimmed
         order = np.lexsort(padded.T[::-1])
         differs = padded[order[1:]] != padded[order[:-1]]
         new = differs.any(axis=1)
@@ -487,29 +495,27 @@ class PrefixTable:
 
 @dataclass(frozen=True, eq=False)
 class TableRows(Sequence):
-    """Positions ``rows`` of ``examples``, whose prefixes ``table`` and targets ``targets`` hold: a step's rows.
+    """Positions ``rows`` of ``examples``, whose prefixes ``table`` holds: a step's rows.
 
     A slice or an index array gives the view of those positions; an integer, or iteration, the examples.
     """
 
     table: PrefixTable
-    examples: Sequence[TrainingExample]
-    targets: np.ndarray
+    examples: Examples
     rows: np.ndarray
 
     @classmethod
     def of(cls, examples: Sequence[TrainingExample], max_seq_len: int) -> "TableRows":
         """Every row of ``examples``, in a table of their own."""
-        targets = np.fromiter((ex.target for ex in examples), dtype=np.int64, count=len(examples))
-        return cls(PrefixTable([ex.prefix for ex in examples], max_seq_len), examples, targets,
-                   np.arange(len(examples)))
+        examples = Examples.of(examples)
+        return cls(PrefixTable(examples, max_seq_len), examples, np.arange(len(examples)))
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def __getitem__(self, i):
         if isinstance(i, (slice, np.ndarray)):
-            return TableRows(self.table, self.examples, self.targets, self.rows[i])
+            return TableRows(self.table, self.examples, self.rows[i])
         return self.examples[self.rows[i]]
 
 
@@ -724,17 +730,20 @@ def _encode_backward(state: ModelState, cache: dict, dfeats: np.ndarray, grads: 
     _scatter_rows(grads["pos_emb"], cache["pos"].ravel()[real], flat_dx, ws)
 
 
-def extract_features_batch(state: ModelState, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+def extract_features_batch(
+    state: ModelState, prefixes: PrefixTable | Examples | Sequence[Sequence[int]]
+) -> np.ndarray:
     """Feature vectors (final-block output at the last position) per prefix, dropout off.
 
-    The prefixes go into one ``PrefixTable``; each range of ``BLOCK_ROWS``
-    of its rows is encoded in the model's workspace, and its features are
-    copied out before the next.
+    The prefixes go into one ``PrefixTable``, unless they are one; each
+    range of ``BLOCK_ROWS`` of its rows is encoded in the model's workspace,
+    and its features are copied out before the next.
     """
-    table = PrefixTable(prefixes, state.config.max_seq_len)
-    out = np.empty((len(prefixes), state.config.embed_dim), dtype=state.config.np_dtype)
-    for lo in range(0, len(prefixes), BLOCK_ROWS):
-        rows = np.arange(lo, min(lo + BLOCK_ROWS, len(prefixes)))
+    table = prefixes if isinstance(prefixes, PrefixTable) else PrefixTable(prefixes, state.config.max_seq_len)
+    count = len(table.lengths)
+    out = np.empty((count, state.config.embed_dim), dtype=state.config.np_dtype)
+    for lo in range(0, count, BLOCK_ROWS):
+        rows = np.arange(lo, min(lo + BLOCK_ROWS, count))
         out[lo : lo + len(rows)], _ = _encode_rows(state, table, rows)
     return out
 
@@ -811,7 +820,7 @@ def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdow
         raise ValueError("loss_and_gradients: the CE and KD rows must be TableRows of one PrefixTable")
     terms = []  # (name, rows, loss, labels, items scored, weight): CE over every item, KD over the teacher's
     if len(ce_rows):
-        targets = ce_rows.targets[ce_rows.rows]
+        targets = ce_rows.examples.targets[ce_rows.rows]
         if targets.max() >= state.item_count:
             raise ValueError("loss_and_gradients: CE target outside item range")
         terms.append(("ce", ce_rows, ce_from_logits, targets, state.item_count, 1.0))

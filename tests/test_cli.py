@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from cyclerec.cli import ConfigError, _load_config, build_datasets, main, resolve_config
-from cyclerec.data import load_cycles
+from cyclerec.data import TrainingExample, load_cycles
 from cyclerec.reporting import read_cycle_reports
 
 REPO = Path(__file__).resolve().parents[1]
@@ -267,6 +267,26 @@ def test_preprocess_writes_cycles_and_statistics(tmp_path, capsys):
     stats_lines = (out / "statistics.txt").read_text().strip().splitlines()
     cycles = load_cycles(out / "cycles.txt")
     assert len(stats_lines) == 1 + len(cycles)  # header + one row per cycle
+
+
+def test_preprocess_makes_no_training_example(tmp_path, capsys, monkeypatch):
+    # the examples travel as columns from the split to the file: no object per example
+    made = []
+    init = TrainingExample.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TrainingExample, "__init__", counting)
+    out = tmp_path / "prep"
+    assert main(["preprocess", "--input", str(write_events(tmp_path)), "--out", str(out),
+                 "--min-item-support", "2", "--period-days", "7", "--max-seq-len", "2"]) == 0
+    assert made == []
+    cycles = load_cycles(out / "cycles.txt")
+    assert made == [] and len(cycles[0].train) > 1
+    cycles[0].train[0]  # an example read by index is built: the counter sees it
+    assert made == [1]
 
 
 def test_preprocess_statistics_do_not_depend_on_max_seq_len(tmp_path, capsys):

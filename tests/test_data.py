@@ -3,15 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cyclerec.data as data_mod
 from cyclerec.data import (
     ColumnFormat,
     CycleDataset,
     EventLog,
+    Examples,
     ItemRegistry,
     Session,
     SyntheticStreamConfig,
     TrainingExample,
-    expand_session,
     generate_synthetic_stream,
     ingest,
     load_cycles,
@@ -75,6 +76,18 @@ def test_ingest_skips_timestamps_outside_int64(tmp_path, bad):
     assert log.skipped == 1
     assert rows_of(log) == [("a", 1, "x"), ("b", -5, "z"), ("b", 9 * 10**18, "w")]
     assert log.item_keys == ["x", "z", "w"]  # a skipped row's keys get no code
+
+
+def test_ingest_reads_integer_timestamps_exactly(tmp_path):
+    # read through a float, 2**53 + 1 became 2**53: b (listed first) then tied a and came out first
+    path = tmp_path / "log.csv"
+    path.write_text("session_id,timestamp,item_id\ns,9007199254740993,b\ns,9007199254740992,a\n"
+                    "t,9223372036854775807,c\nt,-9223372036854775808,d\n")
+    log = ingest(path)
+    assert log.skipped == 0
+    assert log.timestamps.tolist() == [2**53 + 1, 2**53, 2**63 - 1, -(2**63)]
+    sessions, registry = preprocess(log, min_item_support=1)
+    assert [[registry.index_to_key[i] for i in s.items] for s in sessions] == [["d", "c"], ["a", "b"]]
 
 
 def test_ingest_holds_under_150_bytes_per_event(tmp_path):
@@ -268,6 +281,16 @@ def reference_preprocess(rows, min_item_support=5, min_session_length=2):
     registry = ItemRegistry()
     sessions = [Session([registry.register(k) for k in keys], start) for start, _, keys in raw_sessions]
     return sessions, registry
+
+
+def expand_session(session, max_seq_len=50):
+    """All-prefix expansion, one ``TrainingExample`` per position j >= 1, its prefix the last ``max_seq_len`` items."""
+    items = session.items
+    if len(items) < 2:
+        raise ValueError("split_cycles: session shorter than 2")
+    if max_seq_len < 1:
+        raise ValueError(f"split_cycles: max_seq_len must be >= 1, got {max_seq_len}")
+    return [TrainingExample(tuple(items[max(0, j - max_seq_len) : j]), items[j]) for j in range(1, len(items))]
 
 
 def reference_split_cycles(sessions, registry, period_seconds, validation_fraction, seed, max_seq_len):
@@ -486,6 +509,98 @@ def test_split_monotone_vocabulary_and_first_seen():
     # expansion count: sum(len-1) per bucket equals example count
     total = sum(len(s.items) - 1 for s in sessions)
     assert sum(len(d.train) + len(d.validation) for d in datasets) == total
+
+
+def _long_sessions(rng, max_seq_len, count):
+    """Sessions of 2 to 3 * ``max_seq_len`` items over a small vocabulary, starting over about three weeks."""
+    item_lists = [[f"i{k}" for k in rng.integers(0, 12, size=int(rng.integers(2, 3 * max_seq_len + 1))).tolist()]
+                  for _ in range(count)]
+    return _registered_sessions(item_lists, rng.integers(0, 3 * WEEK, size=count).tolist())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_split_cycles_equals_the_expansion_reference(seed):
+    # the columns, row for row, against one TrainingExample per position
+    rng = np.random.default_rng(seed)
+    max_seq_len = int(rng.integers(1, 6))
+    split = {"period_seconds": WEEK, "validation_fraction": float(rng.choice([0.0, 0.1, 0.3])), "seed": seed,
+             "max_seq_len": max_seq_len}
+    count = int(rng.integers(2, 60))
+    datasets = split_cycles(*_long_sessions(np.random.default_rng(seed), max_seq_len, count), **split)
+    reference = reference_split_cycles(*_long_sessions(np.random.default_rng(seed), max_seq_len, count), **split)
+    assert [(list(ds.train), list(ds.validation)) for ds in datasets] == \
+        [(list(ds.train), list(ds.validation)) for ds in reference]
+    assert datasets == reference
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_synthetic_stream_equals_the_expansion_reference(monkeypatch, seed):
+    # each cycle's sessions, as the generator laid them out, expanded one TrainingExample per position and
+    # split by the same validation draw
+    max_seq_len, fraction = int(np.random.default_rng(seed).integers(1, 5)), 0.2
+    cfg = SyntheticStreamConfig(cycle_count=3, sessions_per_cycle=40, mean_session_length=3 * max_seq_len,
+                                initial_vocab=30, new_items_per_cycle=4, seed=seed)
+    sessions = []
+    real = data_mod._expand
+
+    def recording(items, lengths, max_len):
+        bounds = np.r_[0, np.cumsum(lengths)].tolist()
+        sessions.append([items.tolist()[a:b] for a, b in zip(bounds, bounds[1:])])
+        return real(items, lengths, max_len)
+
+    monkeypatch.setattr(data_mod, "_expand", recording)
+    datasets, _ = generate_synthetic_stream(cfg, max_seq_len=max_seq_len, validation_fraction=fraction)
+    assert max(len(s) for cycle in sessions for s in cycle) > max_seq_len + 1  # some prefixes are trimmed
+    for t, (ds, cycle) in enumerate(zip(datasets, sessions)):
+        examples = [ex for items in cycle for ex in expand_session(Session(items, 0), max_seq_len)]
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, t, 1]))
+        picked = set(rng.permutation(len(examples))[:int(len(examples) * fraction)].tolist())
+        assert list(ds.train) == [ex for i, ex in enumerate(examples) if i not in picked]
+        assert list(ds.validation) == [ex for i, ex in enumerate(examples) if i in picked]
+
+
+def test_examples_index_slice_mask_concatenate_and_compare():
+    rows = [TrainingExample((1, 2), 3), TrainingExample((4,), 5), TrainingExample((6, 7, 8), 9)]
+    # prefixes as ranges of one array, overlapping and out of order
+    examples = Examples([9, 1, 2, 4, 6, 7, 8], [1, 3, 4], [2, 1, 3], [3, 5, 9])
+    assert len(examples) == 3 and list(examples) == rows
+    assert examples[0] == rows[0] and examples[-1] == rows[-1]
+    assert isinstance(examples[np.int64(1)], TrainingExample) and examples[np.int64(1)] == rows[1]
+    with pytest.raises(IndexError):
+        examples[3]
+    assert examples[1:] == rows[1:] and isinstance(examples[1:], Examples)
+    assert examples[np.array([2, 0, 2])] == [rows[2], rows[0], rows[2]]
+    assert examples[np.array([True, False, True])] == [rows[0], rows[2]]
+    assert examples + examples[:1] == rows + rows[:1]
+    assert examples + rows == rows + rows and (examples + rows).items.tolist() == [1, 2, 4, 6, 7, 8] * 2
+    assert examples == Examples.of(rows) and Examples.of(examples) is examples
+    assert examples != Examples.of(rows[::-1]) and examples != rows[:2]
+    assert examples != Examples([1, 2, 4, 6, 7, 9], [0, 2, 3], [2, 1, 3], [3, 5, 9])  # one item differs
+    assert Examples() == [] and len(Examples()) == 0 and not Examples() and list(Examples()) == []
+    assert Examples() + Examples() == Examples() == Examples.of([]) == examples[:0] == examples[np.zeros(3, bool)]
+    with pytest.raises(ValueError):
+        examples.items[0] = 5  # the columns are read-only
+    with pytest.raises(ValueError, match="outside the 2 items"):
+        Examples([1, 2], [1], [2], [3])
+    with pytest.raises(ValueError, match="starts and lengths"):
+        Examples([1, 2], [0, 1], [1], [3])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_save_load_save_is_byte_identical_on_trimmed_rows(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    datasets = split_cycles(*_long_sessions(rng, 3, 50), period_seconds=WEEK, validation_fraction=0.3, seed=seed,
+                            max_seq_len=3)
+    assert any(len(ex.prefix) == 3 for ds in datasets for ex in ds.examples)
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    save_cycles(datasets, first)
+    loaded = load_cycles(first)
+    assert loaded == datasets
+    save_cycles(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+    lines = [f"{ds.cycle_id}\t{' '.join(map(str, ex.prefix))}\t{ex.target}\t{tag}"
+             for ds in datasets for tag, part in (("train", ds.train), ("val", ds.validation)) for ex in part]
+    assert [line for line in first.read_text().splitlines() if not line.startswith("#")] == lines
 
 
 # ---------------------------------------------------------------------------

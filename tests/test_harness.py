@@ -297,8 +297,8 @@ def test_epochs_visit_whole_session_chains_in_steps_of_batch_size(monkeypatch, m
     steps = []
     real = harness_mod.loss_and_gradients
 
-    def recording(model, spec):
-        steps.append(list(spec.ce_examples))
+    def recording(model, spec):  # a step's rows, by their index in the cycle's CE pool, and its examples
+        steps.append((spec.ce_examples.rows.tolist(), list(spec.ce_examples)))
         return real(model, spec)
 
     monkeypatch.setattr(harness_mod, "loss_and_gradients", recording)
@@ -311,22 +311,24 @@ def test_epochs_visit_whole_session_chains_in_steps_of_batch_size(monkeypatch, m
         steps.clear()
         update_model(state, datasets[0], spec, loop)
         update_model(state, datasets[1], spec, loop)
-        orders.append([[id(ex) for ex in step] for step in steps])
+        orders.append([rows for rows, _ in steps])
     assert orders[0] == orders[1]
 
     pool = datasets[0].train + datasets[1].train if method is MethodKind.JOINT else datasets[1].train
     chains = harness_mod._session_chains(PrefixTable([ex.prefix for ex in pool], MODEL_CFG.max_seq_len), len(pool))
     assert max(len(chain) for chain in chains) > 1
-    chain_of = {id(pool[i]): c for c, chain in enumerate(chains) for i in chain.tolist()}
+    chain_of = {i: c for c, chain in enumerate(chains) for i in chain.tolist()}
     for c, chain in enumerate(chains):  # a chain nests in its longest row
         longest = max((pool[i].prefix for i in chain.tolist()), key=len)
         assert all(longest[: len(pool[i].prefix)] == pool[i].prefix for i in chain.tolist())
     per_epoch = math.ceil(len(pool) / loop.batch_size)
     cycle_steps = orders[0][-2 * per_epoch :]  # cycle 1's two epochs
+    for rows, examples in steps[-2 * per_epoch :]:  # the rows index the pool
+        assert examples == [pool[i] for i in rows]
     for epoch in (cycle_steps[:per_epoch], cycle_steps[per_epoch:]):
         assert [len(step) for step in epoch[:-1]] == [loop.batch_size] * (per_epoch - 1)
         rows = [row for step in epoch for row in step]
-        assert sorted(rows) == sorted(id(ex) for ex in pool)  # every pool row once
+        assert sorted(rows) == list(range(len(pool)))  # every pool row once
         runs = [chain_of[row] for k, row in enumerate(rows) if k == 0 or chain_of[row] != chain_of[rows[k - 1]]]
         assert len(runs) == len(set(runs)) == len(chains)  # each chain in one contiguous run
     assert cycle_steps[:per_epoch] != cycle_steps[per_epoch:]  # epochs reorder the chains

@@ -6,7 +6,7 @@ import pytest
 
 import packing_reference
 from step_rows import batch_spec
-from cyclerec.data import TrainingExample
+from cyclerec.data import Examples, TrainingExample
 from cyclerec.losses import _softmax, teacher_probabilities
 from cyclerec.model import (
     BatchSpec,
@@ -400,6 +400,36 @@ def test_prefix_table_roots_and_pack_equal_the_reference_loops():
         (start, count), (ref_start, ref_count) = _pack(lengths), packing_reference.pack(lengths)
         np.testing.assert_array_equal(start, ref_start, err_msg=f"case {case}")
         assert count == ref_count, f"case {case}"
+
+
+def test_prefix_table_from_examples_equals_the_tuple_built_table():
+    # prefixes as overlapping ranges of one shared array, viewed through a mask and an index array:
+    # trimming moves the starts, and the ranks, extension ranges and roots must be the tuple-built table's
+    for case in range(300):
+        rng = np.random.default_rng(case)
+        vocab, max_len = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        items = rng.integers(0, vocab, size=int(rng.integers(1, 40)))
+        lengths = rng.integers(1, 10, size=int(rng.integers(1, 50)))
+        lengths = np.minimum(lengths, len(items))
+        starts = rng.integers(0, len(items) - lengths + 1)
+        examples = Examples(items, starts, lengths, rng.integers(0, vocab, size=len(lengths)))
+        view = examples
+        if case % 2:  # a mask, then an index array with repeats
+            view = examples[rng.random(len(examples)) < 0.8]
+            view = view[rng.integers(0, len(view), size=len(view))]
+        if not len(view):
+            continue
+        prefixes = [ex.prefix for ex in view]
+        columns, tuples = PrefixTable(view, max_len), PrefixTable(prefixes, max_len)
+        assert columns.items is view.items  # the table shares the item array
+        np.testing.assert_array_equal(columns.rank, tuples.rank, err_msg=f"case {case}")
+        np.testing.assert_array_equal(columns._last, tuples._last, err_msg=f"case {case}")
+        np.testing.assert_array_equal(columns.lengths, tuples.lengths, err_msg=f"case {case}")
+        rows = rng.permutation(len(view))[: int(rng.integers(1, len(view) + 1))]
+        np.testing.assert_array_equal(columns.roots(rows), tuples.roots(rows), err_msg=f"case {case}")
+        for i in range(len(view)):  # each row's trimmed prefix
+            lo = columns.starts[i]
+            assert tuple(columns.items[lo : lo + columns.lengths[i]].tolist()) == prefixes[i][-max_len:]
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

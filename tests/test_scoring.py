@@ -21,7 +21,7 @@ from cyclerec.exemplars import SelectionStrategy, allocate_quota, select_exempla
 from cyclerec.harness import VAL_RECALL_K, _validation_scores, evaluate_model
 from cyclerec.losses import _softmax, ce_from_logits, teacher_probabilities
 from cyclerec.metrics import recall_at_k, target_ranks
-from cyclerec.model import ModelConfig, extract_features_batch, init_model, logit_blocks
+from cyclerec.model import ModelConfig, TableRows, extract_features_batch, init_model, logit_blocks
 
 CFG = ModelConfig(embed_dim=16, block_count=1, max_seq_len=8)  # float32
 ROWS, ITEMS = 40, 50
@@ -103,7 +103,8 @@ def test_validation_scores_match_one_array(model, examples, batch_size):
     targets = np.array([ex.target for ex in examples])
     expected_recall = recall_at_k(target_ranks(logits, targets), VAL_RECALL_K)
     expected_loss, _ = ce_from_logits(logits, targets)
-    assert _validation_scores(model, examples) == (expected_loss, expected_recall)
+    rows = TableRows.of(examples, model.config.max_seq_len)
+    assert _validation_scores(model, rows) == (expected_loss, expected_recall)
 
 
 def test_loss_rule_picks_the_one_array_rows_in_order(model, batch_size):
@@ -160,7 +161,7 @@ def test_full_vocabulary_pass_holds_a_block_not_the_rows(big, site):
     feats = extract_features_batch(model, [ex.prefix for ex in examples[:TEACHER_ROWS]])
     run = {
         "evaluation": lambda: evaluate_model(model, examples, BIG_ITEMS),
-        "validation": lambda: _validation_scores(model, examples),
+        "validation": lambda: _validation_scores(model, TableRows.of(examples, model.config.max_seq_len)),
         "loss rule": lambda: select_exemplars(model, examples, 1000, SelectionStrategy.LOSS),
         "teacher rows": lambda: teacher_probabilities(model, feats, BIG_ITEMS),
     }[site]
