@@ -28,10 +28,11 @@ import csv
 import logging
 import math
 import numbers
+import re
 from array import array
 from dataclasses import dataclass, field
 from bisect import bisect_left
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -590,56 +591,115 @@ def load_cycles(path: str | Path) -> list[CycleDataset]:
     but the last holds a ``train`` line and the last holds a line; a break names the cycle header's line.
     Each split of a cycle is read into three integer columns: prefix items, prefix lengths and targets.
     """
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    # the whole file at once; only a file that fails a check is read again line by line, to name the line
+    cycles = _cycle_columns(text)
+    if cycles is None:
+        cycles = _cycle_lines(path, text.split("\n"))
+    return [CycleDataset(cycle_id, *(_back_to_back(*split) for split in splits.values()), item_count)
+            for cycle_id, (item_count, splits) in enumerate(zip(*cycles))]
+
+
+_CYCLE_HEADER = re.compile(r"^# cycle (\d+) items (\d+)$", re.MULTILINE)
+
+
+def _cycle_columns(text: str) -> tuple[list[int], list[dict[str, tuple]]] | None:
+    """Each cycle's item count and its splits' columns (items, lengths, targets), or None if a check fails.
+
+    Every line of a cycle is split at once, and its integers are converted and range-checked as arrays.
+    """
+    headers = list(_CYCLE_HEADER.finditer(text))
+    if not headers or headers[0].start() != 0:
+        return None
+    item_counts: list[int] = []
+    columns: list[dict[str, tuple]] = []
+    for cycle_id, (header, after) in enumerate(zip(headers, headers[1:] + [None])):
+        items = int(header[2])
+        if int(header[1]) != cycle_id or items < (item_counts[-1] if item_counts else 0):
+            return None
+        lines = text[header.end() + 1 : after.start() if after else len(text)].split("\n")
+        if lines.pop() != "":
+            return None
+        n = len(lines)
+        if not n or (np.fromiter(map(str.count, lines, repeat("\t")), dtype=np.int64, count=n) != 3).any():
+            return None
+        fields = "\t".join(lines).split("\t")
+        if fields[0::4].count(str(cycle_id)) != n:
+            return None
+        prefixes, tags = fields[1::4], np.array(fields[3::4])
+        train = tags == "train"
+        joined = " ".join(prefixes)
+        tokens = joined.split()
+        if " ".join(tokens) != joined:  # items one space apart, so a line's spaces count its items
+            return None
+        try:
+            lengths = np.fromiter(map(str.count, prefixes, repeat(" ")), dtype=np.int64, count=n) + 1
+            prefix_items = np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
+            targets = np.fromiter(map(int, fields[2::4]), dtype=np.int64, count=n)
+        except (ValueError, OverflowError):
+            return None
+        if ((train | (tags == "val")).sum() != n
+                or min(prefix_items.min(), targets.min()) < 0 or max(prefix_items.max(), targets.max()) >= items
+                or (after is not None and not train.any())):
+            return None
+        splits = {}
+        for tag, rows in (("train", train), ("val", ~train)):
+            splits[tag] = (prefix_items[np.repeat(rows, lengths)], lengths[rows], targets[rows])
+        item_counts.append(items)
+        columns.append(splits)
+    return item_counts, columns
+
+
+def _cycle_lines(path: str | Path, lines: list[str]) -> tuple[list[int], list[dict[str, tuple]]]:
+    """``_cycle_columns``, line by line: a malformed line is a ``ValueError`` naming the path and line."""
     item_counts: list[int] = []  # per cycle
     columns: list[dict[str, tuple[array, array, array]]] = []  # per cycle and split tag
     header = str(path)  # where the last cycle header stands
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                where = f"{path}:{lineno}"
-                parts = line.split()
-                if len(parts) != 5 or parts[:2] != ["#", "cycle"] or parts[3] != "items":
-                    raise ValueError(f"{where}: malformed cycle header {line!r}, expected '# cycle <id> items <count>'")
-                cycle_id, items = _ints(parts[2::2], path, lineno)
-                if cycle_id != len(item_counts):
-                    raise ValueError(f"{where}: cycle {cycle_id} out of sequence, expected cycle {len(item_counts)}")
-                floor = item_counts[-1] if item_counts else 0
-                if items < floor:
-                    raise ValueError(f"{where}: the item count falls from {floor} to {items}")
-                if columns and not columns[-1]["train"][1]:
-                    raise ValueError(f"{header}: cycle {cycle_id - 1} has no 'train' line")
-                item_counts.append(items)
-                columns.append({tag: (array("q"), array("q"), array("q")) for tag in ("train", "val")})
-                header = where
-                continue
-            # an example line names its place only when it fails
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
-            cycle_s, prefix_s, target_s, tag = fields
-            if tag not in ("train", "val"):
-                raise ValueError(f"{path}:{lineno}: split tag {tag!r} is neither 'train' nor 'val'")
-            cycle_id, *prefix, target = _ints([cycle_s, *prefix_s.split(), target_s], path, lineno)
-            if not item_counts or len(item_counts) - 1 != cycle_id:
-                under = f"cycle {len(item_counts) - 1}" if item_counts else "no cycle header"
-                raise ValueError(f"{path}:{lineno}: example of cycle {cycle_s} under {under}")
-            if not prefix:
-                raise ValueError(f"{path}:{lineno}: empty prefix")
-            if min(target, *prefix) < 0 or max(target, *prefix) >= item_counts[-1]:
-                raise ValueError(f"{path}:{lineno}: item index outside cycle {cycle_s}'s [0, {item_counts[-1]})")
-            prefix_items, lengths, targets = columns[-1][tag]
-            prefix_items.extend(prefix)
-            lengths.append(len(prefix))
-            targets.append(target)
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        if line.startswith("#"):
+            where = f"{path}:{lineno}"
+            parts = line.split()
+            if len(parts) != 5 or parts[:2] != ["#", "cycle"] or parts[3] != "items":
+                raise ValueError(f"{where}: malformed cycle header {line!r}, expected '# cycle <id> items <count>'")
+            cycle_id, items = _ints(parts[2::2], path, lineno)
+            if cycle_id != len(item_counts):
+                raise ValueError(f"{where}: cycle {cycle_id} out of sequence, expected cycle {len(item_counts)}")
+            floor = item_counts[-1] if item_counts else 0
+            if items < floor:
+                raise ValueError(f"{where}: the item count falls from {floor} to {items}")
+            if columns and not columns[-1]["train"][1]:
+                raise ValueError(f"{header}: cycle {cycle_id - 1} has no 'train' line")
+            item_counts.append(items)
+            columns.append({tag: (array("q"), array("q"), array("q")) for tag in ("train", "val")})
+            header = where
+            continue
+        # an example line names its place only when it fails
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
+        cycle_s, prefix_s, target_s, tag = fields
+        if tag not in ("train", "val"):
+            raise ValueError(f"{path}:{lineno}: split tag {tag!r} is neither 'train' nor 'val'")
+        cycle_id, *prefix, target = _ints([cycle_s, *prefix_s.split(), target_s], path, lineno)
+        if not item_counts or len(item_counts) - 1 != cycle_id:
+            under = f"cycle {len(item_counts) - 1}" if item_counts else "no cycle header"
+            raise ValueError(f"{path}:{lineno}: example of cycle {cycle_s} under {under}")
+        if not prefix:
+            raise ValueError(f"{path}:{lineno}: empty prefix")
+        if min(target, *prefix) < 0 or max(target, *prefix) >= item_counts[-1]:
+            raise ValueError(f"{path}:{lineno}: item index outside cycle {cycle_s}'s [0, {item_counts[-1]})")
+        prefix_items, lengths, targets = columns[-1][tag]
+        prefix_items.extend(prefix)
+        lengths.append(len(prefix))
+        targets.append(target)
     if not item_counts:
         raise ValueError(f"{path}: no cycle header")
     if not any(lengths for _, lengths, _ in columns[-1].values()):
         raise ValueError(f"{header}: the last cycle, {len(item_counts) - 1}, holds no example")
-    return [CycleDataset(cycle_id, *(_back_to_back(*split) for split in splits.values()), item_count)
-            for cycle_id, (item_count, splits) in enumerate(zip(item_counts, columns))]
+    return item_counts, columns
 
 
 def stream_statistics(

@@ -29,8 +29,12 @@ def target_ranks(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     t = logits[np.arange(len(targets)), targets][:, None]
     if not np.isfinite(t).all():
         raise ValueError("target_ranks: a target's score is not finite")
-    lower = np.arange(logits.shape[1]) < targets[:, None]
-    return 1 + (logits > t).sum(axis=1) + ((logits == t) & lower).sum(axis=1)
+    ranks = 1 + np.count_nonzero(logits > t, axis=1)
+    equal = logits == t
+    tied = np.flatnonzero(np.count_nonzero(equal, axis=1) > 1)  # the target itself is always one
+    for row in tied.tolist():  # rare: count only the equal scores before the target
+        ranks[row] += np.count_nonzero(equal[row, : targets[row]])
+    return ranks
 
 
 def recall_at_k(ranks: Sequence[float], k: int) -> float:

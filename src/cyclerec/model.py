@@ -43,9 +43,14 @@ are views of their segments, written only in place. Every per-step
 array of a training step (packed layout, dropout masks, forward cache,
 backward temporaries, logits, gradients) is written with ``out=`` into
 the model's ``Workspace``, whose buffers grow to the largest step and are
-then reused (the dropout draw's raw words excepted). A ``ModelState``
-and its copies share one workspace, so
-every pass of a run, in every cycle, reuses the same buffers. Adam runs
+then reused (the dropout draw's raw words excepted). What outlives one
+call is built once there too: the view of each recent (key, shape,
+dtype), the gradients' named views, the ones and mean vectors of the
+column sums and layer norms, and each width's causal mask; a replaced
+buffer takes its views with it. A ``ModelState`` and its copies share
+one workspace, so every pass of a run, in every cycle, reuses the same
+buffers. None of this changes a floating-point operation: run
+directories stay byte-identical. Adam runs
 over the flat vectors in chunks that stay in cache. Every inference
 pass runs in blocks of ``BLOCK_ROWS`` rows, so a full-vocabulary scoring
 pass holds one block's logits.
@@ -68,6 +73,7 @@ LN_EPS = 1e-8
 MASK_FILL = -1e9
 NEW_ROW_SCALE = 0.01
 BLOCK_ROWS = 512  # rows per block of every inference pass: encoder chunks and full-vocabulary logit blocks
+VIEWS_PER_KEY = 4  # views a workspace keeps per buffer: a step asks for each key in one or two shapes
 ADAM_CHUNK = 1 << 16  # elements per Adam pass: the pass's five arrays stay in a core's L2 cache
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -102,24 +108,64 @@ class ModelConfig:
 
 
 class Workspace:
-    """Per-call arrays reused across the steps and passes of one run.
+    """Per-call arrays, their views and constants, reused across the steps and passes of one run.
 
     ``ws(key, shape, dtype)`` returns a C-contiguous array of that shape
     cut from the buffer kept under ``key``. A buffer is replaced when a
-    request outgrows it and reused otherwise; its contents are whatever the
-    last user left. So an array taken in one step is valid until the next
-    step on the same workspace.
+    request outgrows it or asks for another dtype, and reused otherwise; its
+    contents are whatever the last user left. So an array taken in one step
+    is valid until the next step on the same workspace. With ``fill``, a new
+    buffer is filled with that value and its users only read it: one vector
+    of ones serves every length.
+
+    The view for each (key, shape, dtype) is cut once and kept, and so is
+    each object built on one (``_built``: the gradients' named views). Both
+    are dropped when their buffer is replaced, so no view keeps a replaced
+    buffer alive. ``_constant`` keeps arrays that depend only on their key
+    (the causal mask of a width, the layer norm's mean vector); they hold no
+    buffer.
     """
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
+        self._views: dict[tuple, np.ndarray] = {}  # (key, shape, dtype) -> view of _buffers[key]
+        self._view_keys: dict[str, list[tuple]] = {}  # key -> its entries in _views
+        self._built_on: dict[str, tuple] = {}  # key -> (view, tag, object built on the view)
+        self._constants: dict[tuple, np.ndarray] = {}
 
-    def __call__(self, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    def __call__(self, key: str, shape: tuple[int, ...], dtype, fill=None) -> np.ndarray:
+        entry = (key, shape, dtype)
+        view = self._views.get(entry)
+        if view is not None:
+            return view
         size = math.prod(shape)
         buf = self._buffers.get(key)
         if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = self._buffers[key] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
+            buf = self._buffers[key] = np.empty(size, dtype) if fill is None else np.full(size, fill, dtype)
+            for old in self._view_keys.pop(key, ()):
+                del self._views[old]
+            self._built_on.pop(key, None)
+        view = self._views[entry] = buf[:size].reshape(shape)
+        entries = self._view_keys.setdefault(key, [])
+        entries.append(entry)
+        if len(entries) > VIEWS_PER_KEY:  # shapes follow the step: keep the recent ones
+            del self._views[entries.pop(0)]
+        return view
+
+    def _built(self, key: str, shape: tuple[int, ...], dtype, tag, build):
+        """``build(ws(key, shape, dtype))``, made again only when that view or ``tag`` changes."""
+        view = self(key, shape, dtype)
+        made = self._built_on.get(key)
+        if made is None or made[0] is not view or made[1] is not tag:
+            made = self._built_on[key] = (view, tag, build(view))
+        return made[2]
+
+    def _constant(self, key: tuple, make) -> np.ndarray:
+        """``make()``, built on the first request for ``key`` and kept; its users only read it."""
+        value = self._constants.get(key)
+        if value is None:
+            value = self._constants[key] = make()
+        return value
 
 
 def _param_shapes(cfg: ModelConfig, item_count: int) -> dict[str, tuple[int, ...]]:
@@ -198,10 +244,11 @@ class ModelState:
 
     def _views(self, flat: np.ndarray) -> _Views:
         """Views of ``flat``, laid out like ``flat_params``, named like ``params``."""
-        return _Views(flat, _param_shapes(self.config, self.item_count).items())
+        return _Views(flat, self._layout)
 
     def _bind(self) -> None:
         """Point the named arrays at the segments of the current vectors."""
+        self._layout = tuple(_param_shapes(self.config, self.item_count).items())  # replaced, never changed
         self.params = self._views(self.flat_params)
         self.adam_m = self._views(self.flat_m)
         self.adam_v = self._views(self.flat_v)
@@ -287,11 +334,17 @@ def grow_vocabulary(state: ModelState, new_item_count: int, seed: int = 0) -> Mo
 # ---------------------------------------------------------------------------
 
 
-def _softmax_last_inplace(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, in place."""
-    x -= x.max(axis=-1, keepdims=True)
+def _softmax_last_inplace(x: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Softmax over the last axis, in place; the row maxima and sums go to ``ws``."""
+    rows = x.reshape(-1, x.shape[-1])
+    # max is exact in any order, and numpy reduces a short last axis slowly: reduce the transpose's columns instead
+    cols = ws("softmax.cols", rows.shape[::-1], x.dtype)
+    np.copyto(cols, rows.T)
+    stat = ws("softmax.stat", x.shape[:-1] + (1,), x.dtype)
+    np.maximum.reduce(cols, axis=0, out=stat.reshape(-1))
+    x -= stat
     np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
+    x /= np.add.reduce(x, axis=-1, keepdims=True, out=stat)
     return x
 
 
@@ -299,16 +352,20 @@ def _softmax_last_inplace(x: np.ndarray) -> np.ndarray:
 # strided last-axis sums far faster than numpy's reduce on these shapes.
 
 
-def _col_sum(x: np.ndarray) -> np.ndarray:
-    flat = x.reshape(-1, x.shape[-1])
-    return np.ones(flat.shape[0], dtype=flat.dtype) @ flat
+def _col_sum(x: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Column sums of the (N, D) matrix ``x``."""
+    return np.matmul(ws("ones", (len(x),), x.dtype, fill=1), x)
+
+
+def _mean_vec(d: int, dt: np.dtype, ws: Workspace) -> np.ndarray:
+    return ws._constant(("mean", d, dt), lambda: np.full(d, 1.0 / d, dtype=dt))
 
 
 def _ln_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray, ws: Workspace, key: str):
     """Layer norm of the (N, D) rows of ``x``; output, ``xhat`` and ``inv`` go to ``ws`` under ``key``."""
     n, d = x.shape
     dt = x.dtype
-    mean_vec = np.full(d, 1.0 / d, dtype=dt)
+    mean_vec = _mean_vec(d, dt, ws)
     mu = np.matmul(x, mean_vec, out=ws("ln.mu", (n,), dt))
     xc = np.subtract(x, mu[:, None], out=ws(key + "xhat", (n, d), dt))
     var = np.matmul(np.multiply(xc, xc, out=ws("scratch", (n, d), dt)), mean_vec, out=ws("ln.var", (n,), dt))
@@ -326,10 +383,10 @@ def _ln_backward(dy: np.ndarray, g: np.ndarray, cache, ws: Workspace, key: str):
     xhat, inv = cache
     n, d = dy.shape
     dt = dy.dtype
-    mean_vec = np.full(d, 1.0 / d, dtype=dt)
+    mean_vec = _mean_vec(d, dt, ws)
     tmp = ws("scratch", (n, d), dt)
-    dg = _col_sum(np.multiply(dy, xhat, out=tmp))
-    db = _col_sum(dy)
+    dg = _col_sum(np.multiply(dy, xhat, out=tmp), ws)
+    db = _col_sum(dy, ws)
     dx = np.multiply(dy, g, out=ws(key, (n, d), dt))
     m2 = np.matmul(np.multiply(dx, xhat, out=tmp), mean_vec, out=ws("lnb.m2", (n,), dt))
     dx -= np.matmul(dx, mean_vec, out=ws("lnb.mean", (n,), dt))[:, None]
@@ -377,10 +434,11 @@ def _encode_batch(
     x = np.take(P["item_emb"], ids.ravel(), axis=0, out=ws("x", (N, D), dt), mode="wrap")
     x += np.take(P["pos_emb"], pos.ravel(), axis=0, out=ws("residual", (N, D), dt), mode="wrap")
     fill = dt.type(MASK_FILL)
-    allowed = np.equal(seg[:, :, None], seg[:, None, :], out=ws("allowed", (B, L, L), bool))
-    allowed &= (seg >= 0)[:, None, :]
-    allowed &= np.tril(np.ones((L, L), dtype=bool))
-    blocked = np.logical_not(allowed[:, None], out=ws("blocked", (B, 1, L, L), bool))
+    blocked = np.not_equal(seg[:, None, :, None], seg[:, None, None, :], out=ws("blocked", (B, 1, L, L), bool))
+    blocked |= (seg < 0)[:, None, None, :]
+    blocked |= ws._constant(("later", L), lambda: np.triu(np.ones((L, L), dtype=bool), 1))
+    # -0.0 is the exact identity of addition, so one add of this (3D,) bias adds the query and value biases alone
+    no_key_bias = ws._constant(("-0", D, dt), lambda: np.full(D, -0.0, dtype=dt))
 
     blocks = []
     for b in range(cfg.block_count):
@@ -392,13 +450,12 @@ def _encode_batch(
         w = np.concatenate([P[p + "attn.wq"], P[p + "attn.wk"], P[p + "attn.wv"]], axis=1,
                            out=ws(k + "w", (D, 3 * D), dt))
         proj = np.matmul(x, w, out=ws(k + "proj", (N, 3 * D), dt))
-        proj[:, :D] += P[p + "attn.bq"]
-        proj[:, 2 * D :] += P[p + "attn.bv"]
+        proj += np.concatenate([P[p + "attn.bq"], no_key_bias, P[p + "attn.bv"]], out=ws("bias", (3 * D,), dt))
         qh, kh, vh = proj.reshape(B, L, 3, H, D // H).transpose(2, 0, 3, 1, 4)
         scores = np.matmul(qh, kh.swapaxes(-1, -2), out=ws(k + "attn", (B, H, L, L), dt))
         scores *= scale
         np.copyto(scores, fill, where=blocked)
-        attn = _softmax_last_inplace(scores)
+        attn = _softmax_last_inplace(scores, ws)
         ctx = ws(k + "ctx", (B, L, H, D // H), dt)
         np.matmul(attn, vh, out=ctx.transpose(0, 2, 1, 3))
         ctx = ctx.reshape(N, D)
@@ -633,23 +690,41 @@ def _encode_rows(
     return np.take(hidden, last, axis=0, out=ws("feats", (len(rows), d), dt), mode="wrap"), cache
 
 
-def _scatter_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray, ws: Workspace) -> None:
+def _scatter_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray, ws: Workspace, zeroed: bool = False) -> None:
     """``out[index[i]] += rows[i]`` with repeated indices summed, like ``np.add.at``.
 
-    The rows are sorted by index and each run of equal indices is summed
-    with one ``reduceat`` first (a run of one is the row itself). Only the
-    rows that occur are touched.
+    The rows are sorted by index. A run of one index adds its row as it is,
+    and the longer runs are each summed with one ``reduceat`` first. Only
+    the rows that occur are touched. ``zeroed`` says ``out`` holds zeros: a
+    sum is then added to 0 rather than to the rows read back from ``out``.
     """
-    order = np.argsort(index, kind="stable")
+    n = len(index)
+    # indices into ``out``: below 2**16 they sort as uint16, by radix sort, in the same stable order
+    order = (index.astype(np.uint16) if len(out) <= 1 << 16 else index).argsort(kind="stable")
     keys = index[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    dest = keys[starts]
-    shape = (len(starts),) + rows.shape[1:]
-    grouped = np.take(rows, order, axis=0, out=ws("scatter.rows", rows.shape, rows.dtype), mode="wrap")
-    sums = np.add.reduceat(grouped, starts, axis=0, out=ws("scatter.sums", shape, rows.dtype))
-    acc = np.take(out, dest, axis=0, out=ws("scatter.acc", shape, out.dtype), mode="wrap")
-    acc += sums
-    out[dest] = acc
+    edge = ws("scatter.edge", (n + 1,), bool)  # sorted position i starts a run; position n ends the last
+    edge[0] = edge[n] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:n])
+    first = np.flatnonzero(edge)[:-1]
+    alone = edge[first + 1]
+    single = first[alone]
+    _add_rows(out, keys[single], rows[order[single]], zeroed)
+    if len(single) < len(first):
+        multi = np.flatnonzero(~alone[np.cumsum(edge[:n]) - 1])  # the sorted positions in runs of two or more
+        shape = (len(multi),) + rows.shape[1:]
+        grouped = np.take(rows, order[multi], axis=0, out=ws("scatter.rows", shape, rows.dtype), mode="wrap")
+        starts = np.flatnonzero(edge[multi])
+        sums = np.add.reduceat(grouped, starts, axis=0, out=ws("scatter.sums", (len(starts),) + shape[1:], rows.dtype))
+        _add_rows(out, keys[multi[starts]], sums, zeroed)
+
+
+def _add_rows(out: np.ndarray, dest: np.ndarray, values: np.ndarray, zeroed: bool) -> None:
+    """``out[dest] += values`` for distinct ``dest``; ``values`` is overwritten."""
+    if zeroed:
+        values += 0.0  # as 0 + v: only -0.0 changes
+    else:
+        values += out[dest]
+    out[dest] = values
 
 
 def _encode_backward(state: ModelState, cache: dict, dfeats: np.ndarray, grads: dict[str, np.ndarray]) -> None:
@@ -677,7 +752,7 @@ def _encode_backward(state: ModelState, cache: dict, dfeats: np.ndarray, grads: 
     # "grad.c" df, dx1, dctx and finally the real tokens' dx
     dx = ws("grad.a", (N, D), dt)
     dx.fill(0)
-    _scatter_rows(dx, cache["last"], dfeats, ws)
+    _scatter_rows(dx, cache["last"], dfeats, ws, zeroed=True)
     dw = ws("dw", (D, D), dt)  # each weight gradient, added to ``grads`` as soon as it is made
     for b in range(cfg.block_count - 1, -1, -1):
         c = cache["blocks"][b]
@@ -687,11 +762,11 @@ def _encode_backward(state: ModelState, cache: dict, dfeats: np.ndarray, grads: 
         grads[p + "ln2.b"] += db2
         df = np.multiply(dr2, c["mask2"], out=ws("grad.c", (N, D), dt)) if c["mask2"] is not None else dr2
         grads[p + "ff.w2"] += np.matmul(c["h"].T, df, out=dw)
-        grads[p + "ff.b2"] += _col_sum(df)
+        grads[p + "ff.b2"] += _col_sum(df, ws)
         dhpre = np.matmul(df, P[p + "ff.w2"].T, out=ws("grad.a", (N, D), dt))
         dhpre *= np.greater(c["h"], 0.0, out=ws("relu", (N, D), bool))
         grads[p + "ff.w1"] += np.matmul(c["x1"].T, dhpre, out=dw)
-        grads[p + "ff.b1"] += _col_sum(dhpre)
+        grads[p + "ff.b1"] += _col_sum(dhpre, ws)
         dx1 = np.matmul(dhpre, P[p + "ff.w1"].T, out=ws("grad.c", (N, D), dt))
         dx1 += dr2
 
@@ -700,7 +775,7 @@ def _encode_backward(state: ModelState, cache: dict, dfeats: np.ndarray, grads: 
         grads[p + "ln1.b"] += db1
         do = np.multiply(dr1, c["mask1"], out=ws("grad.a", (N, D), dt)) if c["mask1"] is not None else dr1
         grads[p + "attn.wo"] += np.matmul(c["ctx"].T, do, out=dw)
-        grads[p + "attn.bo"] += _col_sum(do)
+        grads[p + "attn.bo"] += _col_sum(do, ws)
         dctx = np.matmul(do, P[p + "attn.wo"].T, out=ws("grad.c", (N, D), dt))
         dctx = dctx.reshape(B, L, H, D // H).transpose(0, 2, 1, 3)
         attn = c["attn"]
@@ -716,7 +791,7 @@ def _encode_backward(state: ModelState, cache: dict, dfeats: np.ndarray, grads: 
         np.matmul(attn.swapaxes(-1, -2), dctx, out=dv)
         dproj = dproj.reshape(N, 3 * D)
         dwqkv = np.matmul(c["x"].T, dproj, out=ws("dwqkv", (D, 3 * D), dt))
-        db = _col_sum(dproj)
+        db = _col_sum(dproj, ws)
         for i, n in enumerate("qkv"):
             grads[p + "attn.w" + n] += dwqkv[:, i * D : (i + 1) * D]
         grads[p + "attn.bq"] += db[:D]
@@ -808,7 +883,7 @@ def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdow
     ws = state.workspace
     dt = state.config.np_dtype
     D = state.config.embed_dim
-    grads = state._views(ws("grads", state.flat_params.shape, dt))
+    grads = ws._built("grads", state.flat_params.shape, dt, state._layout, state._views)
     grads.flat.fill(0)
     E = state.params["item_emb"]
     values = {"ce": 0.0, "kd": 0.0, "ewc": 0.0}
@@ -848,9 +923,11 @@ def loss_and_gradients(state: ModelState, spec: BatchSpec) -> tuple[LossBreakdow
         if fw is None or anchor.shape != theta.shape or fw.shape != theta.shape:
             raise ValueError("loss_and_gradients: EWC needs an anchor and Fisher weights laid out like flat_params")
         diff = np.subtract(theta, anchor, out=ws("ewc.diff", theta.shape, np.result_type(theta, anchor)))
-        term = np.multiply(fw, diff, out=ws("ewc.term", theta.shape, np.result_type(fw, diff)))
+        term_dt = np.result_type(fw, diff)
+        term = np.multiply(fw, diff, out=ws("ewc.term", theta.shape, term_dt))
         term *= diff
-        for segment in state._views(term).values():  # summed per parameter: the logged loss keeps its float order
+        # summed per parameter: the logged loss keeps its float order
+        for segment in ws._built("ewc.term", theta.shape, term_dt, state._layout, state._views).values():
             values["ewc"] += 0.5 * float(segment.sum())
         np.multiply(fw, spec.ewc_weight, out=term)  # ewc_weight * fw * diff
         term *= diff

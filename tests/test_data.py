@@ -695,6 +695,8 @@ def test_cycles_id_mismatch_names_path_and_line(tmp_path):
     pytest.param("0\t1 2\t3\ttrian", r"split tag 'trian' is neither 'train' nor 'val'", id="misspelt-tag"),
     pytest.param("0\t1 2\t3", r"expected 4 tab-separated fields, got 3", id="three-fields"),
     pytest.param("0\t1 2\t3\ttrain\textra", r"expected 4 tab-separated fields, got 5", id="five-fields"),
+    pytest.param("0\t4\t0\ntrain\t0\t3\t1\tval", r"expected 4 tab-separated fields, got 3",
+                 id="two-lines-of-eight-fields"),
     pytest.param("0\t1 x\t3\ttrain", r"expected integers, got '0 1 x 3'", id="non-integer-item"),
     pytest.param("0\t1 2\t3.0\ttrain", r"expected integers", id="non-integer-target"),
     pytest.param("0\t-1 2\t3\ttrain", r"item index outside cycle 0's \[0, 5\)", id="negative-item"),
@@ -737,6 +739,18 @@ def test_cycles_out_of_sequence_names_path_and_header_line(tmp_path, text, messa
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=r"cycles\.txt" + message):
         load_cycles(path)
+
+
+def test_cycles_read_line_by_line_equal_the_columns_read(tmp_path):
+    # a blank line, a padded cycle id and a double space fail the whole-file parse; the line reader takes them
+    canonical, loose = tmp_path / "canonical.txt", tmp_path / "loose.txt"
+    canonical.write_text("# cycle 0 items 5\n0\t1 2\t3\ttrain\n0\t4\t0\tval\n# cycle 1 items 6\n1\t5 1\t2\tval\n",
+                         encoding="utf-8")
+    loose.write_text("\n# cycle 0 items 5\n0\t1  2\t3\ttrain\n 0\t4\t0\tval\n# cycle 1 items 6\n1\t5 1\t2\tval",
+                     encoding="utf-8")
+    for got, want in zip(load_cycles(loose), load_cycles(canonical), strict=True):
+        assert (got.cycle_id, got.item_count_after) == (want.cycle_id, want.item_count_after)
+        assert got.train == want.train and got.validation == want.validation
 
 
 def test_cycles_last_cycle_may_hold_only_validation_lines(tmp_path):

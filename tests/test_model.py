@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from cyclerec.model import (
     ModelConfig,
     PrefixTable,
     TableRows,
+    VIEWS_PER_KEY,
     Workspace,
     adam_step,
     extract_features_batch,
@@ -457,6 +460,17 @@ def test_scatter_rows_matches_add_at():
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
+def test_scatter_rows_into_zeros_adds_to_zero():
+    # a zeroed destination is not read back, yet a -0.0 row still lands as 0 + -0.0 = +0.0, as add.at makes it
+    index = np.array([4, 1, 4, 0])
+    rows = np.array([[1.5, -0.0], [-0.0, 2.0], [0.25, -0.0], [-0.0, -0.0]], dtype=np.float32)
+    expected = np.zeros((5, 2), dtype=np.float32)
+    np.add.at(expected, index, rows)
+    got = np.zeros((5, 2), dtype=np.float32)
+    _scatter_rows(got, index, rows, Workspace(), zeroed=True)
+    assert got.tobytes() == expected.tobytes() and not np.signbit(got).any()
+
+
 @pytest.mark.parametrize("distinct", [True, False])
 def test_scatter_rows_fast_path_is_add_at_bit_for_bit(distinct):
     rng = np.random.default_rng(4)
@@ -798,3 +812,69 @@ def test_workspace_steps_match_fresh_ones_and_stop_allocating():
             buffers = dict(ws._buffers)
     assert ws._buffers.keys() == buffers.keys()  # nothing grew after the largest step
     assert all(ws._buffers[key] is buf for key, buf in buffers.items())
+    assert all(len(entries) <= VIEWS_PER_KEY for entries in ws._view_keys.values())
+
+
+def test_workspace_returns_the_cached_view_until_its_buffer_is_replaced():
+    ws = Workspace()
+    a = ws("k", (3, 4), np.float32)
+    assert ws("k", (3, 4), np.float32) is a  # a repeated request is the kept view
+    b = ws("k", (2, 5), np.float32)  # fits: another view of the same buffer
+    assert b is not a and np.shares_memory(a, b)
+    old = weakref.ref(ws._buffers["k"])
+    grown = ws("k", (5, 4), np.float32)  # outgrows it: a view of a new buffer
+    assert grown.shape == (5, 4) and grown.base is ws._buffers["k"] and old() is not ws._buffers["k"]
+    assert ws("k", (3, 4), np.float32) is not a
+    del a, b
+    gc.collect()
+    assert old() is None  # no kept view held on to the replaced buffer
+    assert ws("k", (5, 4), np.float64).dtype == np.float64  # another dtype replaces the buffer too
+    ones = ws("ones", (7,), np.float32, fill=1)
+    np.testing.assert_array_equal(ws("ones", (40,), np.float32, fill=1), 1.0)  # a grown constant is filled again
+    assert ones.base is not ws._buffers["ones"]
+
+
+def test_workspace_keeps_a_few_views_per_key():
+    ws = Workspace()
+    ws("k", (20,), np.int64)  # the buffer, at its largest
+    first = ws("k", (1,), np.int64)
+    for n in range(2, 20):
+        ws("k", (n,), np.int64)
+    assert len(ws._views) == len(ws._view_keys["k"]) == VIEWS_PER_KEY
+    assert ws("k", (1,), np.int64) is not first  # dropped, then cut again from the same buffer
+    assert np.shares_memory(first, ws._buffers["k"])
+
+
+def test_gradient_views_are_rebuilt_when_the_vocabulary_grows():
+    m = small_model()
+    spec = batch_spec(m, ce=[TrainingExample((1, 2), 3)])
+    _, grads = loss_and_gradients(m, spec)
+    assert loss_and_gradients(m, spec)[1] is grads  # the named views are kept with their buffer
+    old = weakref.ref(grads.flat.base)
+    grow_vocabulary(m, 20, seed=1)
+    _, grown = loss_and_gradients(m, batch_spec(m, ce=[TrainingExample((1, 2), 3)]))
+    assert grown["item_emb"].shape == (20, 8) and grown.flat.size == m.flat_params.size
+    del grads
+    gc.collect()
+    assert old() is None
+
+
+def test_models_of_two_dtypes_sharing_a_workspace_step_as_with_fresh_ones():
+    # each request of one model replaces the buffers the other left in the
+    # other dtype, and with them every kept view and the named gradients
+    rng = np.random.default_rng(5)
+    m32, m64 = float32_model(), float32_model(dtype="float64")
+    m64.workspace = m32.workspace
+    fresh32, fresh64 = float32_model(), float32_model(dtype="float64")
+    specs32, specs64 = _workspace_steps(rng, m32), _workspace_steps(rng, m64)
+    for i, (s32, s64) in enumerate(zip(specs32, specs64)):
+        for model, fresh, spec in ((m32, fresh32, s32), (m64, fresh64, s64)):
+            fresh.workspace = Workspace()
+            got, got_grads = loss_and_gradients(model, spec)
+            want, want_grads = loss_and_gradients(fresh, spec)
+            assert got == want, i
+            assert got_grads.flat.dtype == model.config.np_dtype
+            assert got_grads.flat.tobytes() == want_grads.flat.tobytes(), i
+            adam_step(model, got_grads, lr=1e-2)
+            adam_step(fresh, want_grads, lr=1e-2)
+            assert states_equal(model, fresh), i
